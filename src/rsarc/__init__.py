@@ -29,7 +29,6 @@ from .errors import (
 )
 from .problems import (
     BUILTIN_NAMES,
-    LowRankAugmentation,
     ObjectiveProblem,
     augment,
     builtin_problem,
@@ -56,6 +55,7 @@ from .solver import (
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
+    STATUS_NON_FINITE,
     IterationTrace,
     SolveResult,
     SolverConfig,

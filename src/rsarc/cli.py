@@ -1,7 +1,8 @@
 """Command-line interface: single solves, benchmark grids, profiles, embedding checks.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
-2 on the iteration cap, 3 on inner-solver failure, 1 on usage errors.
+2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
+gradient or Hessian, 1 on usage errors.
 The other subcommands exit 0 on completion and 1 on malformed input.
 """
 
@@ -27,6 +28,7 @@ from .solver import (
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
+    STATUS_NON_FINITE,
     SolverConfig,
     run,
     trace_to_csv,
@@ -34,7 +36,12 @@ from .solver import (
 )
 
 _MODE_FLAGS = {"arc": MODE_ARC, "rarc": MODE_RARC, "rarc-d": MODE_RARC_D}
-_EXIT_BY_STATUS = {STATUS_GRADIENT_TOL: 0, STATUS_MAX_ITER: 2, STATUS_INNER_FAILURE: 3}
+_EXIT_BY_STATUS = {
+    STATUS_GRADIENT_TOL: 0,
+    STATUS_MAX_ITER: 2,
+    STATUS_INNER_FAILURE: 3,
+    STATUS_NON_FINITE: 4,
+}
 
 _INT_FIELDS = {"max_iter", "l0", "growth_c", "seed", "max_inner"}
 _STR_FIELDS = {"mode", "redraw_policy", "distribution"}

@@ -22,7 +22,7 @@ class InnerSolverError(RsarcError):
 
 
 class InvalidProblemError(RsarcError, ValueError):
-    """Raised when benchmark inputs are inconsistent (e.g. f0 <= f_star)."""
+    """Raised when problem or benchmark inputs are inconsistent (e.g. f0 <= f_star)."""
 
 
 class InvalidInputError(RsarcError, ValueError):

@@ -6,11 +6,20 @@ problems of ambient dimension d are manufactured from an r-dimensional
 base problem f via g(x) = f(Q^T x) for a random column-orthonormal
 Q in R^{d x r}; by the chain rule the Hessian of g has rank at most r
 everywhere, so r acts as the effective rank of g.
+
+Second-order information comes in two forms.  Every problem provides the
+dense d x d ``hessian``; the ``arc`` mode, identity sketches and output
+checks use it.  A problem may also provide ``sketched_hessian(x, S)``,
+which returns S H(x) S^T for an l x d sketch array S without forming H.
+When it is present and the sketch is not the identity, the solver calls
+it instead of ``hessian``.  Lifted problems provide it as
+(S Q) H_f(Q^T x) (S Q)^T, which costs O(l d r + l r^2 + l^2 r) flops and
+needs no d x d array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +57,14 @@ class ObjectiveProblem:
         x0: standard start point, shape (d,).
         f_star: known optimal objective value, or None if unknown.
         known_rank: upper bound on rank(hess f(x)) valid at every x, or None.
-        value / gradient / hessian: evaluators; pure functions of x.
+        value / gradient / hessian: evaluators; pure functions of x.  The
+            dense ``hessian`` is always required: ``arc``, identity
+            sketches and output checks use it.
+        sketched_hessian: optional ``(x, S) -> S hess f(x) S^T`` for an
+            l x d sketch array S, computed without the d x d Hessian.  The
+            solver uses it, when present, for every non-identity sketch
+            and then never calls ``hessian``; the result need not be
+            exactly symmetric.
     """
 
     name: str
@@ -59,19 +75,7 @@ class ObjectiveProblem:
     hessian: Callable[[np.ndarray], np.ndarray]
     f_star: Optional[float] = None
     known_rank: Optional[int] = None
-
-
-@dataclass
-class LowRankAugmentation:
-    """A base problem embedded into a higher dimension via g(x) = f(Q^T x)."""
-
-    base: ObjectiveProblem
-    embedding: np.ndarray  # d x r, orthonormal columns
-    seed: int
-    problem: ObjectiveProblem = field(init=False)
-
-    def __post_init__(self):
-        self.problem = _augmented_problem(self.base, self.embedding, self.seed)
+    sketched_hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def make_orthogonal_embedding(d: int, r: int, seed) -> np.ndarray:
@@ -102,6 +106,10 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
     def hessian(x):
         return q @ base.hessian(qt @ x) @ qt
 
+    def sketched_hessian(x, s):
+        sq = s @ q
+        return sq @ base.hessian(qt @ x) @ sq.T
+
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]
     label = f"l-{head}:N={base.dim}"
@@ -117,6 +125,7 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
         hessian=hessian,
         f_star=base.f_star,
         known_rank=rank,
+        sketched_hessian=sketched_hessian,
     )
 
 

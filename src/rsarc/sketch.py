@@ -41,8 +41,7 @@ class SketchMatrix:
         """The l x l Gram matrix S S^T, symmetrized."""
         if self.distribution == IDENTITY:
             return np.eye(self.rows)
-        g = self.matrix @ self.matrix.T
-        return 0.5 * (g + g.T)
+        return symmetrize(self.matrix @ self.matrix.T)
 
 
 @dataclass
@@ -100,6 +99,11 @@ def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:
     return s.matrix @ grad
 
 
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """The symmetric part (M + M^T) / 2, which removes roundoff skew."""
+    return 0.5 * (m + m.T)
+
+
 def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
     """Project a Hessian: returns S H S^T symmetrized to kill roundoff skew."""
     if hess.shape != (s.cols, s.cols):
@@ -107,9 +111,8 @@ def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
             f"hessian shape {hess.shape} incompatible with sketch cols {s.cols}"
         )
     if s.distribution == IDENTITY:
-        return 0.5 * (hess + hess.T)
-    m = s.matrix @ hess @ s.matrix.T
-    return 0.5 * (m + m.T)
+        return symmetrize(hess)
+    return symmetrize(s.matrix @ hess @ s.matrix.T)
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:

@@ -14,6 +14,12 @@ derivatives S g and S H S^T, minimizes the sketched cubic model exactly,
 and accepts the trial step when the achieved-over-predicted decrease
 ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
 "relative Hessians seen", the budget metric used by the benchmark layer.
+
+S H S^T comes from the problem's ``sketched_hessian`` when it has one and
+the sketch is not the identity, so no d x d array is formed; otherwise
+the dense Hessian is evaluated once per iteration and projected.  A
+non-finite gradient or projected derivative ends the run with status
+``NonFiniteDerivative``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ import numpy as np
 
 from . import sketch as sk
 from . import subproblem as sp
-from .errors import ConfigError, InnerSolverError, InvalidDimensionError, SingularGramError
+from .errors import (
+    ConfigError,
+    InnerSolverError,
+    InvalidDimensionError,
+    InvalidProblemError,
+    SingularGramError,
+)
 from .problems import ObjectiveProblem
 
 MODE_ARC = "arc"
@@ -44,6 +56,7 @@ REDRAW_POLICIES = (REDRAW_ON_SUCCESS, REDRAW_EVERY_ITERATION)
 STATUS_GRADIENT_TOL = "GradientTolReached"
 STATUS_MAX_ITER = "MaxIter"
 STATUS_INNER_FAILURE = "InnerFailure"
+STATUS_NON_FINITE = "NonFiniteDerivative"
 
 #: consecutive Gram-factorization failures tolerated before giving up
 _MAX_GRAM_REDRAWS = 10
@@ -190,7 +203,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
 
     The trace records one row per iteration (f, gradient norm, sketch
     size, observed rank and its running maximum, sigma, rho, success flag,
-    and the cumulative budget counters).
+    and the cumulative budget counters).  Raises InvalidProblemError when
+    ``rarc-d`` observes a sketched-Hessian rank that ``problem.known_rank``
+    says cannot occur.
     """
     config.validate()
     d = problem.dim
@@ -213,8 +228,12 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     status = STATUS_MAX_ITER
     f = problem.value(x)
     grad = problem.gradient(x)
+    sketch_first = problem.sketched_hessian is not None and distribution != sk.IDENTITY
 
     for k in range(config.max_iter + 1):
+        if not np.all(np.isfinite(grad)):
+            status = STATUS_NON_FINITE
+            break
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= config.epsilon:
             status = STATUS_GRADIENT_TOL
@@ -224,7 +243,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             break
 
         t0 = time.process_time()
-        hess = problem.hessian(x)
+        hess = None if sketch_first else problem.hessian(x)
 
         solution = None
         for attempt in range(_MAX_GRAM_REDRAWS + 1):
@@ -232,7 +251,13 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 s_mat = sk.draw(distribution, l, d, rng)
                 need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
             g_hat = sk.sketch_gradient(s_mat, grad)
-            h_hat = sk.sketch_hessian(s_mat, hess)
+            if sketch_first:
+                h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
+            else:
+                h_hat = sk.sketch_hessian(s_mat, hess)
+            finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
+            if not finite:
+                break
             try:
                 model = sp.build_model(f, g_hat, h_hat, sigma, s_mat.gram())
                 solution = sp.solve(
@@ -250,7 +275,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                     solution = None
                     break
         if solution is None:
-            status = STATUS_INNER_FAILURE
+            status = STATUS_INNER_FAILURE if finite else STATUS_NON_FINITE
             cum_time += time.process_time() - t0
             break
 
@@ -298,7 +323,13 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         if config.mode == MODE_RARC_D:
             l_next = update_sketch_size(l, r_hat_running, r_hat_prev, config.growth_c, d)
             if problem.known_rank is not None:
-                assert l_next <= max(config.growth_c * problem.known_rank + 1, config.l0)
+                bound = max(config.growth_c * problem.known_rank + 1, config.l0)
+                if l_next > bound:
+                    raise InvalidProblemError(
+                        f"sketch size {l_next} exceeds max(C * known_rank + 1, l0) = {bound}: "
+                        f"{problem.name} declares known_rank={problem.known_rank} "
+                        f"but a sketched Hessian of rank {r_hat_running} was observed"
+                    )
             if l_next != l:
                 l = l_next
                 need_draw = True

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import math
+import tracemalloc
 
 import pytest
 
+from rsarc import cli
 from rsarc.cli import main
 
 
@@ -39,6 +43,31 @@ def test_solve_max_iter_exits_2(tmp_path):
         "--eps", "1e-12", "--max-iter", "2",
     ])
     assert code == 2
+
+
+def test_solve_non_finite_hessian_exits_4(monkeypatch, capsys):
+    get_problem = cli.get_problem
+
+    def poisoned(selector):
+        p = get_problem(selector)
+        return dataclasses.replace(p, hessian=lambda x: p.hessian(x) * math.nan)
+
+    monkeypatch.setattr(cli, "get_problem", poisoned)
+    assert main(["solve", "--problem", "QUADRANK:d=5", "--mode", "arc"]) == 4
+    assert "NonFiniteDerivative" in capsys.readouterr().out
+
+
+def test_solve_rarc_d_at_large_d_never_forms_a_dense_hessian(capsys):
+    # one 20000 x 20000 float64 Hessian would be 3.2 GB
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--problem", "l-ARWHEAD:N=100:d=20000", "--mode", "rarc-d"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 100e6
+    assert "GradientTolReached" in capsys.readouterr().out
 
 
 def test_unknown_flag_fails_fast():

@@ -187,3 +187,13 @@ def test_selector_parsing():
 def test_selector_errors(selector):
     with pytest.raises(UnsupportedProblemError):
         get_problem(selector)
+
+
+@pytest.mark.parametrize("name", ("ARWHEAD", "COSINE", "ENGVAL1", "POWER"))
+@pytest.mark.parametrize("l,d", [(1, 20), (7, 20), (20, 20), (31, 300)])
+def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
+    g = augment(builtin_problem(name, 10), d, seed=l)
+    rng = np.random.default_rng(d + l)
+    s = rng.standard_normal((l, d))
+    for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):
+        assert rel_err(g.sketched_hessian(x, s), s @ g.hessian(x) @ s.T) < 1e-12

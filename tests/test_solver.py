@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from rsarc import (
     ConfigError,
     InvalidDimensionError,
+    InvalidProblemError,
     SolverConfig,
     augment,
     builtin_problem,
@@ -18,7 +20,13 @@ from rsarc import (
     update_sketch_size,
 )
 from rsarc import solver as solver_mod
-from rsarc.solver import STATUS_GRADIENT_TOL, STATUS_INNER_FAILURE, STATUS_MAX_ITER, summary_dict
+from rsarc.solver import (
+    STATUS_GRADIENT_TOL,
+    STATUS_INNER_FAILURE,
+    STATUS_MAX_ITER,
+    STATUS_NON_FINITE,
+    summary_dict,
+)
 
 
 def test_update_sketch_size_rule():
@@ -233,3 +241,61 @@ def test_summary_dict_contents():
     assert s["solver_id"] == "arc"
     assert s["config"]["epsilon"] == 1e-9
     assert s["iterations"] == len(res.trace)
+
+
+@pytest.mark.parametrize("mode", ["rarc", "rarc-d"])
+def test_sketched_modes_never_form_the_dense_hessian(mode):
+    def hessian(x):
+        raise AssertionError("dense Hessian evaluated")
+
+    p = dataclasses.replace(get_problem("l-ARWHEAD:N=20:d=300:seed=2"), hessian=hessian)
+    res = run(p, SolverConfig(mode=mode, l0=21, epsilon=1e-5, seed=4))
+    assert res.status == STATUS_GRADIENT_TOL
+
+
+def test_arc_uses_the_dense_hessian_of_a_lifted_problem():
+    p = get_problem("l-ARWHEAD:N=20:d=60:seed=2")
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return p.hessian(x)
+
+    res = run(dataclasses.replace(p, hessian=hessian), SolverConfig(mode="arc", epsilon=1e-6))
+    assert res.status == STATUS_GRADIENT_TOL
+    assert len(calls) == len(res.trace)
+
+
+def _nan_hessian(problem):
+    def hessian(x):
+        h = problem.hessian(x)
+        h[0, 0] = math.nan
+        return h
+
+    return dataclasses.replace(problem, hessian=hessian)
+
+
+@pytest.mark.parametrize(
+    "mode,make",
+    [
+        ("arc", lambda: _nan_hessian(builtin_problem("ARWHEAD", 10))),
+        ("rarc-d", lambda: _nan_hessian(builtin_problem("ARWHEAD", 10))),
+        ("rarc-d", lambda: augment(_nan_hessian(builtin_problem("ARWHEAD", 10)), 40, seed=1)),
+    ],
+)
+def test_non_finite_hessian_ends_with_typed_status(mode, make):
+    res = run(make(), SolverConfig(mode=mode, seed=0))
+    assert res.status == STATUS_NON_FINITE
+    assert res.trace == []
+
+
+def test_non_finite_gradient_ends_with_typed_status():
+    p = builtin_problem("QUADRANK", 6)
+    p = dataclasses.replace(p, gradient=lambda x: np.full(6, math.inf))
+    assert run(p, SolverConfig(mode="arc")).status == STATUS_NON_FINITE
+
+
+def test_understated_known_rank_is_rejected():
+    p = dataclasses.replace(builtin_problem("QUADRANK", 10), known_rank=2)
+    with pytest.raises(InvalidProblemError, match="known_rank=2"):
+        run(p, SolverConfig(mode="rarc-d", l0=2, growth_c=1, epsilon=1e-8, seed=0))
