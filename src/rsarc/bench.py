@@ -126,16 +126,15 @@ def _run_one(job: dict) -> dict:
     """
     config = SolverConfig(**job["config"])
     trace_path = job.get("trace_path")
-    budgets = {tau: {m: math.inf for m in METRICS} for tau in job["taus"]}
+    budgets = {tau: math.inf for tau in job["taus"]}
     try:
         problem = get_problem(job["problem_id"])
         result = run(problem, config)
         f0 = problem.value(problem.x0)
         for tau in job["taus"]:
-            for metric in METRICS:
-                budgets[tau][metric] = solved_budget(
-                    result.trace, f0, problem.f_star, tau, metric, final_f=result.f_final
-                )
+            budgets[tau] = solved_budget(
+                result.trace, f0, problem.f_star, tau, job["metric"], final_f=result.f_final
+            )
         status = result.status
         if trace_path:
             trace_to_csv(result.trace, trace_path)
@@ -187,6 +186,8 @@ def run_grid(
         raise InvalidInputError(f"need repeats >= 1, got {repeats}")
     if not problems or not solver_configs:
         raise InvalidInputError("need at least one problem and one solver config")
+    if metric not in METRICS:
+        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
     for config in solver_configs:
         config.validate()
 
@@ -209,6 +210,7 @@ def run_grid(
                         "config": vars(cfg).copy(),
                         "repeat": rep,
                         "taus": list(taus),
+                        "metric": metric,
                         "trace_path": trace_path,
                         "index": index,
                     }
@@ -226,14 +228,13 @@ def run_grid(
 
     runs = []
     for rec in raw:
-        n_p = {tau: rec["budgets"][tau][metric] for tau in rec["budgets"]}
         runs.append(
             BenchmarkRun(
                 problem_id=rec["problem_id"],
                 solver_id=rec["solver_id"],
                 repeat=rec["repeat"],
                 seed=rec["seed"],
-                n_p=n_p,
+                n_p=rec["budgets"],
                 status=rec["status"],
                 trace_path=rec["trace_path"],
             )

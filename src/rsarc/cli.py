@@ -1,9 +1,16 @@
 """Command-line interface: single solves, benchmark grids, profiles, embedding checks.
 
+``solve`` and ``bench`` take one flag per ``SolverConfig`` field, named
+``--field-name`` except ``--C`` (growth_c), ``--eps`` (epsilon) and
+``--redraw`` (redraw_policy).  A ``--config`` file sets the same fields
+as flat ``key = value`` lines keyed by field name or by those three
+aliases; flags override it.
+
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
-gradient or Hessian, 1 on usage errors.
-The other subcommands exit 0 on completion and 1 on malformed input.
+f, gradient or Hessian, 1 on usage errors and malformed config files.
+The other subcommands exit 0 on completion and 1 on malformed input,
+including a malformed manifest.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -22,9 +29,7 @@ from . import sketch as sk
 from .errors import RsarcError
 from .problems import get_problem
 from .solver import (
-    MODE_ARC,
-    MODE_RARC,
-    MODE_RARC_D,
+    MODES,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
@@ -35,7 +40,6 @@ from .solver import (
     write_summary,
 )
 
-_MODE_FLAGS = {"arc": MODE_ARC, "rarc": MODE_RARC, "rarc-d": MODE_RARC_D}
 _EXIT_BY_STATUS = {
     STATUS_GRADIENT_TOL: 0,
     STATUS_MAX_ITER: 2,
@@ -43,9 +47,10 @@ _EXIT_BY_STATUS = {
     STATUS_NON_FINITE: 4,
 }
 
-_INT_FIELDS = {"max_iter", "l0", "growth_c", "seed", "max_inner"}
-_STR_FIELDS = {"mode", "redraw_policy", "distribution"}
 _FIELD_ALIASES = {"C": "growth_c", "eps": "epsilon", "redraw": "redraw_policy"}
+#: SolverConfig field name -> its type hint
+_SETTINGS = get_type_hints(SolverConfig)
+_MANIFEST_KEYS = ("problems", "solver_configs", "repeats", "seed_base", "taus")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,17 +61,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _coerce(name: str, raw: str):
-    if name in _STR_FIELDS:
-        return raw
-    if name in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+def _types(name: str) -> tuple:
+    """The types a setting may take; the first is the one text is parsed to."""
+    hint = _SETTINGS[name]
+    return get_args(hint) or (hint,)
+
+
+def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
+    """Field name and typed value of one solver setting read from a file.
+
+    Text (config-file values) is parsed to the field's type; other values
+    (from JSON manifests) must already equal their parsed form.
+    """
+    name = _FIELD_ALIASES.get(key, key)
+    if name not in _SETTINGS:
+        raise RsarcError(f"{where}: unknown config key {key!r}")
+    types = _types(name)
+    if value is None and type(None) in types:
+        return name, None
+    try:
+        typed = types[0](value)
+    except (TypeError, ValueError):
+        typed = None
+    if typed is None or (not isinstance(value, str) and typed != value):
+        raise RsarcError(f"{where}: {key} = {value!r} is not a valid {types[0].__name__}")
+    return name, typed
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value file mirroring SolverConfig field names."""
-    known = {f.name for f in fields(SolverConfig)}
+    """Flat key = value file of SolverConfig field names (or their aliases)."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -76,67 +99,50 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise RsarcError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            key = _FIELD_ALIASES.get(key, key)
-            if key not in known:
-                raise RsarcError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            name, value = _typed_setting(f"{path}:{lineno}", key, raw)
+            values[name] = value
     return values
+
+
+def read_manifest(path: str) -> dict:
+    """A manifest.json written by ``bench``, its solver configs as SolverConfig."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RsarcError(f"{path}: not a JSON manifest: {exc}") from None
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise RsarcError(f"{path}: missing manifest key(s) {missing}")
+    configs = []
+    for i, raw in enumerate(manifest["solver_configs"]):
+        where = f"{path}: solver_configs[{i}]"
+        configs.append(SolverConfig(**dict(_typed_setting(where, k, v) for k, v in raw.items())))
+    manifest["solver_configs"] = configs
+    return manifest
 
 
 def _config_from_args(args) -> SolverConfig:
     config = SolverConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config = replace(config, **read_config_file(args.config))
-    overrides = {}
-    for flag, field_name in (
-        ("mode", "mode"),
-        ("theta", "theta"),
-        ("sigma0", "sigma0"),
-        ("sigma_min", "sigma_min"),
-        ("gamma_inc", "gamma_inc"),
-        ("gamma_dec", "gamma_dec"),
-        ("eps", "epsilon"),
-        ("max_iter", "max_iter"),
-        ("l0", "l0"),
-        ("C", "growth_c"),
-        ("kappa_t", "kappa_t"),
-        ("kappa_s", "kappa_s"),
-        ("rank_tol", "rank_tol"),
-        ("redraw", "redraw_policy"),
-        ("seed", "seed"),
-        ("inner_tol", "inner_tol"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if "mode" in overrides:
-        overrides["mode"] = _MODE_FLAGS[overrides["mode"]]
-    if overrides:
-        config = replace(config, **overrides)
+    flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+    config = replace(config, **{name: v for name, v in flags.items() if v is not None})
     config.validate()
     return config
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--mode", choices=sorted(_MODE_FLAGS), help="solver variant")
-    parser.add_argument("--theta", type=float, help="acceptance threshold in (0,1)")
-    parser.add_argument("--sigma0", type=float, help="initial regularization weight")
-    parser.add_argument("--sigma-min", dest="sigma_min", type=float)
-    parser.add_argument("--gamma-inc", dest="gamma_inc", type=float)
-    parser.add_argument("--gamma-dec", dest="gamma_dec", type=float)
-    parser.add_argument("--eps", type=float, help="first-order tolerance on ||grad f||")
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--l0", type=int, help="initial (or fixed) sketch size")
-    parser.add_argument("--C", type=int, help="sketch growth constant (>= 1)")
-    parser.add_argument("--kappa-t", dest="kappa_t", type=float)
-    parser.add_argument("--kappa-s", dest="kappa_s", type=float)
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float)
-    parser.add_argument(
-        "--redraw", choices=("on-success", "every-iteration"), help="sketch redraw policy"
-    )
-    parser.add_argument("--seed", type=int, help="solver RNG seed")
-    parser.add_argument("--inner-tol", dest="inner_tol", type=float)
+    parser.add_argument("--config", help="flat key = value file of solver settings")
+    flag_of = {name: flag for flag, name in _FIELD_ALIASES.items()}
+    for f in fields(SolverConfig):
+        parser.add_argument(
+            "--" + flag_of.get(f.name, f.name.replace("_", "-")),
+            dest=f.name,
+            type=_types(f.name)[0],
+            choices=f.metadata["choices"],
+            help=f"{f.metadata['help']} (default: {f.default})",
+        )
 
 
 def cmd_solve(args) -> int:
@@ -170,9 +176,9 @@ def _suite_selectors(args) -> List[str]:
 def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
     """'arc', 'rarc:l=10', or 'rarc-d[:l0=2]' on top of shared settings."""
     head, _, rest = spec.partition(":")
-    if head not in _MODE_FLAGS:
+    if head not in MODES:
         raise RsarcError(f"unknown solver spec {spec!r}")
-    config = replace(base, mode=_MODE_FLAGS[head])
+    config = replace(base, mode=head)
     for part in filter(None, rest.split(":")):
         key, _, raw = part.partition("=")
         if key in ("l", "l0"):
@@ -186,10 +192,9 @@ def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
 
 def cmd_bench(args) -> int:
     if args.manifest:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
+        manifest = read_manifest(args.manifest)
         selectors = manifest["problems"]
-        configs = [SolverConfig(**c) for c in manifest["solver_configs"]]
+        configs = manifest["solver_configs"]
         repeats = manifest["repeats"]
         seed_base = manifest["seed_base"]
         taus = manifest["taus"]

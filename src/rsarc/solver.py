@@ -18,8 +18,8 @@ ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
 S H S^T comes from the problem's ``sketched_hessian`` when it has one and
 the sketch is not the identity, so no d x d array is formed; otherwise
 the dense Hessian is evaluated once per iteration and projected.  A
-non-finite gradient or projected derivative ends the run with status
-``NonFiniteDerivative``.
+non-finite value f(x_k), gradient or projected derivative ends the run
+with status ``NonFiniteDerivative``; at x0 that leaves an empty trace.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import List, Optional, get_type_hints
 
 import numpy as np
 
@@ -61,49 +61,37 @@ STATUS_NON_FINITE = "NonFiniteDerivative"
 #: consecutive Gram-factorization failures tolerated before giving up
 _MAX_GRAM_REDRAWS = 10
 
-TRACE_COLUMNS = (
-    "k",
-    "f",
-    "grad_norm",
-    "l_k",
-    "r_hat_k",
-    "R_hat_k",
-    "sigma_k",
-    "rho_k",
-    "success",
-    "cum_rel_hessians",
-    "wall_time_s",
-)
+def _setting(default, help: str, choices=None):
+    """A SolverConfig field; its help and choices are those of its CLI flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass
 class SolverConfig:
     """Parameters of the outer loop; defaults follow common practice.
 
-    theta, kappa_t, kappa_s are the acceptance constants; sigma is
-    decreased by gamma_dec on success (floored at sigma_min) and grown by
-    gamma_inc on failure.  l0 is the initial (or, for ``rarc``, fixed)
-    sketch size and C the growth constant of the adaptive rule.
+    Each field is one setting of the ``solve`` and ``bench`` commands and
+    of their config files; its metadata holds the flag's help text.
     """
 
-    mode: str = MODE_RARC_D
-    theta: float = 0.01
-    sigma0: float = 1.0
-    sigma_min: float = 1e-16
-    gamma_inc: float = 2.0
-    gamma_dec: float = 0.5
-    epsilon: float = 1e-5
-    max_iter: int = 2000
-    l0: int = 2
-    growth_c: int = 1
-    kappa_t: float = 0.1
-    kappa_s: float = 0.1
-    rank_tol: float = 1e-10
-    redraw_policy: str = REDRAW_ON_SUCCESS
-    distribution: Optional[str] = None  # None = inferred from mode
-    seed: int = 0
-    inner_tol: float = 1e-10
-    max_inner: int = 200
+    mode: str = _setting(MODE_RARC_D, "solver variant", MODES)
+    theta: float = _setting(0.01, "acceptance threshold on rho, in (0,1)")
+    sigma0: float = _setting(1.0, "initial regularization weight")
+    sigma_min: float = _setting(1e-16, "floor of sigma after a successful step")
+    gamma_inc: float = _setting(2.0, "sigma growth factor after a failed step (> 1)")
+    gamma_dec: float = _setting(0.5, "sigma decrease factor after a successful step, in (0,1)")
+    epsilon: float = _setting(1e-5, "first-order tolerance on ||grad f||")
+    max_iter: int = _setting(2000, "iteration cap")
+    l0: int = _setting(2, "initial (or, for rarc, fixed) sketch size")
+    growth_c: int = _setting(1, "sketch growth constant of rarc-d (>= 1)")
+    rank_tol: float = _setting(1e-10, "relative eigenvalue threshold of the observed rank")
+    redraw_policy: str = _setting(REDRAW_ON_SUCCESS, "sketch redraw policy", REDRAW_POLICIES)
+    distribution: Optional[str] = _setting(
+        None, "sketch distribution; None: identity for arc, else Gaussian", sk.DISTRIBUTIONS
+    )
+    seed: int = _setting(0, "solver RNG seed")
+    inner_tol: float = _setting(1e-10, "tolerance of the subproblem's secular equation")
+    max_inner: int = _setting(200, "secular-equation evaluations per subproblem")
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -127,8 +115,6 @@ class SolverConfig:
             raise ConfigError(f"need l0 >= 1, got {self.l0}")
         if self.growth_c < 1:
             raise ConfigError(f"need C >= 1, got {self.growth_c}")
-        if self.kappa_t < 0.0 or self.kappa_s < 0.0:
-            raise ConfigError("need kappa_t, kappa_s >= 0")
         if self.rank_tol <= 0.0:
             raise ConfigError(f"need rank_tol > 0, got {self.rank_tol}")
         if self.redraw_policy not in REDRAW_POLICIES:
@@ -157,6 +143,11 @@ class IterationTrace:
     success: bool
     cum_rel_hessians: float
     wall_time_s: float  # cumulative solver-loop CPU seconds
+
+
+#: trace CSV column names, in IterationTrace field order
+_CSV_NAMES = {"big_r_hat_k": "R_hat_k"}
+TRACE_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(IterationTrace))
 
 
 @dataclass
@@ -231,7 +222,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     sketch_first = problem.sketched_hessian is not None and distribution != sk.IDENTITY
 
     for k in range(config.max_iter + 1):
-        if not np.all(np.isfinite(grad)):
+        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
             status = STATUS_NON_FINITE
             break
         gnorm = float(np.linalg.norm(grad))
@@ -260,13 +251,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 break
             try:
                 model = sp.build_model(f, g_hat, h_hat, sigma, s_mat.gram())
-                solution = sp.solve(
-                    model,
-                    inner_tol=config.inner_tol,
-                    max_inner=config.max_inner,
-                    kappa_t=config.kappa_t,
-                    kappa_s=config.kappa_s,
-                )
+                solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
                 break
             except (SingularGramError, InnerSolverError):
                 s_mat = None
@@ -345,48 +330,23 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
 
 def trace_to_csv(trace: List[IterationTrace], path) -> None:
     """Write one CSV row per iteration with round-trip float formatting."""
+    types = get_type_hints(IterationTrace)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for row in trace:
-            writer.writerow(
-                [
-                    row.k,
-                    repr(row.f),
-                    repr(row.grad_norm),
-                    row.l_k,
-                    row.r_hat_k,
-                    row.big_r_hat_k,
-                    repr(row.sigma_k),
-                    repr(row.rho_k),
-                    row.success,
-                    repr(row.cum_rel_hessians),
-                    repr(row.wall_time_s),
-                ]
-            )
+            writer.writerow(repr(v) if types[name] is float else v for name, v in vars(row).items())
 
 
 def trace_from_csv(path) -> List[IterationTrace]:
-    rows = []
+    types = get_type_hints(IterationTrace)
+    parse = {k: (lambda raw: raw == "True") if t is bool else t for k, t in types.items()}
+    columns = [(f.name, col) for f, col in zip(fields(IterationTrace), TRACE_COLUMNS)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                IterationTrace(
-                    k=int(rec["k"]),
-                    f=float(rec["f"]),
-                    grad_norm=float(rec["grad_norm"]),
-                    l_k=int(rec["l_k"]),
-                    r_hat_k=int(rec["r_hat_k"]),
-                    big_r_hat_k=int(rec["R_hat_k"]),
-                    sigma_k=float(rec["sigma_k"]),
-                    rho_k=float(rec["rho_k"]),
-                    success=rec["success"] == "True",
-                    cum_rel_hessians=float(rec["cum_rel_hessians"]),
-                    wall_time_s=float(rec["wall_time_s"]),
-                )
-            )
-    return rows
+        return [
+            IterationTrace(**{name: parse[name](rec[col]) for name, col in columns})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:

@@ -53,7 +53,6 @@ class SubproblemSolution:
     model_value: float
     model_gradient_norm: float
     cubic_norm: float  # ||S^T s_hat|| = sqrt(s.G s)
-    termination_flags: Tuple[bool, bool, bool]
     inner_iterations: int
 
 
@@ -134,7 +133,8 @@ def check_termination(
     Returns (m(s) <= m(0),
              ||grad m(s)|| <= kappa_t ||S^T s||^2,
              lambda_min(hess m(s)) >= -kappa_s ||S^T s||),
-    the last two with a 1e-12 absolute slack for roundoff.
+    the last two with a 1e-12 absolute slack for roundoff.  ``solve``
+    does not call this; it is the oracle its tests check solutions with.
     """
     nrm = cubic_norm(model, s_hat)
     decrease_ok = model_value(model, s_hat) <= model.f0
@@ -230,15 +230,14 @@ def solve(
     model: SketchedCubicModel,
     inner_tol: float = 1e-10,
     max_inner: int = 200,
-    kappa_t: float = 0.1,
-    kappa_s: float = 0.1,
 ) -> SubproblemSolution:
     """Global minimizer of the sketched cubic model.
 
     Works in the whitened variables u = L^T s, eigendecomposes the
     transformed Hessian and solves the secular equation exactly (to
-    inner_tol), with an eigenvector correction in the hard case.  The
-    returned termination flags are evaluated with the given kappa values.
+    inner_tol), with an eigenvector correction in the hard case.  A global
+    minimizer meets the conditions of ``check_termination`` in exact
+    arithmetic, so they are not evaluated here.
     """
     l_chol = model.chol
     whitened = _is_identity(l_chol)
@@ -297,12 +296,10 @@ def solve(
     decrease = float(w @ y + 0.5 * np.sum(lam * y**2) + (sigma / 3.0) * step_norm**3)
     value = model.f0 + decrease
     grad_norm = float(np.linalg.norm(model_gradient(model, s_hat)))
-    flags = check_termination(model, s_hat, kappa_t, kappa_s)
     return SubproblemSolution(
         s_hat=s_hat,
         model_value=value,
         model_gradient_norm=grad_norm,
         cubic_norm=step_norm,
-        termination_flags=flags,
         inner_iterations=iterations,
     )

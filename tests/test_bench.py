@@ -176,6 +176,12 @@ def test_grid_deterministic_rerun(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_grid_rejects_unknown_metric():
+    problems, configs = grid_inputs()
+    with pytest.raises(InvalidInputError, match="bogus"):
+        run_grid(problems, configs, repeats=1, seed_base=0, metric="bogus")
+
+
 def test_grid_seed_base_changes_instances():
     problems = ["l-QUADRANK:N=6:d=20"]
     configs = [SolverConfig(mode="rarc-d", l0=2, epsilon=1e-7)]

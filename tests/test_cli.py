@@ -166,3 +166,53 @@ def test_embed_check(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "pass rate" in out
+
+
+def test_new_setting_flags_reach_the_config(tmp_path):
+    code = main([
+        "solve", "--problem", "QUADRANK:d=6:rank=6", "--mode", "arc",
+        "--distribution", "identity", "--max-inner", "50", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    config = json.loads((tmp_path / "summary_QUADRANK_d6_rank6.json").read_text())["config"]
+    assert config["distribution"] == "identity"
+    assert config["max_inner"] == 50
+
+
+def test_config_file_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eps = 1e-7\nmax_iter = abc\n")
+    code = main(["solve", "--problem", "QUADRANK:d=5", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:2" in err and "max_iter" in err
+
+
+def _written_manifest(tmp_path):
+    out = tmp_path / "b1"
+    main([
+        "bench", "--problem", "QUADRANK:d=6:rank=6", "--solvers", "arc",
+        "--repeats", "1", "--tau", "1e-2", "--eps", "1e-7", "--out", str(out),
+    ])
+    path = out / "manifest.json"
+    return path, json.loads(path.read_text())
+
+
+def test_manifest_unknown_solver_key(tmp_path, capsys):
+    path, manifest = _written_manifest(tmp_path)
+    manifest["solver_configs"][0]["kappa_t"] = 0.1
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "kappa_t" in err
+
+
+def test_manifest_missing_key(tmp_path, capsys):
+    path, manifest = _written_manifest(tmp_path)
+    del manifest["repeats"]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "repeats" in err

@@ -211,7 +211,6 @@ def test_l0_larger_than_dimension_rejected():
         {"epsilon": 0.0},
         {"l0": 0},
         {"growth_c": 0},
-        {"kappa_t": -1.0},
         {"rank_tol": 0.0},
         {"redraw_policy": "sometimes"},
         {"mode": "bogus"},
@@ -221,6 +220,14 @@ def test_l0_larger_than_dimension_rejected():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         SolverConfig(**kwargs).validate()
+
+
+def test_trace_csv_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    trace_to_csv([], path)
+    assert path.read_text() == (
+        "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,success,cum_rel_hessians,wall_time_s\n"
+    )
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -289,10 +296,24 @@ def test_non_finite_hessian_ends_with_typed_status(mode, make):
     assert res.trace == []
 
 
-def test_non_finite_gradient_ends_with_typed_status():
+@pytest.mark.parametrize("mode", ["arc", "rarc-d"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_gradient_ends_with_typed_status(bad, mode):
     p = builtin_problem("QUADRANK", 6)
-    p = dataclasses.replace(p, gradient=lambda x: np.full(6, math.inf))
-    assert run(p, SolverConfig(mode="arc")).status == STATUS_NON_FINITE
+    p = dataclasses.replace(p, gradient=lambda x: np.full(6, bad))
+    res = run(p, SolverConfig(mode=mode))
+    assert res.status == STATUS_NON_FINITE
+    assert res.trace == []
+
+
+@pytest.mark.parametrize("mode", ["arc", "rarc-d"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_value_ends_at_once(bad, mode):
+    p = builtin_problem("QUADRANK", 6)
+    p = dataclasses.replace(p, value=lambda x: bad)
+    res = run(p, SolverConfig(mode=mode))
+    assert res.status == STATUS_NON_FINITE
+    assert res.trace == []
 
 
 def test_understated_known_rank_is_rejected():

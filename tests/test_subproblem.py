@@ -74,7 +74,7 @@ def test_solve_one_dimensional_closed_form():
     m = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0, np.array([[1.0]]))
     sol = solve(m)
     assert sol.s_hat[0] == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0, abs=1e-10)
-    assert all(sol.termination_flags)
+    assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_zero_gradient_psd():
@@ -82,7 +82,7 @@ def test_solve_zero_gradient_psd():
     sol = solve(m)
     assert np.array_equal(sol.s_hat, np.zeros(3))
     assert sol.model_value == 2.0
-    assert all(sol.termination_flags)
+    assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_matches_grid_oracle_2d():
@@ -111,6 +111,7 @@ def test_solve_matches_descent_oracle():
                 best = min(best, res.fun)
             sol = solve(m)
             assert sol.model_value <= best + 1e-8
+            assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
 
 
 def test_newton_limit_small_sigma():
