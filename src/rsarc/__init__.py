@@ -47,6 +47,7 @@ from .sketch import (
     numerical_rank,
     sketch_gradient,
     sketch_hessian,
+    spectrum_rank,
 )
 from .solver import (
     MODE_ARC,

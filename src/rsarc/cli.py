@@ -181,12 +181,13 @@ def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
     config = replace(base, mode=head)
     for part in filter(None, rest.split(":")):
         key, _, raw = part.partition("=")
-        if key in ("l", "l0"):
-            config = replace(config, l0=int(raw))
-        elif key == "C":
-            config = replace(config, growth_c=int(raw))
-        else:
+        name = {"l": "l0", "l0": "l0", "C": "growth_c"}.get(key)
+        if name is None:
             raise RsarcError(f"unknown solver parameter {part!r} in {spec!r}")
+        try:
+            config = replace(config, **{name: int(raw)})
+        except ValueError:
+            raise RsarcError(f"{key} = {raw!r} in solver spec {spec!r} is not an integer") from None
     return config
 
 

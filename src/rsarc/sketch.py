@@ -118,15 +118,23 @@ def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     """Numerical rank of a symmetric matrix via its singular values.
 
-    The rank is the number of singular values exceeding rel_tol times the
-    largest one; the zero matrix has rank 0.  For symmetric input the
-    singular values are the absolute eigenvalues, computed with eigvalsh.
+    For symmetric input the singular values are the absolute eigenvalues,
+    computed with eigvalsh and ranked by ``spectrum_rank``.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"need a square matrix, got shape {m.shape}")
+    return spectrum_rank(np.linalg.eigvalsh(m), rel_tol)
+
+
+def spectrum_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
+    """Numerical rank of a symmetric matrix with the given eigenvalues.
+
+    The rank is the number of absolute eigenvalues exceeding rel_tol times
+    the largest one; the zero matrix has rank 0.
+    """
     if rel_tol <= 0:
         raise InvalidDimensionError(f"need rel_tol > 0, got {rel_tol}")
-    sv = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    sv = np.sort(np.abs(eigenvalues))[::-1]
     if sv.size == 0 or sv[0] == 0.0:
         return RankReport(sv, 0, 0.0)
     tol = rel_tol * sv[0]

@@ -141,8 +141,10 @@ class IterationTrace:
     sigma_k: float
     rho_k: float  # NaN when the model decrease fell below the guard
     success: bool
+    step_norm: float  # ||S^T s||, the length of the trial step
+    inner_iterations: int  # secular-equation evaluations of the subproblem
     cum_rel_hessians: float
-    wall_time_s: float  # cumulative solver-loop CPU seconds
+    wall_time_s: float  # cumulative solver-loop seconds, time.perf_counter
 
 
 #: trace CSV column names, in IterationTrace field order
@@ -189,14 +191,29 @@ def _distribution(config: SolverConfig) -> str:
     return sk.IDENTITY if config.mode == MODE_ARC else sk.SCALED_GAUSSIAN
 
 
+def _observed_rank(
+    model: sp.SketchedCubicModel, solution: sp.SubproblemSolution, rel_tol: float
+) -> int:
+    """Numerical rank of the sketched Hessian S H S^T.
+
+    With an identity Gram, ``solve`` eigendecomposed S H S^T itself, so its
+    spectrum is ranked.  Otherwise it eigendecomposed L^{-1} H L^{-T}: the
+    same rank in exact arithmetic, but other eigenvalues, which the relative
+    threshold can rank differently, so S H S^T is decomposed again.
+    """
+    if model.identity_gram:
+        return sk.spectrum_rank(solution.eigenvalues, rel_tol).numerical_rank
+    return sk.numerical_rank(model.h_hat, rel_tol).numerical_rank
+
+
 def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     """Minimize ``problem`` until ||grad f|| <= epsilon or max_iter iterations.
 
     The trace records one row per iteration (f, gradient norm, sketch
     size, observed rank and its running maximum, sigma, rho, success flag,
-    and the cumulative budget counters).  Raises InvalidProblemError when
-    ``rarc-d`` observes a sketched-Hessian rank that ``problem.known_rank``
-    says cannot occur.
+    step norm, inner iterations, and the cumulative budget counters).
+    Raises InvalidProblemError when ``rarc-d`` observes a sketched-Hessian
+    rank that ``problem.known_rank`` says cannot occur.
     """
     config.validate()
     d = problem.dim
@@ -233,7 +250,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             status = STATUS_MAX_ITER
             break
 
-        t0 = time.process_time()
+        t0 = time.perf_counter()
         hess = None if sketch_first else problem.hessian(x)
 
         solution = None
@@ -250,7 +267,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             if not finite:
                 break
             try:
-                model = sp.build_model(f, g_hat, h_hat, sigma, s_mat.gram())
+                model = sp.build_model(
+                    f, g_hat, h_hat, sigma, s_mat.gram(), s_mat.distribution == sk.IDENTITY
+                )
                 solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
                 break
             except (SingularGramError, InnerSolverError):
@@ -261,10 +280,10 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                     break
         if solution is None:
             status = STATUS_INNER_FAILURE if finite else STATUS_NON_FINITE
-            cum_time += time.process_time() - t0
+            cum_time += time.perf_counter() - t0
             break
 
-        r_hat = sk.numerical_rank(h_hat, config.rank_tol).numerical_rank
+        r_hat = _observed_rank(model, solution, config.rank_tol)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
@@ -288,7 +307,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             sigma = config.gamma_inc * sigma
 
         cum_rel += (l / d) ** 2
-        cum_time += time.process_time() - t0
+        cum_time += time.perf_counter() - t0
         trace.append(
             IterationTrace(
                 k=k,
@@ -300,6 +319,8 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 sigma_k=sigma_used,
                 rho_k=rho,
                 success=success,
+                step_norm=solution.cubic_norm,
+                inner_iterations=solution.inner_iterations,
                 cum_rel_hessians=cum_rel,
                 wall_time_s=cum_time,
             )

@@ -41,6 +41,7 @@ class SketchedCubicModel:
     sigma: float
     gram: np.ndarray  # (l, l), symmetric positive definite
     chol: np.ndarray  # lower-triangular L with gram = L L^T
+    identity_gram: bool  # gram = chol = I, so no whitening is needed
 
     @property
     def dim(self) -> int:
@@ -54,6 +55,7 @@ class SubproblemSolution:
     model_gradient_norm: float
     cubic_norm: float  # ||S^T s_hat|| = sqrt(s.G s)
     inner_iterations: int
+    eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
 
 
 def build_model(
@@ -62,8 +64,13 @@ def build_model(
     h_hat: np.ndarray,
     sigma: float,
     gram: np.ndarray,
+    identity_gram: bool = False,
 ) -> SketchedCubicModel:
     """Assemble a model and factorize its Gram matrix.
+
+    ``identity_gram`` declares that ``gram`` is the identity, as it is for
+    an identity sketch; the factorization and the whitening in ``solve``
+    are then skipped.  The flag is the caller's promise and is not checked.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
     the outer loop treats as a signal to redraw the sketch.
@@ -75,7 +82,7 @@ def build_model(
         )
     if sigma <= 0.0:
         raise ValueError(f"need sigma > 0, got {sigma}")
-    if _is_identity(gram):
+    if identity_gram:
         chol = gram
     else:
         try:
@@ -84,11 +91,7 @@ def build_model(
             raise SingularGramError("gram matrix S S^T is not positive definite") from exc
         if not np.all(np.isfinite(chol)):
             raise SingularGramError("gram factorization produced non-finite entries")
-    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, chol)
-
-
-def _is_identity(m: np.ndarray) -> bool:
-    return np.array_equal(m, np.eye(m.shape[0]))
+    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, chol, identity_gram)
 
 
 def cubic_norm(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
@@ -237,11 +240,12 @@ def solve(
     transformed Hessian and solves the secular equation exactly (to
     inner_tol), with an eigenvector correction in the hard case.  A global
     minimizer meets the conditions of ``check_termination`` in exact
-    arithmetic, so they are not evaluated here.
+    arithmetic, so they are not evaluated here.  The solution carries the
+    transformed Hessian's eigenvalues; with an identity Gram they are those
+    of the model Hessian itself.
     """
     l_chol = model.chol
-    whitened = _is_identity(l_chol)
-    if whitened:
+    if model.identity_gram:
         g_t = model.g_hat
         h_t = model.h_hat
     else:
@@ -288,7 +292,7 @@ def solve(
                 raise InnerSolverError("secular solution has non-finite components")
 
     u = vecs @ y
-    s_hat = u if whitened else np.linalg.solve(l_chol.T, u)
+    s_hat = u if model.identity_gram else np.linalg.solve(l_chol.T, u)
     step_norm = float(np.linalg.norm(y))
 
     # model decrease evaluated in the eigenbasis: adding it to f0 cannot
@@ -302,4 +306,5 @@ def solve(
         model_gradient_norm=grad_norm,
         cubic_norm=step_norm,
         inner_iterations=iterations,
+        eigenvalues=lam,
     )

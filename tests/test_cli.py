@@ -158,6 +158,16 @@ def test_bench_fixed_sketch_solver_spec(tmp_path):
     assert "rarc-l7" in (out / "runs.csv").read_text()
 
 
+@pytest.mark.parametrize("spec", ["rarc:l=abc", "rarc-d:l0=2.5", "rarc-d:C="])
+def test_bench_non_integer_solver_parameter(tmp_path, capsys, spec):
+    code = main([
+        "bench", "--problem", "l-ARWHEAD:N=10:d=20", "--solvers", spec,
+        "--out", str(tmp_path / "b"),
+    ])
+    assert code == 1
+    assert spec in capsys.readouterr().err
+
+
 def test_embed_check(capsys):
     code = main([
         "embed-check", "--l", "60", "--d", "150", "--rank", "3",

@@ -226,7 +226,8 @@ def test_trace_csv_header(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv([], path)
     assert path.read_text() == (
-        "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,success,cum_rel_hessians,wall_time_s\n"
+        "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,success,step_norm,inner_iterations,"
+        "cum_rel_hessians,wall_time_s\n"
     )
 
 
@@ -320,3 +321,34 @@ def test_understated_known_rank_is_rejected():
     p = dataclasses.replace(builtin_problem("QUADRANK", 10), known_rank=2)
     with pytest.raises(InvalidProblemError, match="known_rank=2"):
         run(p, SolverConfig(mode="rarc-d", l0=2, growth_c=1, epsilon=1e-8, seed=0))
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
+    # with an identity Gram the observed rank comes from the solve's spectrum
+    p = get_problem("l-ARWHEAD:N=10:d=40")
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+    res = run(p, SolverConfig(mode="arc", epsilon=1e-8))
+    assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
+    assert (len(eigh), len(eigvalsh)) == (len(res.trace), 0)
+
+
+def test_rarc_d_ranks_the_sketched_hessian_once_per_iteration(monkeypatch):
+    # a Gaussian Gram whitens the spectrum, so S H S^T is ranked directly
+    p = get_problem("l-ARWHEAD:N=10:d=40")
+    ranked = _counting(monkeypatch, solver_mod.sk, "numerical_rank")
+    res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-8, seed=0))
+    assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
+    assert len(ranked) == len(res.trace)

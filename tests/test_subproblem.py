@@ -9,7 +9,9 @@ from rsarc import (
     model_gradient,
     model_hessian,
     model_value,
+    numerical_rank,
     solve,
+    spectrum_rank,
 )
 from rsarc.subproblem import cubic_norm, quadratic_decrease
 from helpers import fd_gradient, fd_jacobian, rel_err
@@ -26,7 +28,7 @@ def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
         gm = a @ a.T
         gm = 0.5 * (gm + gm.T)
     sigma = sigma if sigma is not None else float(rng.uniform(0.5, 2.0))
-    return build_model(f0, g, h, sigma, gm)
+    return build_model(f0, g, h, sigma, gm, identity_gram=gram == "identity")
 
 
 def raw_value(model, s):
@@ -207,3 +209,35 @@ def test_gram_shape_mismatch():
 
     with pytest.raises(InvalidDimensionError):
         build_model(0.0, np.ones(2), np.eye(3), 1.0, np.eye(2))
+
+
+def test_identity_gram_flag_matches_the_cholesky_path():
+    # the flag skips the factorization and the whitening; with G = I the
+    # Cholesky path must give the same step and model value
+    rng = np.random.default_rng(61)
+    for l in (1, 2, 4, 7, 12):
+        for _ in range(5):
+            m = random_model(rng, l, gram="identity")
+            factored = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
+            assert m.identity_gram and not factored.identity_gram
+            a, b = solve(m), solve(factored)
+            np.testing.assert_allclose(a.s_hat, b.s_hat, rtol=1e-12, atol=1e-14)
+            assert a.model_value == pytest.approx(b.model_value, rel=1e-12, abs=1e-14)
+            np.testing.assert_allclose(a.eigenvalues, np.linalg.eigvalsh(m.h_hat),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_rank_of_the_solve_spectrum_with_identity_gram():
+    # with G = I the solve decomposes H itself: ranking its spectrum gives
+    # numerical_rank(H), including on exactly low-rank matrices
+    rng = np.random.default_rng(62)
+    for l in (3, 8, 20, 51):
+        for r in sorted({0, 1, l // 3, l - 1, l}):
+            q, _ = np.linalg.qr(rng.standard_normal((l, l)))
+            lam = np.zeros(l)
+            lam[:r] = rng.choice([-1.0, 1.0], r) * rng.uniform(0.1, 10.0, r)
+            h = (q * lam) @ q.T
+            h = 0.5 * (h + h.T)
+            m = build_model(0.0, rng.standard_normal(l), h, 1.0, np.eye(l), identity_gram=True)
+            got = spectrum_rank(solve(m).eigenvalues, 1e-10).numerical_rank
+            assert got == numerical_rank(h, 1e-10).numerical_rank == r
