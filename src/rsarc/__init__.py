@@ -53,6 +53,7 @@ from .solver import (
     MODE_ARC,
     MODE_RARC,
     MODE_RARC_D,
+    STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,

@@ -118,22 +118,27 @@ def data_profile(
     return DataProfile(solver_id, tau, grid, pi)
 
 
-def _run_one(job: dict) -> dict:
+def _run_one(
+    problem_id: str,
+    config: SolverConfig,
+    repeat: int,
+    taus: Sequence[float],
+    metric: str,
+    trace_path: Optional[str],
+) -> BenchmarkRun:
     """Worker: build the problem from its selector, run, score all taus.
 
     Any per-run failure (unknown optimum, solver error) is recorded as an
     unsolved run instead of propagating, so a grid never aborts.
     """
-    config = SolverConfig(**job["config"])
-    trace_path = job.get("trace_path")
-    budgets = {tau: math.inf for tau in job["taus"]}
+    budgets = {tau: math.inf for tau in taus}
     try:
-        problem = get_problem(job["problem_id"])
+        problem = get_problem(problem_id)
         result = run(problem, config)
         f0 = problem.value(problem.x0)
-        for tau in job["taus"]:
+        for tau in taus:
             budgets[tau] = solved_budget(
-                result.trace, f0, problem.f_star, tau, job["metric"], final_f=result.f_final
+                result.trace, f0, problem.f_star, tau, metric, final_f=result.f_final
             )
         status = result.status
         if trace_path:
@@ -141,15 +146,9 @@ def _run_one(job: dict) -> dict:
     except Exception as exc:  # noqa: BLE001 - isolate per-run failures
         status = f"Error:{type(exc).__name__}"
         trace_path = None
-    return {
-        "problem_id": job["problem_id"],
-        "solver_id": config.solver_id(),
-        "repeat": job["repeat"],
-        "seed": config.seed,
-        "budgets": budgets,
-        "status": status,
-        "trace_path": trace_path,
-    }
+    return BenchmarkRun(
+        problem_id, config.solver_id(), repeat, config.seed, budgets, status, trace_path
+    )
 
 
 def _instance_selector(selector: str, instance_seed: int) -> str:
@@ -192,54 +191,27 @@ def run_grid(
         config.validate()
 
     jobs = []
-    index = 0
     for selector in problems:
         for config in solver_configs:
             for rep in range(repeats):
                 instance = _instance_selector(selector, seed_base + rep)
-                cfg = replace(config, seed=solver_seed(seed_base, index))
+                cfg = replace(config, seed=solver_seed(seed_base, len(jobs)))
                 trace_path = None
                 if out_dir is not None:
                     fname = "trace_{}_{}_rep{}.csv".format(
                         _sanitize(instance), _sanitize(cfg.solver_id()), rep
                     )
                     trace_path = os.path.join(out_dir, fname)
-                jobs.append(
-                    {
-                        "problem_id": instance,
-                        "config": vars(cfg).copy(),
-                        "repeat": rep,
-                        "taus": list(taus),
-                        "metric": metric,
-                        "trace_path": trace_path,
-                        "index": index,
-                    }
-                )
-                index += 1
+                jobs.append((instance, cfg, rep, tuple(taus), metric, trace_path))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
+    columns = list(zip(*jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_one, jobs))
-    else:
-        raw = [_run_one(job) for job in jobs]
-
-    runs = []
-    for rec in raw:
-        runs.append(
-            BenchmarkRun(
-                problem_id=rec["problem_id"],
-                solver_id=rec["solver_id"],
-                repeat=rec["repeat"],
-                seed=rec["seed"],
-                n_p=rec["budgets"],
-                status=rec["status"],
-                trace_path=rec["trace_path"],
-            )
-        )
-    return runs
+            return list(pool.map(_run_one, *columns))
+    return list(map(_run_one, *columns))
 
 
 def _sanitize(name: str) -> str:

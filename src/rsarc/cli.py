@@ -8,7 +8,9 @@ aliases; flags override it.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
-f, gradient or Hessian, 1 on usage errors and malformed config files.
+f, gradient or Hessian, 5 when the predicted decrease stayed below the
+rho guard on consecutive iterations (``DecreaseUnresolved``), 1 on usage
+errors and malformed config files.
 The other subcommands exit 0 on completion and 1 on malformed input,
 including a malformed manifest.
 """
@@ -30,6 +32,7 @@ from .errors import RsarcError
 from .problems import get_problem
 from .solver import (
     MODES,
+    STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
@@ -45,6 +48,7 @@ _EXIT_BY_STATUS = {
     STATUS_MAX_ITER: 2,
     STATUS_INNER_FAILURE: 3,
     STATUS_NON_FINITE: 4,
+    STATUS_DECREASE_UNRESOLVED: 5,
 }
 
 _FIELD_ALIASES = {"C": "growth_c", "eps": "epsilon", "redraw": "redraw_policy"}

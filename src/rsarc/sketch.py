@@ -23,24 +23,19 @@ RngLike = Union[int, None, np.random.Generator]
 
 @dataclass
 class SketchMatrix:
-    """An l x d dense sketch with its distribution tag and seed provenance."""
+    """An l x d dense sketch with its distribution tag."""
 
     matrix: np.ndarray
     distribution: str
-    seed: Optional[int] = None
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def gram(self) -> np.ndarray:
-        """The l x l Gram matrix S S^T, symmetrized."""
+    def gram(self) -> Optional[np.ndarray]:
+        """The l x l Gram matrix S S^T, symmetrized; None for the identity sketch."""
         if self.distribution == IDENTITY:
-            return np.eye(self.rows)
+            return None
         return symmetrize(self.matrix @ self.matrix.T)
 
 
@@ -85,7 +80,7 @@ def draw(distribution: str, l: int, d: int, seed: RngLike = None) -> SketchMatri
         entries = rng.standard_normal((l, d)) / np.sqrt(l)
     else:
         raise InvalidDimensionError(f"unknown sketch distribution {distribution!r}")
-    return SketchMatrix(entries, distribution, seed if isinstance(seed, int) else None)
+    return SketchMatrix(entries, distribution)
 
 
 def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:

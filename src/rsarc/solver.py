@@ -20,6 +20,9 @@ the sketch is not the identity, so no d x d array is formed; otherwise
 the dense Hessian is evaluated once per iteration and projected.  A
 non-finite value f(x_k), gradient or projected derivative ends the run
 with status ``NonFiniteDerivative``; at x0 that leaves an empty trace.
+A predicted decrease at or below the rho guard 1e-16 (1 + |f|) on
+``_MAX_UNRESOLVED_DECREASES`` consecutive iterations, where sigma would
+otherwise double towards overflow, ends it with ``DecreaseUnresolved``.
 """
 
 from __future__ import annotations
@@ -57,9 +60,13 @@ STATUS_GRADIENT_TOL = "GradientTolReached"
 STATUS_MAX_ITER = "MaxIter"
 STATUS_INNER_FAILURE = "InnerFailure"
 STATUS_NON_FINITE = "NonFiniteDerivative"
+STATUS_DECREASE_UNRESOLVED = "DecreaseUnresolved"
 
 #: consecutive Gram-factorization failures tolerated before giving up
 _MAX_GRAM_REDRAWS = 10
+#: consecutive iterations with the predicted decrease at or below the rho
+#: guard tolerated before giving up
+_MAX_UNRESOLVED_DECREASES = 20
 
 def _setting(default, help: str, choices=None):
     """A SolverConfig field; its help and choices are those of its CLI flag."""
@@ -139,7 +146,8 @@ class IterationTrace:
     r_hat_k: int
     big_r_hat_k: int
     sigma_k: float
-    rho_k: float  # NaN when the model decrease fell below the guard
+    rho_k: float  # NaN when the predicted decrease fell below the guard
+    predicted_decrease: float  # f_k - q(s), the rho denominator
     success: bool
     step_norm: float  # ||S^T s||, the length of the trial step
     inner_iterations: int  # secular-equation evaluations of the subproblem
@@ -196,12 +204,12 @@ def _observed_rank(
 ) -> int:
     """Numerical rank of the sketched Hessian S H S^T.
 
-    With an identity Gram, ``solve`` eigendecomposed S H S^T itself, so its
-    spectrum is ranked.  Otherwise it eigendecomposed L^{-1} H L^{-T}: the
-    same rank in exact arithmetic, but other eigenvalues, which the relative
-    threshold can rank differently, so S H S^T is decomposed again.
+    With an identity Gram (None), ``solve`` eigendecomposed S H S^T itself,
+    so its spectrum is ranked.  Otherwise it eigendecomposed L^{-1} H L^{-T}:
+    the same rank in exact arithmetic, but other eigenvalues, which the
+    relative threshold can rank differently, so S H S^T is decomposed again.
     """
-    if model.identity_gram:
+    if model.chol is None:
         return sk.spectrum_rank(solution.eigenvalues, rel_tol).numerical_rank
     return sk.numerical_rank(model.h_hat, rel_tol).numerical_rank
 
@@ -210,8 +218,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     """Minimize ``problem`` until ||grad f|| <= epsilon or max_iter iterations.
 
     The trace records one row per iteration (f, gradient norm, sketch
-    size, observed rank and its running maximum, sigma, rho, success flag,
-    step norm, inner iterations, and the cumulative budget counters).
+    size, observed rank and its running maximum, sigma, rho and its
+    denominator, success flag, step norm, inner iterations, and the
+    cumulative budget counters).
     Raises InvalidProblemError when ``rarc-d`` observes a sketched-Hessian
     rank that ``problem.known_rank`` says cannot occur.
     """
@@ -233,6 +242,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     trace: List[IterationTrace] = []
     cum_rel = 0.0
     cum_time = 0.0
+    unresolved = 0  # consecutive iterations whose rho guard failed
     status = STATUS_MAX_ITER
     f = problem.value(x)
     grad = problem.gradient(x)
@@ -267,9 +277,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             if not finite:
                 break
             try:
-                model = sp.build_model(
-                    f, g_hat, h_hat, sigma, s_mat.gram(), s_mat.distribution == sk.IDENTITY
-                )
+                model = sp.build_model(f, g_hat, h_hat, sigma, s_mat.gram())
                 solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
                 break
             except (SingularGramError, InnerSolverError):
@@ -288,11 +296,12 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         r_hat_running = max(r_hat_running, r_hat)
 
         step = s_mat.matrix.T @ solution.s_hat
-        q_dec = sp.quadratic_decrease(model, solution.s_hat)
+        q_dec = solution.predicted_decrease
         f_trial = problem.value(x + step)
         guard = 1e-16 * (1.0 + abs(f))
         rho = decrease_ratio(f, f_trial, q_dec, guard)
-        success = bool(rho >= config.theta) if not math.isnan(rho) else False
+        success = bool(rho >= config.theta)  # False when rho is NaN
+        unresolved = unresolved + 1 if q_dec <= guard else 0
 
         f_at_k = f  # value at the iterate this row describes
         sigma_used = sigma
@@ -318,6 +327,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 big_r_hat_k=r_hat_running,
                 sigma_k=sigma_used,
                 rho_k=rho,
+                predicted_decrease=q_dec,
                 success=success,
                 step_norm=solution.cubic_norm,
                 inner_iterations=solution.inner_iterations,
@@ -339,6 +349,10 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             if l_next != l:
                 l = l_next
                 need_draw = True
+
+        if unresolved == _MAX_UNRESOLVED_DECREASES:
+            status = STATUS_DECREASE_UNRESOLVED
+            break
 
     return SolveResult(
         x_final=x,
@@ -371,7 +385,10 @@ def trace_from_csv(path) -> List[IterationTrace]:
 
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:
-    """JSON-serializable run summary: config echo, status, final values."""
+    """JSON-serializable run summary: config echo, status, final values,
+    step counts and the range of sigma_k (null for an empty trace)."""
+    accepted = sum(row.success for row in result.trace)
+    sigmas = [row.sigma_k for row in result.trace]
     return {
         "problem": problem.name,
         "dim": problem.dim,
@@ -382,6 +399,10 @@ def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveR
         "f_final": result.f_final,
         "grad_norm_final": result.grad_norm_final,
         "cum_rel_hessians": result.trace[-1].cum_rel_hessians if result.trace else 0.0,
+        "accepted_steps": accepted,
+        "rejected_steps": len(result.trace) - accepted,
+        "sigma_k_min": min(sigmas, default=None),
+        "sigma_k_max": max(sigmas, default=None),
     }
 
 

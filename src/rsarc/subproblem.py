@@ -5,18 +5,20 @@ The model in the sketched variables s (dimension l) is
     m(s) = f0 + g.s + 0.5 s.H s + (sigma/3) ||S^T s||^3,
 
 where the cubic term couples s through the Gram matrix G = S S^T via
-||S^T s||^2 = s.G s.  The change of variables u = L^T s with G = L L^T
-reduces this to the classical cubic-regularized model with a Euclidean
-norm, which is minimized globally by eigendecomposition plus scalar
-root-finding on the secular equation sigma * ||u(mu)|| = mu with
+||S^T s||^2 = s.G s, and G = None stands for the identity.  The change
+of variables u = L^T s with G = L L^T reduces this to the classical
+cubic-regularized model with a Euclidean norm, which is minimized globally
+by eigendecomposition plus scalar root-finding on the secular equation
+sigma * ||u(mu)|| = mu with
 u(mu) = -(H_tilde + mu I)^{-1} g_tilde and mu >= max(0, -lambda_min),
-including explicit hard-case handling.
+including explicit hard-case handling.  The solution carries the rho
+denominator f0 - q(s), evaluated in that eigenbasis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +41,8 @@ class SketchedCubicModel:
     g_hat: np.ndarray  # (l,)
     h_hat: np.ndarray  # (l, l), symmetric
     sigma: float
-    gram: np.ndarray  # (l, l), symmetric positive definite
-    chol: np.ndarray  # lower-triangular L with gram = L L^T
-    identity_gram: bool  # gram = chol = I, so no whitening is needed
+    gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
+    chol: Optional[np.ndarray]  # lower-triangular L with gram = L L^T; None: I
 
     @property
     def dim(self) -> int:
@@ -52,7 +53,7 @@ class SketchedCubicModel:
 class SubproblemSolution:
     s_hat: np.ndarray
     model_value: float
-    model_gradient_norm: float
+    predicted_decrease: float  # f0 - q(s_hat), the rho denominator
     cubic_norm: float  # ||S^T s_hat|| = sqrt(s.G s)
     inner_iterations: int
     eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
@@ -63,40 +64,43 @@ def build_model(
     g_hat: np.ndarray,
     h_hat: np.ndarray,
     sigma: float,
-    gram: np.ndarray,
-    identity_gram: bool = False,
+    gram: Optional[np.ndarray] = None,
 ) -> SketchedCubicModel:
     """Assemble a model and factorize its Gram matrix.
 
-    ``identity_gram`` declares that ``gram`` is the identity, as it is for
-    an identity sketch; the factorization and the whitening in ``solve``
-    are then skipped.  The flag is the caller's promise and is not checked.
+    ``gram=None`` means the identity, the Gram of an identity sketch; the
+    factorization and the whitening in ``solve`` are then skipped.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
     the outer loop treats as a signal to redraw the sketch.
     """
     l = g_hat.shape[0]
-    if h_hat.shape != (l, l) or gram.shape != (l, l):
+    if h_hat.shape != (l, l) or (gram is not None and gram.shape != (l, l)):
         raise InvalidDimensionError(
-            f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}, G {gram.shape}"
+            f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}, "
+            f"G {getattr(gram, 'shape', None)}"
         )
     if sigma <= 0.0:
         raise ValueError(f"need sigma > 0, got {sigma}")
-    if identity_gram:
-        chol = gram
-    else:
+    chol = None
+    if gram is not None:
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise SingularGramError("gram matrix S S^T is not positive definite") from exc
         if not np.all(np.isfinite(chol)):
             raise SingularGramError("gram factorization produced non-finite entries")
-    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, chol, identity_gram)
+    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, chol)
+
+
+def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
+    """G s, with G = I when the model's Gram is None."""
+    return s_hat if model.gram is None else model.gram @ s_hat
 
 
 def cubic_norm(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
     """||S^T s|| = sqrt(s.G s)."""
-    return float(np.sqrt(max(s_hat @ model.gram @ s_hat, 0.0)))
+    return float(np.sqrt(max(s_hat @ _gram_times(model, s_hat), 0.0)))
 
 
 def model_value(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
@@ -106,7 +110,7 @@ def model_value(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
 
 def model_gradient(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
     # grad m = g + H s + sigma ||S^T s|| G s
-    gs = model.gram @ s_hat
+    gs = _gram_times(model, s_hat)
     return model.g_hat + model.h_hat @ s_hat + model.sigma * cubic_norm(model, s_hat) * gs
 
 
@@ -116,13 +120,9 @@ def model_hessian(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
     nrm = cubic_norm(model, s_hat)
     if nrm == 0.0:
         return model.h_hat.copy()
-    gs = model.gram @ s_hat
-    return model.h_hat + model.sigma * (nrm * model.gram + np.outer(gs, gs) / nrm)
-
-
-def quadratic_decrease(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
-    """f0 - q(s): decrease of the quadratic part, the rho denominator."""
-    return -float(model.g_hat @ s_hat + 0.5 * (s_hat @ model.h_hat @ s_hat))
+    gram = np.eye(model.dim) if model.gram is None else model.gram
+    gs = gram @ s_hat
+    return model.h_hat + model.sigma * (nrm * gram + np.outer(gs, gs) / nrm)
 
 
 def check_termination(
@@ -236,16 +236,17 @@ def solve(
 ) -> SubproblemSolution:
     """Global minimizer of the sketched cubic model.
 
-    Works in the whitened variables u = L^T s, eigendecomposes the
-    transformed Hessian and solves the secular equation exactly (to
-    inner_tol), with an eigenvector correction in the hard case.  A global
-    minimizer meets the conditions of ``check_termination`` in exact
-    arithmetic, so they are not evaluated here.  The solution carries the
-    transformed Hessian's eigenvalues; with an identity Gram they are those
-    of the model Hessian itself.
+    Works in the whitened variables u = L^T s (u = s when the Gram is
+    None, the identity), eigendecomposes the transformed Hessian and solves
+    the secular equation exactly (to inner_tol), with an eigenvector
+    correction in the hard case.  A global minimizer meets the conditions
+    of ``check_termination`` in exact arithmetic, so they are not evaluated
+    here.  The solution carries the predicted decrease f0 - q(s), evaluated
+    in the eigenbasis, and the transformed Hessian's eigenvalues; with an
+    identity Gram they are those of the model Hessian itself.
     """
     l_chol = model.chol
-    if model.identity_gram:
+    if l_chol is None:
         g_t = model.g_hat
         h_t = model.h_hat
     else:
@@ -292,18 +293,17 @@ def solve(
                 raise InnerSolverError("secular solution has non-finite components")
 
     u = vecs @ y
-    s_hat = u if model.identity_gram else np.linalg.solve(l_chol.T, u)
+    s_hat = u if l_chol is None else np.linalg.solve(l_chol.T, u)
     step_norm = float(np.linalg.norm(y))
 
     # model decrease evaluated in the eigenbasis: adding it to f0 cannot
     # round above f0 when it is nonpositive
-    decrease = float(w @ y + 0.5 * np.sum(lam * y**2) + (sigma / 3.0) * step_norm**3)
-    value = model.f0 + decrease
-    grad_norm = float(np.linalg.norm(model_gradient(model, s_hat)))
+    quad = w @ y + 0.5 * np.sum(lam * y**2)
+    value = model.f0 + float(quad + (sigma / 3.0) * step_norm**3)
     return SubproblemSolution(
         s_hat=s_hat,
         model_value=value,
-        model_gradient_norm=grad_norm,
+        predicted_decrease=-float(quad),
         cubic_norm=step_norm,
         inner_iterations=iterations,
         eigenvalues=lam,

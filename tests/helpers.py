@@ -1,7 +1,8 @@
-"""Finite-difference oracles used to check analytic derivatives.
+"""Independent oracles: finite differences and the cubic model formula.
 
 These stay independent of the code under test: plain central differences
-of the callables, nothing shared with the analytic formulas.
+of the callables, and the model written out from its definition, nothing
+shared with the analytic formulas or the solver.
 """
 
 import numpy as np
@@ -37,3 +38,15 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=float)
     scale = max(np.linalg.norm(exact), 1e-30)
     return np.linalg.norm(np.asarray(approx, dtype=float) - exact) / scale
+
+
+def model_value_oracle(model, s):
+    """f0 + g.s + s.H s / 2 + sigma/3 (s.G s)^(3/2) at s, or at each row of s.
+
+    A model whose Gram is None has the identity Gram.
+    """
+    s = np.asarray(s, dtype=float)
+    gram = np.eye(model.dim) if model.gram is None else model.gram
+    quad = s @ model.g_hat + 0.5 * np.einsum("...i,ij,...j->...", s, model.h_hat, s)
+    cube = model.sigma / 3.0 * np.einsum("...i,ij,...j->...", s, gram, s) ** 1.5
+    return model.f0 + quad + cube

@@ -29,7 +29,7 @@ from rsarc import (
     solve,
 )
 from rsarc.sketch import SCALED_GAUSSIAN
-from helpers import fd_gradient, rel_err
+from helpers import fd_gradient, model_value_oracle, rel_err
 
 
 def report(criterion, ok, detail=""):
@@ -116,11 +116,6 @@ def _random_instance(rng, l):
     return build_model(0.0, g, h, float(rng.uniform(0.5, 2.0)), gram)
 
 
-def _raw_value(model, s):
-    quad = float(model.g_hat @ s + 0.5 * s @ model.h_hat @ s)
-    return model.f0 + quad + model.sigma / 3.0 * float(s @ model.gram @ s) ** 1.5
-
-
 def test_criterion_4_subproblem_optimality():
     rng = np.random.default_rng(61)
     xs = np.linspace(-10.0, 10.0, 401)
@@ -135,14 +130,12 @@ def test_criterion_4_subproblem_optimality():
             sol = solve(m)
             if oracle == "grid":
                 pts = xs[:, None] if l == 1 else pts2
-                quad = pts @ m.g_hat + 0.5 * np.einsum("ni,ij,nj->n", pts, m.h_hat, pts)
-                cube = m.sigma / 3.0 * np.einsum("ni,ij,nj->n", pts, m.gram, pts) ** 1.5
-                ref = float(np.min(quad + cube))
+                ref = float(np.min(model_value_oracle(m, pts)))
                 tol = 1e-6
             else:
                 ref = np.inf
                 for _ in range(10):
-                    res = minimize(lambda s: _raw_value(m, s), 2.0 * rng.standard_normal(l),
+                    res = minimize(lambda s: model_value_oracle(m, s), 2.0 * rng.standard_normal(l),
                                    method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
                     ref = min(ref, res.fun)
                 tol = 1e-6

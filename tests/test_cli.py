@@ -45,6 +45,19 @@ def test_solve_max_iter_exits_2(tmp_path):
     assert code == 2
 
 
+def test_solve_unresolved_decrease_exits_5(tmp_path, capsys):
+    code = main([
+        "solve", "--problem", "l-ARWHEAD:N=10:d=40", "--mode", "rarc-d",
+        "--seed", "3", "--eps", "1e-8", "--out", str(tmp_path),
+    ])
+    assert code == 5
+    assert "DecreaseUnresolved" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary_l-ARWHEAD_N10_d40.json").read_text())
+    assert summary["rejected_steps"] >= 20
+    header = (tmp_path / "trace_l-ARWHEAD_N10_d40.csv").read_text().splitlines()[0]
+    assert "predicted_decrease" in header.split(",")
+
+
 def test_solve_non_finite_hessian_exits_4(monkeypatch, capsys):
     get_problem = cli.get_problem
 

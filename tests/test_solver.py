@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from rsarc import (
 )
 from rsarc import solver as solver_mod
 from rsarc.solver import (
+    STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
@@ -226,8 +228,8 @@ def test_trace_csv_header(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv([], path)
     assert path.read_text() == (
-        "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,success,step_norm,inner_iterations,"
-        "cum_rel_hessians,wall_time_s\n"
+        "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,predicted_decrease,success,step_norm,"
+        "inner_iterations,cum_rel_hessians,wall_time_s\n"
     )
 
 
@@ -249,6 +251,38 @@ def test_summary_dict_contents():
     assert s["solver_id"] == "arc"
     assert s["config"]["epsilon"] == 1e-9
     assert s["iterations"] == len(res.trace)
+
+
+def _unresolved_decrease_run():
+    # reaches f = 0 with ||g|| = 1.2e-8 > epsilon at k = 10; from then on
+    # every predicted decrease is below the rho guard 1e-16 (1 + |f|)
+    p = get_problem("l-ARWHEAD:N=10:d=40")
+    cfg = SolverConfig(mode="rarc-d", seed=3, epsilon=1e-8)
+    return p, cfg, run(p, cfg)
+
+
+def test_unresolved_decrease_ends_the_run():
+    _, _, res = _unresolved_decrease_run()
+    assert res.status == STATUS_DECREASE_UNRESOLVED
+    assert len(res.trace) <= 40  # was InnerFailure after 1,044 rows, sigma = 9e307
+    stalled = res.trace[-solver_mod._MAX_UNRESOLVED_DECREASES:]
+    for row in stalled:
+        assert math.isnan(row.rho_k) and not row.success
+        assert row.predicted_decrease <= 1e-16 * (1.0 + abs(row.f))
+    assert max(row.sigma_k for row in res.trace) < 1e6
+
+
+def test_summary_counts_rejected_steps_and_the_sigma_range():
+    p, cfg, res = _unresolved_decrease_run()
+    s = json.loads(json.dumps(summary_dict(p, cfg, res)))
+    rejected = [row for row in res.trace if not row.success]
+    assert rejected
+    assert s["status"] == STATUS_DECREASE_UNRESOLVED
+    assert s["accepted_steps"] + s["rejected_steps"] == s["iterations"] == len(res.trace)
+    assert s["rejected_steps"] == len(rejected)
+    assert s["sigma_k_min"] == min(row.sigma_k for row in res.trace)
+    assert s["sigma_k_max"] == max(row.sigma_k for row in res.trace)
+    assert s["sigma_k_max"] > s["sigma_k_min"]
 
 
 @pytest.mark.parametrize("mode", ["rarc", "rarc-d"])

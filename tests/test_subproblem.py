@@ -13,8 +13,8 @@ from rsarc import (
     solve,
     spectrum_rank,
 )
-from rsarc.subproblem import cubic_norm, quadratic_decrease
-from helpers import fd_gradient, fd_jacobian, rel_err
+from rsarc.subproblem import cubic_norm
+from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
 def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
@@ -22,20 +22,13 @@ def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
     h = rng.standard_normal((l, l))
     h = 0.5 * (h + h.T)
     if gram == "identity":
-        gm = np.eye(l)
+        gm = None
     else:
         a = rng.standard_normal((l, l + 3)) / np.sqrt(l)
         gm = a @ a.T
         gm = 0.5 * (gm + gm.T)
     sigma = sigma if sigma is not None else float(rng.uniform(0.5, 2.0))
-    return build_model(f0, g, h, sigma, gm, identity_gram=gram == "identity")
-
-
-def raw_value(model, s):
-    # independent evaluation of the model formula
-    s = np.asarray(s, dtype=float)
-    quad = float(model.g_hat @ s + 0.5 * s @ model.h_hat @ s)
-    return model.f0 + quad + model.sigma / 3.0 * float(s @ model.gram @ s) ** 1.5
+    return build_model(f0, g, h, sigma, gm)
 
 
 def test_value_and_gradient_at_origin():
@@ -94,9 +87,7 @@ def test_solve_matches_grid_oracle_2d():
     pts = np.stack([xg.ravel(), yg.ravel()], axis=1)
     for _ in range(20):
         m = random_model(rng, 2)
-        quad = pts @ m.g_hat + 0.5 * np.einsum("ni,ij,nj->n", pts, m.h_hat, pts)
-        cube = m.sigma / 3.0 * np.einsum("ni,ij,nj->n", pts, m.gram, pts) ** 1.5
-        oracle = float(np.min(quad + cube)) + m.f0
+        oracle = float(np.min(model_value_oracle(m, pts)))
         sol = solve(m)
         assert sol.model_value <= oracle + 1e-6
 
@@ -108,7 +99,7 @@ def test_solve_matches_descent_oracle():
             m = random_model(rng, l)
             best = np.inf
             for _ in range(10):
-                res = minimize(lambda s: raw_value(m, s), rng.standard_normal(l) * 2.0,
+                res = minimize(lambda s: model_value_oracle(m, s), rng.standard_normal(l) * 2.0,
                                method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
                 best = min(best, res.fun)
             sol = solve(m)
@@ -134,7 +125,7 @@ def test_model_decrease_identity():
         m = random_model(rng, int(rng.integers(1, 6)))
         sol = solve(m)
         assert sol.model_value <= m.f0
-        lhs = quadratic_decrease(m, sol.s_hat)
+        lhs = sol.predicted_decrease
         rhs = m.sigma / 3.0 * sol.cubic_norm**3
         assert lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
 
@@ -144,7 +135,38 @@ def test_secular_residual_bound():
     for _ in range(20):
         m = random_model(rng, int(rng.integers(1, 6)))
         sol = solve(m, inner_tol=1e-10)
-        assert sol.model_gradient_norm <= 1e-10 * (1.0 + np.linalg.norm(m.g_hat))
+        grad_norm = np.linalg.norm(model_gradient(m, sol.s_hat))
+        assert grad_norm <= 1e-10 * (1.0 + np.linalg.norm(m.g_hat))
+
+
+@pytest.mark.parametrize("gram", ["random", "identity"])
+def test_predicted_decrease_matches_the_quadratic_oracle(gram):
+    # solve evaluates f0 - q(s) in its eigenbasis; compare with the s basis
+    rng = np.random.default_rng(60)
+    for l in (1, 2, 4, 7, 12):
+        for _ in range(5):
+            m = random_model(rng, l, gram=gram)
+            sol = solve(m)
+            s = sol.s_hat
+            gs, shs = float(m.g_hat @ s), float(s @ m.h_hat @ s)
+            scale = abs(gs) + abs(shs) + 1e-300
+            assert abs(sol.predicted_decrease + (gs + 0.5 * shs)) <= 1e-10 * scale
+            grad_norm = np.linalg.norm(model_gradient(m, s))
+            assert grad_norm <= 1e-9 * (1.0 + np.linalg.norm(m.g_hat))
+
+
+def test_gram_none_is_the_identity_in_every_oracle():
+    rng = np.random.default_rng(63)
+    for l in (1, 3, 6):
+        m = random_model(rng, l, gram="identity")
+        explicit = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
+        assert m.gram is None and m.chol is None
+        s = rng.standard_normal(l)
+        assert cubic_norm(m, s) == cubic_norm(explicit, s)
+        assert model_value(m, s) == model_value(explicit, s)
+        np.testing.assert_array_equal(model_gradient(m, s), model_gradient(explicit, s))
+        np.testing.assert_array_equal(model_hessian(m, s), model_hessian(explicit, s))
+        assert model_value(m, s) == pytest.approx(model_value_oracle(m, s), rel=1e-12)
 
 
 def test_cubic_norm_consistent():
@@ -164,11 +186,11 @@ def test_hard_case_eigenvector_correction():
     sol = solve(m)
     # at the hard-case solution sigma*||s|| equals -lambda_min exactly
     assert sigma * sol.cubic_norm == pytest.approx(2.0, rel=1e-12)
-    assert sol.model_gradient_norm < 1e-12
+    assert np.linalg.norm(model_gradient(m, sol.s_hat)) < 1e-12
     rng = np.random.default_rng(58)
     best = np.inf
     for _ in range(20):
-        res = minimize(lambda s: raw_value(m, s), rng.standard_normal(3) * 10.0,
+        res = minimize(lambda s: model_value_oracle(m, s), rng.standard_normal(3) * 10.0,
                        method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
         best = min(best, res.fun)
     assert sol.model_value <= best + 1e-8
@@ -211,18 +233,20 @@ def test_gram_shape_mismatch():
         build_model(0.0, np.ones(2), np.eye(3), 1.0, np.eye(2))
 
 
-def test_identity_gram_flag_matches_the_cholesky_path():
-    # the flag skips the factorization and the whitening; with G = I the
-    # Cholesky path must give the same step and model value
+def test_identity_gram_none_matches_the_cholesky_path():
+    # gram=None skips the factorization and the whitening; with G = I the
+    # Cholesky path must give the same step, model value and decrease
     rng = np.random.default_rng(61)
     for l in (1, 2, 4, 7, 12):
         for _ in range(5):
             m = random_model(rng, l, gram="identity")
             factored = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
-            assert m.identity_gram and not factored.identity_gram
+            assert m.chol is None and factored.chol is not None
             a, b = solve(m), solve(factored)
             np.testing.assert_allclose(a.s_hat, b.s_hat, rtol=1e-12, atol=1e-14)
             assert a.model_value == pytest.approx(b.model_value, rel=1e-12, abs=1e-14)
+            assert a.predicted_decrease == pytest.approx(b.predicted_decrease,
+                                                         rel=1e-12, abs=1e-14)
             np.testing.assert_allclose(a.eigenvalues, np.linalg.eigvalsh(m.h_hat),
                                        rtol=1e-12, atol=1e-12)
 
@@ -238,6 +262,6 @@ def test_rank_of_the_solve_spectrum_with_identity_gram():
             lam[:r] = rng.choice([-1.0, 1.0], r) * rng.uniform(0.1, 10.0, r)
             h = (q * lam) @ q.T
             h = 0.5 * (h + h.T)
-            m = build_model(0.0, rng.standard_normal(l), h, 1.0, np.eye(l), identity_gram=True)
+            m = build_model(0.0, rng.standard_normal(l), h, 1.0)
             got = spectrum_rank(solve(m).eigenvalues, 1e-10).numerical_rank
             assert got == numerical_rank(h, 1e-10).numerical_rank == r
