@@ -99,6 +99,7 @@ def data_profile(
 
     Each run counts as one problem instance; unsolved runs stay in the
     denominator.  When ``solver_id`` is None the runs must all share one.
+    Every run must have a budget at ``tau``.
     """
     runs = list(runs)
     if not runs:
@@ -112,6 +113,9 @@ def data_profile(
         runs = [r for r in runs if r.solver_id == solver_id]
         if not runs:
             raise InvalidInputError(f"no runs for solver {solver_id!r}")
+    if any(tau not in r.n_p for r in runs):
+        known = sorted({t for r in runs for t in r.n_p}, reverse=True)
+        raise InvalidInputError(f"tau {tau!r} is not a tolerance of every run; runs have {known}")
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     budgets = np.array([r.n_p[tau] for r in runs])
     pi = np.array([np.mean(budgets <= a) for a in grid])
@@ -218,11 +222,15 @@ def _sanitize(name: str) -> str:
     return name.replace(":", "_").replace("=", "")
 
 
+#: runs CSV column names, one row per (run, tolerance)
+RUNS_COLUMNS = ("problem_id", "solver_id", "repeat", "seed", "tau", "N_p", "status")
+
+
 def write_runs_csv(runs: Sequence[BenchmarkRun], path) -> None:
     """One row per (run, tolerance): problem, solver, repeat, seed, tau, N_p."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["problem_id", "solver_id", "repeat", "seed", "tau", "N_p", "status"])
+        writer.writerow(RUNS_COLUMNS)
         for r in runs:
             for tau in sorted(r.n_p, reverse=True):
                 writer.writerow(
@@ -231,22 +239,33 @@ def write_runs_csv(runs: Sequence[BenchmarkRun], path) -> None:
 
 
 def read_runs_csv(path) -> List[BenchmarkRun]:
+    """Runs from a CSV written by ``write_runs_csv``; InvalidInputError on
+    missing columns or a row whose numbers do not parse."""
     by_key: Dict[tuple, BenchmarkRun] = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (rec["problem_id"], rec["solver_id"], int(rec["repeat"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in RUNS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInputError(f"{path}: not a runs CSV, missing column(s) {missing}")
+        for rec in reader:
+            try:
+                repeat, seed = int(rec["repeat"]), int(rec["seed"])
+                tau, n_p = float(rec["tau"]), float(rec["N_p"])
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"{path}:{reader.line_num}: malformed runs row") from None
+            key = (rec["problem_id"], rec["solver_id"], repeat)
             run_rec = by_key.get(key)
             if run_rec is None:
                 run_rec = BenchmarkRun(
                     problem_id=rec["problem_id"],
                     solver_id=rec["solver_id"],
-                    repeat=int(rec["repeat"]),
-                    seed=int(rec["seed"]),
+                    repeat=repeat,
+                    seed=seed,
                     n_p={},
                     status=rec["status"],
                 )
                 by_key[key] = run_rec
-            run_rec.n_p[float(rec["tau"])] = float(rec["N_p"])
+            run_rec.n_p[tau] = n_p
     return list(by_key.values())
 
 

@@ -255,6 +255,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_embed_check(args) -> int:
+    if args.trials < 1:
+        raise RsarcError(f"need --trials >= 1, got {args.trials}")
+    if args.rank < 0:
+        raise RsarcError(f"need --rank >= 0, got {args.rank}")
     rng = np.random.default_rng(args.seed)
     passes = 0
     worst = 0.0

@@ -8,11 +8,12 @@ Q in R^{d x r}; by the chain rule the Hessian of g has rank at most r
 everywhere, so r acts as the effective rank of g.
 
 Second-order information comes in two forms.  Every problem provides the
-dense d x d ``hessian``; the ``arc`` mode, identity sketches and output
+dense d x d ``hessian``.  The ``arc`` mode (the identity sketch, which is
+never formed: the model takes the symmetric part of H itself) and output
 checks use it.  A problem may also provide ``sketched_hessian(x, S)``,
 which returns S H(x) S^T for an l x d sketch array S without forming H.
-When it is present and the sketch is not the identity, the solver calls
-it instead of ``hessian``.  Lifted problems provide it as
+When it is present the solver calls it for every drawn sketch instead of
+projecting ``hessian``.  Lifted problems provide it as
 (S Q) H_f(Q^T x) (S Q)^T, which costs O(l d r + l r^2 + l^2 r) flops and
 needs no d x d array.
 """
@@ -58,8 +59,8 @@ class ObjectiveProblem:
         f_star: known optimal objective value, or None if unknown.
         known_rank: upper bound on rank(hess f(x)) valid at every x, or None.
         value / gradient / hessian: evaluators; pure functions of x.  The
-            dense ``hessian`` is always required: ``arc``, identity
-            sketches and output checks use it.
+            dense ``hessian`` is always required: ``arc`` (the
+            identity sketch) and output checks use it.
         sketched_hessian: optional ``(x, S) -> S hess f(x) S^T`` for an
             l x d sketch array S, computed without the d x d Hessian.  The
             solver uses it, when present, for every non-identity sketch

@@ -3,12 +3,16 @@
 A sketch S is an l x d matrix used to project gradients (S g) and
 Hessians (S H S^T) into an l-dimensional subspace.  Scaled Gaussian
 sketches have i.i.d. N(0, 1/l) entries so that E||S y||^2 = ||y||^2.
+
+``IDENTITY`` names the sketch S = I (l = d) that full-space ARC uses.  It
+is never formed as a matrix: the solver takes g and the symmetric part of
+H as they are, so ``draw`` and the projections handle dense arrays only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,10 +36,8 @@ class SketchMatrix:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def gram(self) -> Optional[np.ndarray]:
-        """The l x l Gram matrix S S^T, symmetrized; None for the identity sketch."""
-        if self.distribution == IDENTITY:
-            return None
+    def gram(self) -> np.ndarray:
+        """The l x l Gram matrix S S^T, symmetrized."""
         return symmetrize(self.matrix @ self.matrix.T)
 
 
@@ -67,20 +69,15 @@ def draw(distribution: str, l: int, d: int, seed: RngLike = None) -> SketchMatri
     """Draw an l x d sketch from the given distribution.
 
     Deterministic for an integer seed; pass a Generator to draw from an
-    existing stream (no global RNG is ever touched).
+    existing stream (no global RNG is ever touched).  The identity is not
+    drawn: it is no matrix (see the module docstring).
     """
     if l < 1 or l > d:
         raise InvalidDimensionError(f"need 1 <= l <= d, got l={l}, d={d}")
-    if distribution == IDENTITY:
-        if l != d:
-            raise InvalidDimensionError(f"identity sketch needs l = d, got l={l}, d={d}")
-        entries = np.eye(d)
-    elif distribution == SCALED_GAUSSIAN:
-        rng = _as_generator(seed)
-        entries = rng.standard_normal((l, d)) / np.sqrt(l)
-    else:
-        raise InvalidDimensionError(f"unknown sketch distribution {distribution!r}")
-    return SketchMatrix(entries, distribution)
+    if distribution != SCALED_GAUSSIAN:
+        raise InvalidDimensionError(f"cannot draw a {distribution!r} sketch")
+    rng = _as_generator(seed)
+    return SketchMatrix(rng.standard_normal((l, d)) / np.sqrt(l), distribution)
 
 
 def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:
@@ -89,8 +86,6 @@ def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(
             f"gradient shape {grad.shape} incompatible with sketch cols {s.cols}"
         )
-    if s.distribution == IDENTITY:
-        return grad.copy()  # identical to the product, skips the matmul
     return s.matrix @ grad
 
 
@@ -105,8 +100,6 @@ def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(
             f"hessian shape {hess.shape} incompatible with sketch cols {s.cols}"
         )
-    if s.distribution == IDENTITY:
-        return symmetrize(hess)
     return symmetrize(s.matrix @ hess @ s.matrix.T)
 
 

@@ -15,11 +15,14 @@ and accepts the trial step when the achieved-over-predicted decrease
 ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
 "relative Hessians seen", the budget metric used by the benchmark layer.
 
-S H S^T comes from the problem's ``sketched_hessian`` when it has one and
-the sketch is not the identity, so no d x d array is formed; otherwise
-the dense Hessian is evaluated once per iteration and projected.  A
-non-finite value f(x_k), gradient or projected derivative ends the run
-with status ``NonFiniteDerivative``; at x0 that leaves an empty trace.
+The identity sketch is never formed as a matrix: g and the symmetric part
+of the dense Hessian enter the model as they are, its Gram is None and
+the step is s itself.  For other sketches S H S^T comes from the
+problem's ``sketched_hessian`` when it has one, so no d x d array is
+formed; otherwise the dense Hessian is evaluated once per iteration and
+projected.  A non-finite value f(x_k), gradient or projected derivative
+ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
+empty trace.
 A predicted decrease at or below the rho guard 1e-16 (1 + |f|) on
 ``_MAX_UNRESOLVED_DECREASES`` consecutive iterations, where sigma would
 otherwise double towards overflow, ends it with ``DecreaseUnresolved``.
@@ -151,6 +154,7 @@ class IterationTrace:
     success: bool
     step_norm: float  # ||S^T s||, the length of the trial step
     inner_iterations: int  # secular-equation evaluations of the subproblem
+    gram_redraws: int  # sketches redrawn after a singular Gram or inner failure
     cum_rel_hessians: float
     wall_time_s: float  # cumulative solver-loop seconds, time.perf_counter
 
@@ -237,6 +241,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     sigma = config.sigma0
     l = _initial_sketch_size(problem, config)
     r_hat_running = 0
+    identity = distribution == sk.IDENTITY  # S = I is never formed: s_mat stays None
     s_mat: Optional[sk.SketchMatrix] = None
     need_draw = True
     trace: List[IterationTrace] = []
@@ -246,7 +251,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     status = STATUS_MAX_ITER
     f = problem.value(x)
     grad = problem.gradient(x)
-    sketch_first = problem.sketched_hessian is not None and distribution != sk.IDENTITY
+    sketch_first = problem.sketched_hessian is not None and not identity
 
     for k in range(config.max_iter + 1):
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
@@ -261,30 +266,36 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        hess = None if sketch_first else problem.hessian(x)
+        # free the last iteration's d x d arrays before the next H is formed;
+        # the dense non-identity path keeps H for the redraw loop below
+        model = solution = h_hat = hess = None
+        if not (identity or sketch_first):
+            hess = problem.hessian(x)
 
-        solution = None
-        for attempt in range(_MAX_GRAM_REDRAWS + 1):
-            if need_draw or s_mat is None:
-                s_mat = sk.draw(distribution, l, d, rng)
-                need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
-            g_hat = sk.sketch_gradient(s_mat, grad)
-            if sketch_first:
-                h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
+        for redraws in range(_MAX_GRAM_REDRAWS + 1):
+            if identity:
+                g_hat = grad
+                h_hat = sk.symmetrize(problem.hessian(x))
             else:
-                h_hat = sk.sketch_hessian(s_mat, hess)
+                if need_draw or s_mat is None:
+                    s_mat = sk.draw(distribution, l, d, rng)
+                    need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
+                g_hat = sk.sketch_gradient(s_mat, grad)
+                if sketch_first:
+                    h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
+                else:
+                    h_hat = sk.sketch_hessian(s_mat, hess)
             finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
             if not finite:
                 break
             try:
-                model = sp.build_model(f, g_hat, h_hat, sigma, s_mat.gram())
+                model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
                 solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
                 break
             except (SingularGramError, InnerSolverError):
                 s_mat = None
                 need_draw = True
-                if distribution == sk.IDENTITY or attempt == _MAX_GRAM_REDRAWS:
-                    solution = None
+                if identity or redraws == _MAX_GRAM_REDRAWS:
                     break
         if solution is None:
             status = STATUS_INNER_FAILURE if finite else STATUS_NON_FINITE
@@ -295,7 +306,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
-        step = s_mat.matrix.T @ solution.s_hat
+        step = solution.s_hat if identity else s_mat.matrix.T @ solution.s_hat
         q_dec = solution.predicted_decrease
         f_trial = problem.value(x + step)
         guard = 1e-16 * (1.0 + abs(f))
@@ -331,6 +342,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 success=success,
                 step_norm=solution.cubic_norm,
                 inner_iterations=solution.inner_iterations,
+                gram_redraws=redraws,
                 cum_rel_hessians=cum_rel,
                 wall_time_s=cum_time,
             )
@@ -356,8 +368,8 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
 
     return SolveResult(
         x_final=x,
-        f_final=float(problem.value(x)),
-        grad_norm_final=float(np.linalg.norm(problem.gradient(x))),
+        f_final=float(f),
+        grad_norm_final=float(np.linalg.norm(grad)),
         status=status,
         trace=trace,
     )
@@ -386,7 +398,8 @@ def trace_from_csv(path) -> List[IterationTrace]:
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:
     """JSON-serializable run summary: config echo, status, final values,
-    step counts and the range of sigma_k (null for an empty trace)."""
+    step and Gram-redraw counts and the range of sigma_k (null for an
+    empty trace)."""
     accepted = sum(row.success for row in result.trace)
     sigmas = [row.sigma_k for row in result.trace]
     return {
@@ -401,6 +414,7 @@ def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveR
         "cum_rel_hessians": result.trace[-1].cum_rel_hessians if result.trace else 0.0,
         "accepted_steps": accepted,
         "rejected_steps": len(result.trace) - accepted,
+        "gram_redraws": sum(row.gram_redraws for row in result.trace),
         "sigma_k_min": min(sigmas, default=None),
         "sigma_k_max": max(sigmas, default=None),
     }

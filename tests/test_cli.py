@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from rsarc import cli
+from rsarc import cli, write_runs_csv
+from rsarc.bench import BenchmarkRun
 from rsarc.cli import main
 
 
@@ -239,3 +240,28 @@ def test_manifest_missing_key(tmp_path, capsys):
     assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "repeats" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["embed-check", "--l", "5", "--d", "10", "--rank", "2", "--trials", "0"], "--trials"),
+        (["embed-check", "--l", "5", "--d", "10", "--rank", "-1"], "--rank"),
+        (["profile", "--runs", "{runs}", "--tau", "0.3", "--out", "{out}"], "tau 0.3"),
+        (["profile", "--runs", "{profile}", "--out", "{out}"], "problem_id"),
+        (["profile", "--runs", "{bad_row}", "--out", "{out}"], "bad_row.csv:3"),
+    ],
+    ids=["no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row"],
+)
+def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row")}
+    write_runs_csv(
+        [BenchmarkRun("QUADRANK:d=6", "arc", 0, 0, {1e-2: 1.0, 1e-5: 2.0}, "GradientTolReached")],
+        paths["runs"],
+    )
+    paths["profile"].write_text("alpha,pi\n0.0,1.0\n")
+    header, first, second = paths["runs"].read_text().splitlines()
+    paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
+    code = main([arg.format(out=tmp_path / "out", **paths) for arg in argv])
+    assert code == 1
+    assert message in capsys.readouterr().err

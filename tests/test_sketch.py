@@ -14,20 +14,6 @@ from rsarc import (
 from rsarc.sketch import SketchMatrix
 
 
-def test_identity_draw():
-    s = draw(IDENTITY, 4, 4)
-    assert np.array_equal(s.matrix, np.eye(4))
-    v = np.arange(4.0)
-    assert np.array_equal(sketch_gradient(s, v), v)
-    assert np.array_equal(s.matrix.T @ v, v)
-    assert s.gram() is None  # the identity Gram is not formed
-
-
-def test_identity_requires_square():
-    with pytest.raises(InvalidDimensionError):
-        draw(IDENTITY, 3, 4)
-
-
 def test_draw_errors():
     with pytest.raises(InvalidDimensionError):
         draw(SCALED_GAUSSIAN, 5, 4)
@@ -35,6 +21,8 @@ def test_draw_errors():
         draw(SCALED_GAUSSIAN, 0, 4)
     with pytest.raises(InvalidDimensionError):
         draw("bogus", 2, 4)
+    with pytest.raises(InvalidDimensionError):
+        draw(IDENTITY, 4, 4)  # the identity is no matrix; the solver never draws it
 
 
 def test_draw_deterministic():
@@ -66,17 +54,11 @@ def test_expected_norm_multiple_directions():
         assert abs(total / 5000 - 1.0) < 0.05
 
 
-def test_sketch_products_identity_and_zero():
-    s = draw(IDENTITY, 3, 3)
-    h = np.diag([1.0, 2.0, 3.0])
-    assert np.array_equal(sketch_hessian(s, h), h)
-    assert np.array_equal(sketch_hessian(s, np.zeros((3, 3))), np.zeros((3, 3)))
-
-
 def test_sketch_hessian_hand_computed():
     s = SketchMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), SCALED_GAUSSIAN)
     h = np.diag([1.0, 2.0, 3.0])
     assert np.array_equal(sketch_hessian(s, h), np.diag([1.0, 2.0]))
+    assert np.array_equal(sketch_hessian(s, np.zeros((3, 3))), np.zeros((2, 2)))
     g = np.array([5.0, 6.0, 7.0])
     assert np.array_equal(sketch_gradient(s, g), np.array([5.0, 6.0]))
 
@@ -145,7 +127,7 @@ def test_rank_preservation_small(r):
 
 
 def test_embedding_identity_passes_exactly():
-    s = draw(IDENTITY, 6, 6)
+    s = SketchMatrix(np.eye(6), IDENTITY)
     b = np.random.default_rng(0).standard_normal((6, 3))
     chk = check_subspace_embedding(s, b, eps=0.1, n_samples=50, seed=1)
     assert chk.passed and chk.max_distortion == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,11 +189,35 @@ def test_inner_failure_after_repeated_singular_grams(monkeypatch):
     assert res.status == STATUS_INNER_FAILURE
 
 
+def test_gram_redraws_are_traced_and_summed(monkeypatch):
+    zero = solver_mod.sk.SketchMatrix(np.zeros((2, 6)), "scaled_gaussian")
+    draw = solver_mod.sk.draw
+    draws = []
+
+    def two_singular_draws_first(*args, **kwargs):
+        draws.append(args)
+        return zero if len(draws) <= 2 else draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod.sk, "draw", two_singular_draws_first)
+    p = builtin_problem("QUADRANK", 6)
+    cfg = SolverConfig(mode="rarc", l0=2, epsilon=1e-8, seed=0)
+    res = run(p, cfg)
+    assert len(res.trace) > 1
+    assert [row.gram_redraws for row in res.trace[:2]] == [2, 0]
+    assert summary_dict(p, cfg, res)["gram_redraws"] == 2
+
+
 def test_max_iter_status():
     p = builtin_problem("ROSENCHAIN", 10)
     res = run(p, SolverConfig(mode="arc", epsilon=1e-12, max_iter=3))
     assert res.status == STATUS_MAX_ITER
     assert len(res.trace) == 3
+
+
+def test_identity_sketch_requires_l_equal_d():
+    p = builtin_problem("QUADRANK", 6)
+    with pytest.raises(ConfigError, match="l = d"):
+        run(p, SolverConfig(mode="rarc", l0=3, distribution="identity"))
 
 
 def test_l0_larger_than_dimension_rejected():
@@ -229,7 +254,7 @@ def test_trace_csv_header(tmp_path):
     trace_to_csv([], path)
     assert path.read_text() == (
         "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,predicted_decrease,success,step_norm,"
-        "inner_iterations,cum_rel_hessians,wall_time_s\n"
+        "inner_iterations,gram_redraws,cum_rel_hessians,wall_time_s\n"
     )
 
 
@@ -386,3 +411,54 @@ def test_rarc_d_ranks_the_sketched_hessian_once_per_iteration(monkeypatch):
     res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-8, seed=0))
     assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
     assert len(ranked) == len(res.trace)
+
+
+def test_arc_draws_and_projects_no_sketch(monkeypatch):
+    # the identity sketch is no matrix: g and H enter the model as they are
+    def refuse(*args, **kwargs):
+        raise AssertionError("sketch layer called")
+
+    for name in ("draw", "sketch_gradient", "sketch_hessian"):
+        monkeypatch.setattr(solver_mod.sk, name, refuse)
+    res = run(get_problem("l-ARWHEAD:N=10:d=40"), SolverConfig(mode="arc", epsilon=1e-8))
+    assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
+
+
+def test_arc_holds_about_two_d_by_d_arrays():
+    # H_hat and the eigenvectors (LAPACK's workspace is not traced); the
+    # identity sketch, the raw H and the last H_hat made 4.21 arrays of
+    # 8 d^2 bytes before
+    d = 500
+    p = get_problem(f"l-ARWHEAD:N=100:d={d}")
+    cfg = SolverConfig(mode="arc")
+    first = run(p, cfg)
+    tracemalloc.start()
+    try:
+        second = run(p, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second.status == first.status == STATUS_GRADIENT_TOL
+    assert peak <= 2.5 * 8 * d * d, f"traced peak {peak / (8 * d * d):.2f} d x d arrays"
+
+
+def test_final_values_are_not_evaluated_again():
+    base = get_problem("l-ARWHEAD:N=10:d=40")
+    values, gradients = [], []
+
+    def value(x):
+        values.append(x)
+        return base.value(x)
+
+    def gradient(x):
+        gradients.append(x)
+        return base.gradient(x)
+
+    p = dataclasses.replace(base, value=value, gradient=gradient)
+    res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-8, seed=0))
+    accepted = sum(row.success for row in res.trace)
+    assert res.status == STATUS_GRADIENT_TOL
+    assert len(values) == 1 + len(res.trace)  # f(x0) and one trial value per iteration
+    assert len(gradients) == 1 + accepted
+    assert res.f_final == base.value(res.x_final)
+    assert res.grad_norm_final == float(np.linalg.norm(base.gradient(res.x_final)))
