@@ -54,6 +54,15 @@ def test_expected_norm_multiple_directions():
         assert abs(total / 5000 - 1.0) < 0.05
 
 
+def test_sketch_products_identity_and_zero():
+    s = SketchMatrix(np.eye(3), IDENTITY)
+    h = np.diag([1.0, 2.0, 3.0])
+    assert np.array_equal(sketch_hessian(s, h), h)
+    assert np.array_equal(sketch_hessian(s, np.zeros((3, 3))), np.zeros((3, 3)))
+    g = np.array([5.0, 6.0, 7.0])
+    assert np.array_equal(sketch_gradient(s, g), g)
+
+
 def test_sketch_hessian_hand_computed():
     s = SketchMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), SCALED_GAUSSIAN)
     h = np.diag([1.0, 2.0, 3.0])
