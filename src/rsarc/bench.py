@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -213,6 +212,9 @@ def run_grid(
 
     columns = list(zip(*jobs))
     if workers > 1:
+        # imported here: multiprocessing adds about 2 MB to every ``import rsarc``
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, *columns))
     return list(map(_run_one, *columns))

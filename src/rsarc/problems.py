@@ -15,7 +15,9 @@ which returns S H(x) S^T for an l x d sketch array S without forming H.
 When it is present the solver calls it for every drawn sketch instead of
 projecting ``hessian``.  Lifted problems provide it as
 (S Q) H_f(Q^T x) (S Q)^T, which costs O(l d r + l r^2 + l^2 r) flops and
-needs no d x d array.
+needs no d x d array.  A lifted problem holds its d x r embedding Q once,
+as one C-ordered array: Q^T x is evaluated as x @ Q, and the dense Hessian
+multiplies by the transposed view Q^T, not by a copy.
 """
 
 from __future__ import annotations
@@ -92,24 +94,23 @@ def make_orthogonal_embedding(d: int, r: int, seed) -> np.ndarray:
     # fix the sign convention so Q does not depend on QR implementation details
     signs = np.sign(np.diag(rmat))
     signs[signs == 0] = 1.0
-    return q * signs
+    q *= signs
+    return q
 
 
 def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> ObjectiveProblem:
-    qt = q.T.copy()
-
     def value(x):
-        return base.value(qt @ x)
+        return base.value(x @ q)
 
     def gradient(x):
-        return q @ base.gradient(qt @ x)
+        return q @ base.gradient(x @ q)
 
     def hessian(x):
-        return q @ base.hessian(qt @ x) @ qt
+        return q @ base.hessian(x @ q) @ q.T
 
     def sketched_hessian(x, s):
         sq = s @ q
-        return sq @ base.hessian(qt @ x) @ sq.T
+        return sq @ base.hessian(x @ q) @ sq.T
 
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]

@@ -77,7 +77,9 @@ def draw(distribution: str, l: int, d: int, seed: RngLike = None) -> SketchMatri
     if distribution != SCALED_GAUSSIAN:
         raise InvalidDimensionError(f"cannot draw a {distribution!r} sketch")
     rng = _as_generator(seed)
-    return SketchMatrix(rng.standard_normal((l, d)) / np.sqrt(l), distribution)
+    z = rng.standard_normal((l, d))
+    z /= np.sqrt(l)  # in place: one l x d array per draw
+    return SketchMatrix(z, distribution)
 
 
 def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:

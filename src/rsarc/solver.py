@@ -20,7 +20,17 @@ of the dense Hessian enter the model as they are, its Gram is None and
 the step is s itself.  For other sketches S H S^T comes from the
 problem's ``sketched_hessian`` when it has one, so no d x d array is
 formed; otherwise the dense Hessian is evaluated once per iteration and
-projected.  A non-finite value f(x_k), gradient or projected derivative
+projected.
+
+An iteration makes one l x l eigendecomposition, in ``subproblem.solve``,
+and takes the observed rank from its spectrum.  A rejected step leaves
+x_k, the sketch and l as they were, so the next iteration reuses the
+model and that spectrum with the new sigma: it draws nothing, evaluates
+no Hessian and decomposes nothing, and its iterate is bit for bit the
+one a recomputation would give.  A success, a redraw or a change of l
+drops the reused arrays before the next Hessian is formed.
+
+A non-finite value f(x_k), gradient or projected derivative
 ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
 empty trace.
 A predicted decrease at or below the rho guard 1e-16 (1 + |f|) on
@@ -34,7 +44,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
 
 import numpy as np
@@ -154,6 +164,8 @@ class IterationTrace:
     success: bool
     step_norm: float  # ||S^T s||, the length of the trial step
     inner_iterations: int  # secular-equation evaluations of the subproblem
+    mu: float  # secular multiplier of the subproblem solution
+    hard_case: bool  # the step was padded along the minimal eigenvector
     gram_redraws: int  # sketches redrawn after a singular Gram or inner failure
     cum_rel_hessians: float
     wall_time_s: float  # cumulative solver-loop seconds, time.perf_counter
@@ -203,19 +215,17 @@ def _distribution(config: SolverConfig) -> str:
     return sk.IDENTITY if config.mode == MODE_ARC else sk.SCALED_GAUSSIAN
 
 
-def _observed_rank(
-    model: sp.SketchedCubicModel, solution: sp.SubproblemSolution, rel_tol: float
-) -> int:
-    """Numerical rank of the sketched Hessian S H S^T.
+def _observed_rank(solution: sp.SubproblemSolution, rel_tol: float) -> int:
+    """Numerical rank of the sketched Hessian S H S^T, from the solve's spectrum.
 
-    With an identity Gram (None), ``solve`` eigendecomposed S H S^T itself,
-    so its spectrum is ranked.  Otherwise it eigendecomposed L^{-1} H L^{-T}:
-    the same rank in exact arithmetic, but other eigenvalues, which the
-    relative threshold can rank differently, so S H S^T is decomposed again.
+    ``solve`` decomposed L^{-1} S H S^T L^{-T}, which is congruent to
+    S H S^T and so has its rank (Sylvester's law of inertia).  By
+    Ostrowski's theorem each eigenvalue is scaled by a factor between the
+    extreme eigenvalues of (S S^T)^{-1}, so the relative threshold can rank
+    the two spectra differently only for eigenvalues within cond(S S^T) of
+    it.  With an identity Gram (None) the spectrum is that of S H S^T itself.
     """
-    if model.chol is None:
-        return sk.spectrum_rank(solution.eigenvalues, rel_tol).numerical_rank
-    return sk.numerical_rank(model.h_hat, rel_tol).numerical_rank
+    return sk.spectrum_rank(solution.eigenvalues, rel_tol).numerical_rank
 
 
 def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
@@ -223,8 +233,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
 
     The trace records one row per iteration (f, gradient norm, sketch
     size, observed rank and its running maximum, sigma, rho and its
-    denominator, success flag, step norm, inner iterations, and the
-    cumulative budget counters).
+    denominator, success flag, step norm, inner iterations, the secular
+    multiplier and hard-case flag, Gram redraws, and the cumulative budget
+    counters).
     Raises InvalidProblemError when ``rarc-d`` observes a sketched-Hessian
     rank that ``problem.known_rank`` says cannot occur.
     """
@@ -253,6 +264,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     grad = problem.gradient(x)
     sketch_first = problem.sketched_hessian is not None and not identity
 
+    reuse = False  # the last step was rejected with x, S and l unchanged
     for k in range(config.max_iter + 1):
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
             status = STATUS_NON_FINITE
@@ -266,34 +278,42 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        # free the last iteration's d x d arrays before the next H is formed;
-        # the dense non-identity path keeps H for the redraw loop below
-        model = solution = h_hat = hess = None
-        if not (identity or sketch_first):
-            hess = problem.hessian(x)
-
+        spectrum = solution.spectrum if reuse else None
+        # free the last iteration's d x d arrays before the next H is formed
+        solution = None
+        if reuse:
+            # only sigma moved: keep g_hat, H_hat, the Gram factor and the spectrum
+            model = replace(model, sigma=sigma)
+        else:
+            model = h_hat = hess = None
+            if not (identity or sketch_first):
+                hess = problem.hessian(x)  # kept for the redraw loop below
+        finite = True
         for redraws in range(_MAX_GRAM_REDRAWS + 1):
-            if identity:
-                g_hat = grad
-                h_hat = sk.symmetrize(problem.hessian(x))
-            else:
-                if need_draw or s_mat is None:
-                    s_mat = sk.draw(distribution, l, d, rng)
-                    need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
-                g_hat = sk.sketch_gradient(s_mat, grad)
-                if sketch_first:
-                    h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
-                else:
-                    h_hat = sk.sketch_hessian(s_mat, hess)
-            finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
-            if not finite:
-                break
             try:
-                model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
-                solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
+                if model is None:
+                    if identity:
+                        g_hat = grad
+                        h_hat = sk.symmetrize(problem.hessian(x))
+                    else:
+                        if need_draw or s_mat is None:
+                            s_mat = sk.draw(distribution, l, d, rng)
+                            need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
+                        g_hat = sk.sketch_gradient(s_mat, grad)
+                        if sketch_first:
+                            h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
+                        else:
+                            h_hat = sk.sketch_hessian(s_mat, hess)
+                    finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
+                    if not finite:
+                        break
+                    model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
+                solution = sp.solve(
+                    model, inner_tol=config.inner_tol, max_inner=config.max_inner, spectrum=spectrum
+                )
                 break
             except (SingularGramError, InnerSolverError):
-                s_mat = None
+                model = spectrum = s_mat = None
                 need_draw = True
                 if identity or redraws == _MAX_GRAM_REDRAWS:
                     break
@@ -302,7 +322,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             cum_time += time.perf_counter() - t0
             break
 
-        r_hat = _observed_rank(model, solution, config.rank_tol)
+        r_hat = _observed_rank(solution, config.rank_tol)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
@@ -342,6 +362,8 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 success=success,
                 step_norm=solution.cubic_norm,
                 inner_iterations=solution.inner_iterations,
+                mu=solution.mu,
+                hard_case=solution.hard_case,
                 gram_redraws=redraws,
                 cum_rel_hessians=cum_rel,
                 wall_time_s=cum_time,
@@ -361,6 +383,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             if l_next != l:
                 l = l_next
                 need_draw = True
+        reuse = not success and (identity or not need_draw)
 
         if unresolved == _MAX_UNRESOLVED_DECREASES:
             status = STATUS_DECREASE_UNRESOLVED
@@ -398,8 +421,8 @@ def trace_from_csv(path) -> List[IterationTrace]:
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:
     """JSON-serializable run summary: config echo, status, final values,
-    step and Gram-redraw counts and the range of sigma_k (null for an
-    empty trace)."""
+    step, Gram-redraw and hard-case counts and the range of sigma_k (null
+    for an empty trace)."""
     accepted = sum(row.success for row in result.trace)
     sigmas = [row.sigma_k for row in result.trace]
     return {
@@ -415,6 +438,7 @@ def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveR
         "accepted_steps": accepted,
         "rejected_steps": len(result.trace) - accepted,
         "gram_redraws": sum(row.gram_redraws for row in result.trace),
+        "hard_cases": sum(row.hard_case for row in result.trace),
         "sigma_k_min": min(sigmas, default=None),
         "sigma_k_max": max(sigmas, default=None),
     }

@@ -11,8 +11,14 @@ cubic-regularized model with a Euclidean norm, which is minimized globally
 by eigendecomposition plus scalar root-finding on the secular equation
 sigma * ||u(mu)|| = mu with
 u(mu) = -(H_tilde + mu I)^{-1} g_tilde and mu >= max(0, -lambda_min),
-including explicit hard-case handling.  The solution carries the rho
-denominator f0 - q(s), evaluated in that eigenbasis.
+including explicit hard-case handling.  ``build_model`` factors G once
+and keeps the inverse factor L^{-1}, so the whitening
+g_tilde = L^{-1} g, H_tilde = L^{-1} H L^{-T} and the back-substitution
+s = L^{-T} u are matrix products.  The solution carries the rho
+denominator f0 - q(s), evaluated in that eigenbasis, and the eigenpairs
+of H_tilde; ``solve(..., spectrum=...)`` takes them back for a model that
+differs only in sigma, so a rejected step costs no second
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ class SketchedCubicModel:
     h_hat: np.ndarray  # (l, l), symmetric
     sigma: float
     gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
-    chol: Optional[np.ndarray]  # lower-triangular L with gram = L L^T; None: I
+    linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
 
     @property
     def dim(self) -> int:
@@ -56,7 +62,15 @@ class SubproblemSolution:
     predicted_decrease: float  # f0 - q(s_hat), the rho denominator
     cubic_norm: float  # ||S^T s_hat|| = sqrt(s.G s)
     inner_iterations: int
+    mu: float  # secular multiplier: (H_tilde + mu I) u = -g_tilde
+    hard_case: bool  # the step was padded along the minimal eigenvector
     eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
+    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
+
+    @property
+    def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The eigenpairs ``solve`` takes back through ``spectrum=``."""
+        return self.eigenvalues, self.eigenvectors
 
 
 def build_model(
@@ -68,8 +82,10 @@ def build_model(
 ) -> SketchedCubicModel:
     """Assemble a model and factorize its Gram matrix.
 
-    ``gram=None`` means the identity, the Gram of an identity sketch; the
-    factorization and the whitening in ``solve`` are then skipped.
+    The model keeps L^{-1} for the Cholesky factor G = L L^T, the one
+    factor ``solve`` whitens with.  ``gram=None`` means the identity, the
+    Gram of an identity sketch; the factorization and the whitening in
+    ``solve`` are then skipped.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
     the outer loop treats as a signal to redraw the sketch.
@@ -82,7 +98,7 @@ def build_model(
         )
     if sigma <= 0.0:
         raise ValueError(f"need sigma > 0, got {sigma}")
-    chol = None
+    linv = None
     if gram is not None:
         try:
             chol = np.linalg.cholesky(gram)
@@ -90,7 +106,8 @@ def build_model(
             raise SingularGramError("gram matrix S S^T is not positive definite") from exc
         if not np.all(np.isfinite(chol)):
             raise SingularGramError("gram factorization produced non-finite entries")
-    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, chol)
+        linv = np.linalg.inv(chol)
+    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv)
 
 
 def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
@@ -233,27 +250,35 @@ def solve(
     model: SketchedCubicModel,
     inner_tol: float = 1e-10,
     max_inner: int = 200,
+    spectrum: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SubproblemSolution:
     """Global minimizer of the sketched cubic model.
 
     Works in the whitened variables u = L^T s (u = s when the Gram is
-    None, the identity), eigendecomposes the transformed Hessian and solves
-    the secular equation exactly (to inner_tol), with an eigenvector
-    correction in the hard case.  A global minimizer meets the conditions
-    of ``check_termination`` in exact arithmetic, so they are not evaluated
-    here.  The solution carries the predicted decrease f0 - q(s), evaluated
-    in the eigenbasis, and the transformed Hessian's eigenvalues; with an
-    identity Gram they are those of the model Hessian itself.
+    None, the identity): g_tilde = L^{-1} g and H_tilde = L^{-1} H L^{-T}
+    are products with the model's inverse factor.  It eigendecomposes
+    H_tilde and solves the secular equation exactly (to inner_tol), with
+    an eigenvector correction in the hard case.  A global minimizer meets
+    the conditions of ``check_termination`` in exact arithmetic, so they
+    are not evaluated here.  The solution carries the predicted decrease
+    f0 - q(s), evaluated in the eigenbasis, and the eigenpairs of H_tilde;
+    with an identity Gram they are those of the model Hessian itself.
+
+    ``spectrum`` is a previous solution's ``spectrum`` for a model with the
+    same g_hat, h_hat and Gram factor, such as the same model with another
+    sigma.  H_tilde is then neither formed nor decomposed again, and the
+    result equals that of a fresh solve bit for bit.
     """
-    l_chol = model.chol
-    if l_chol is None:
-        g_t = model.g_hat
-        h_t = model.h_hat
+    linv = model.linv
+    g_t = model.g_hat if linv is None else linv @ model.g_hat
+    if spectrum is not None:
+        lam, vecs = spectrum
     else:
-        g_t = np.linalg.solve(l_chol, model.g_hat)
-        h_t = np.linalg.solve(l_chol, np.linalg.solve(l_chol, model.h_hat).T).T
-        h_t = 0.5 * (h_t + h_t.T)
-    lam, vecs = np.linalg.eigh(h_t)
+        h_t = model.h_hat
+        if linv is not None:
+            h_t = linv @ h_t @ linv.T
+            h_t = 0.5 * (h_t + h_t.T)
+        lam, vecs = np.linalg.eigh(h_t)
     w = vecs.T @ g_t
     sigma = model.sigma
 
@@ -261,6 +286,7 @@ def solve(
     lam1 = float(lam[0])
     mu_lo = max(0.0, -lam1)
     iterations = 0
+    hard_case = False
 
     if gnorm == 0.0 and lam1 >= 0.0:
         y = np.zeros_like(w)
@@ -282,6 +308,7 @@ def solve(
                 y = u_perp.copy()
                 y[0] += alpha
                 mu = mu_lo
+                hard_case = True
             else:
                 w = w_eff  # treat the negligible components as exact zeros
         if y is None:
@@ -293,7 +320,7 @@ def solve(
                 raise InnerSolverError("secular solution has non-finite components")
 
     u = vecs @ y
-    s_hat = u if l_chol is None else np.linalg.solve(l_chol.T, u)
+    s_hat = u if linv is None else linv.T @ u
     step_norm = float(np.linalg.norm(y))
 
     # model decrease evaluated in the eigenbasis: adding it to f0 cannot
@@ -306,5 +333,8 @@ def solve(
         predicted_decrease=-float(quad),
         cubic_norm=step_norm,
         inner_iterations=iterations,
+        mu=float(mu),
+        hard_case=hard_case,
         eigenvalues=lam,
+        eigenvectors=vecs,
     )

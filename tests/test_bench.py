@@ -28,7 +28,7 @@ def make_trace(fs, l=1, d=1):
             IterationTrace(
                 k=k, f=f, grad_norm=1.0, l_k=l, r_hat_k=1, big_r_hat_k=1,
                 sigma_k=1.0, rho_k=1.0, predicted_decrease=1.0, success=True, step_norm=1.0,
-                inner_iterations=1, gram_redraws=0,
+                inner_iterations=1, mu=1.0, hard_case=False, gram_redraws=0,
                 cum_rel_hessians=cum, wall_time_s=0.001 * (k + 1),
             )
         )

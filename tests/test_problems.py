@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,17 @@ def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
     s = rng.standard_normal((l, d))
     for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):
         assert rel_err(g.sketched_hessian(x, s), s @ g.hessian(x) @ s.T) < 1e-12
+
+
+def test_a_lifted_instance_holds_its_embedding_once():
+    # Q (d x N) is the only large array a lifted instance keeps; it held a
+    # transposed copy beside it before, twice the bytes
+    d, n = 2000, 100
+    tracemalloc.start()
+    try:
+        p = get_problem(f"l-ARWHEAD:N={n}:d={d}")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.dim == d
+    assert retained <= 1.25 * 8 * d * n, f"retained {retained / (8 * d * n):.2f} x 8dN bytes"

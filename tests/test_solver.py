@@ -8,6 +8,7 @@ import pytest
 
 from rsarc import (
     ConfigError,
+    InnerSolverError,
     InvalidDimensionError,
     InvalidProblemError,
     SolverConfig,
@@ -254,7 +255,7 @@ def test_trace_csv_header(tmp_path):
     trace_to_csv([], path)
     assert path.read_text() == (
         "k,f,grad_norm,l_k,r_hat_k,R_hat_k,sigma_k,rho_k,predicted_decrease,success,step_norm,"
-        "inner_iterations,gram_redraws,cum_rel_hessians,wall_time_s\n"
+        "inner_iterations,mu,hard_case,gram_redraws,cum_rel_hessians,wall_time_s\n"
     )
 
 
@@ -404,13 +405,116 @@ def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
     assert (len(eigh), len(eigvalsh)) == (len(res.trace), 0)
 
 
-def test_rarc_d_ranks_the_sketched_hessian_once_per_iteration(monkeypatch):
-    # a Gaussian Gram whitens the spectrum, so S H S^T is ranked directly
-    p = get_problem("l-ARWHEAD:N=10:d=40")
+def _reused(trace):
+    """Rows whose iteration reuses the last one's model: it was rejected and l stayed."""
+    return [b.k for a, b in zip(trace, trace[1:]) if not a.success and a.l_k == b.l_k]
+
+
+def test_rarc_d_makes_one_eigendecomposition_per_iteration(monkeypatch):
+    # the rank comes from the whitened spectrum of the solve, which is
+    # congruent to S H S^T: no second decomposition of S H S^T
+    p = get_problem("l-COSINE:N=10:d=40")
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
     ranked = _counting(monkeypatch, solver_mod.sk, "numerical_rank")
-    res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-8, seed=0))
-    assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
-    assert len(ranked) == len(res.trace)
+    built = _counting(monkeypatch, solver_mod.sp, "build_model")
+    res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-6, seed=0, max_iter=60))
+    fresh = len(res.trace) - len(_reused(res.trace))
+    grown = [b.k for a, b in zip(res.trace, res.trace[1:]) if not a.success and a.l_k != b.l_k]
+    assert _reused(res.trace) and grown  # a grown l after a rejection is decomposed afresh
+    assert (len(eigh), len(built)) == (fresh, fresh)
+    assert (len(eigvalsh), len(ranked)) == (0, 0)
+
+
+def _iteration_calls(monkeypatch, problem):
+    """A copy of ``problem`` whose value and Hessians, and the draws and eigh
+    calls, log into the returned list.  Every iteration ends in one trial
+    value, so the log splits at "value" into iterations (see _segments)."""
+    log = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
+    monkeypatch.setattr(solver_mod.sk, "draw", logged("draw", solver_mod.sk.draw))
+    problem = dataclasses.replace(
+        problem,
+        value=logged("value", problem.value),
+        hessian=logged("hessian", problem.hessian),
+        sketched_hessian=logged("hessian", problem.sketched_hessian),
+    )
+    return problem, log
+
+
+def _segments(log):
+    segments = [[]]
+    for name in log:
+        if name == "value":
+            segments.append([])
+        else:
+            segments[-1].append(name)
+    return segments[1:-1]  # iteration k's calls up to its trial value, k = 0, 1, ...
+
+
+@pytest.mark.parametrize(
+    "selector, cfg, fresh_calls",
+    [
+        ("l-COSINE:N=10:d=40", SolverConfig(mode="rarc-d", seed=0, max_iter=60), ["draw", "hessian", "eigh"]),
+        ("l-ROSENCHAIN:N=10:d=40", SolverConfig(mode="arc", epsilon=1e-6), ["hessian", "eigh"]),
+    ],
+)
+def test_a_rejected_step_is_solved_again_from_the_same_spectrum(monkeypatch, selector, cfg, fresh_calls):
+    p, log = _iteration_calls(monkeypatch, get_problem(selector))
+    res = run(p, cfg)
+    reused = set(_reused(res.trace))
+    assert len(reused) >= 10
+    segments = _segments(log)
+    assert len(segments) == len(res.trace)
+    for row, calls in zip(res.trace, segments):
+        assert calls == ([] if row.k in reused else fresh_calls), row.k
+
+
+def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
+    # the dense path (no sketched_hessian): a reused model whose solve fails
+    # is dropped, and the redraw projects the Hessian evaluated at x_k
+    p = builtin_problem("COSINE", 20)
+    cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=20)
+    solve = solver_mod.sp.solve
+    failed = []
+
+    def fail_first_reuse(model, inner_tol, max_inner, spectrum=None):
+        if spectrum is not None and not failed:
+            failed.append(True)
+            raise InnerSolverError("refused")
+        return solve(model, inner_tol=inner_tol, max_inner=max_inner, spectrum=spectrum)
+
+    monkeypatch.setattr(solver_mod.sp, "solve", fail_first_reuse)
+    res = run(p, cfg)
+    assert failed and len(res.trace) == cfg.max_iter
+    redrawn = [row.k for row in res.trace if row.gram_redraws]
+    assert len(redrawn) == 1 and res.trace[redrawn[0] - 1].success is False
+
+
+def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):
+    # a solve handed the last spectrum matches one that decomposes again
+    p = get_problem("l-COSINE:N=10:d=40")
+    cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=60)
+    reused = run(p, cfg)
+    solve = solver_mod.sp.solve
+
+    def decompose_again(model, inner_tol, max_inner, spectrum=None):
+        return solve(model, inner_tol=inner_tol, max_inner=max_inner)
+
+    monkeypatch.setattr(solver_mod.sp, "solve", decompose_again)
+    again = run(p, cfg)
+    assert _reused(reused.trace)
+    untimed = [dataclasses.replace(row, wall_time_s=0.0) for row in reused.trace]
+    assert untimed == [dataclasses.replace(row, wall_time_s=0.0) for row in again.trace]
+    assert np.array_equal(reused.x_final, again.x_final)
 
 
 def test_arc_draws_and_projects_no_sketch(monkeypatch):

@@ -1,6 +1,9 @@
 """Invariants of the package source that no behavioural test can see."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsarc"
@@ -17,3 +20,11 @@ def test_no_bare_assert_in_library_code():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert at {found}"
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # run_grid imports its process pool only when it uses one
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, rsarc; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

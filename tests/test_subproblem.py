@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,6 +8,8 @@ from rsarc import (
     SingularGramError,
     build_model,
     check_termination,
+    draw,
+    get_problem,
     model_gradient,
     model_hessian,
     model_value,
@@ -13,6 +17,7 @@ from rsarc import (
     solve,
     spectrum_rank,
 )
+from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
 from rsarc.subproblem import cubic_norm
 from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
@@ -160,7 +165,7 @@ def test_gram_none_is_the_identity_in_every_oracle():
     for l in (1, 3, 6):
         m = random_model(rng, l, gram="identity")
         explicit = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
-        assert m.gram is None and m.chol is None
+        assert m.gram is None and m.linv is None
         s = rng.standard_normal(l)
         assert cubic_norm(m, s) == cubic_norm(explicit, s)
         assert model_value(m, s) == model_value(explicit, s)
@@ -184,6 +189,7 @@ def test_hard_case_eigenvector_correction():
     sigma = 0.1
     m = build_model(0.0, g, np.diag(lam), sigma, np.eye(3))
     sol = solve(m)
+    assert sol.hard_case and sol.mu == 2.0
     # at the hard-case solution sigma*||s|| equals -lambda_min exactly
     assert sigma * sol.cubic_norm == pytest.approx(2.0, rel=1e-12)
     assert np.linalg.norm(model_gradient(m, sol.s_hat)) < 1e-12
@@ -241,7 +247,7 @@ def test_identity_gram_none_matches_the_cholesky_path():
         for _ in range(5):
             m = random_model(rng, l, gram="identity")
             factored = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
-            assert m.chol is None and factored.chol is not None
+            assert m.linv is None and factored.linv is not None
             a, b = solve(m), solve(factored)
             np.testing.assert_allclose(a.s_hat, b.s_hat, rtol=1e-12, atol=1e-14)
             assert a.model_value == pytest.approx(b.model_value, rel=1e-12, abs=1e-14)
@@ -265,3 +271,60 @@ def test_rank_of_the_solve_spectrum_with_identity_gram():
             m = build_model(0.0, rng.standard_normal(l), h, 1.0)
             got = spectrum_rank(solve(m).eigenvalues, 1e-10).numerical_rank
             assert got == numerical_rank(h, 1e-10).numerical_rank == r
+
+
+def _assert_same_solution(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        else:
+            assert value == other, name
+
+
+@pytest.mark.parametrize("gram", ["random", "identity"])
+def test_a_solve_from_the_last_spectrum_equals_a_fresh_solve(gram):
+    # a rejected step changes sigma only: the eigenpairs carry over exactly
+    rng = np.random.default_rng(64)
+    for l in (1, 2, 5, 12):
+        for _ in range(5):
+            m = random_model(rng, l, gram=gram)
+            prev = solve(m)
+            for factor in (2.0, 4.0, 0.5):
+                m2 = replace(m, sigma=factor * m.sigma)
+                _assert_same_solution(solve(m2, spectrum=prev.spectrum), solve(m2))
+
+
+def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
+    lam = np.array([-2.0, 1.0, 3.0])
+    m = build_model(0.0, np.array([0.0, 0.3, -0.4]), np.diag(lam), 0.1)
+    prev = solve(m)
+    for sigma in (0.2, 0.4, 50.0):
+        m2 = replace(m, sigma=sigma)
+        fresh = solve(m2)
+        _assert_same_solution(solve(m2, spectrum=prev.spectrum), fresh)
+    assert prev.hard_case and solve(replace(m, sigma=0.2)).hard_case
+    assert not fresh.hard_case  # sigma = 50: the interior step is long enough
+
+
+def test_the_whitened_spectrum_ranks_the_sketched_hessian():
+    # L^{-1} S H S^T L^{-T} is congruent to S H S^T (Sylvester's law of
+    # inertia), and the Gram's conditioning does not move an eigenvalue
+    # across the relative threshold on these problems
+    selectors = ["l-QUADRANK:N=20:rank=5:d=60"] + [
+        f"l-{name}:N=10:d=40" for name in ("ARWHEAD", "POWER", "COSINE", "ENGVAL1")
+    ]
+    problems = [get_problem(sel) for sel in selectors]
+    rng = np.random.default_rng(65)
+    mismatches = []
+    for trial in range(1000):
+        p = problems[trial % len(problems)]
+        x = rng.standard_normal(p.dim)
+        s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
+        h = symmetrize(p.sketched_hessian(x, s.matrix))
+        sol = solve(build_model(0.0, s.matrix @ p.gradient(x), h, 1.0, s.gram()))
+        got = spectrum_rank(sol.eigenvalues, 1e-10).numerical_rank
+        want = numerical_rank(h, 1e-10).numerical_rank
+        if got != want:
+            mismatches.append((p.name, s.matrix.shape[0], got, want))
+    assert not mismatches
