@@ -186,6 +186,8 @@ def run_grid(
     """
     if repeats < 1:
         raise InvalidInputError(f"need repeats >= 1, got {repeats}")
+    if seed_base < 0:
+        raise InvalidInputError(f"need seed_base >= 0, got {seed_base}")
     if not problems or not solver_configs:
         raise InvalidInputError("need at least one problem and one solver config")
     if metric not in METRICS:

@@ -259,6 +259,8 @@ def cmd_embed_check(args) -> int:
         raise RsarcError(f"need --trials >= 1, got {args.trials}")
     if args.rank < 0:
         raise RsarcError(f"need --rank >= 0, got {args.rank}")
+    if args.seed < 0:
+        raise RsarcError(f"need --seed >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     passes = 0
     worst = 0.0

@@ -12,12 +12,13 @@ dense d x d ``hessian``.  The ``arc`` mode (the identity sketch, which is
 never formed: the model takes the symmetric part of H itself) and output
 checks use it.  A problem may also provide ``sketched_hessian(x, S)``,
 which returns S H(x) S^T for an l x d sketch array S without forming H.
-When it is present the solver calls it for every drawn sketch instead of
-projecting ``hessian``.  Lifted problems provide it as
-(S Q) H_f(Q^T x) (S Q)^T, which costs O(l d r + l r^2 + l^2 r) flops and
-needs no d x d array.  A lifted problem holds its d x r embedding Q once,
-as one C-ordered array: Q^T x is evaluated as x @ Q, and the dense Hessian
-multiplies by the transposed view Q^T, not by a copy.
+It is optional: the solver calls it for every drawn sketch when it is
+present, and otherwise forms S H S^T from ``hessian``.  Lifted problems
+provide it as (S Q) H_f(Q^T x) (S Q)^T, which costs
+O(l d r + l r^2 + l^2 r) flops and needs no d x d array.  A lifted
+problem holds its d x r embedding Q once, as one C-ordered array: Q^T x
+is evaluated as x @ Q, and the dense Hessian multiplies by the
+transposed view Q^T, not by a copy.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class ObjectiveProblem:
         sketched_hessian: optional ``(x, S) -> S hess f(x) S^T`` for an
             l x d sketch array S, computed without the d x d Hessian.  The
             solver uses it, when present, for every non-identity sketch
-            and then never calls ``hessian``; the result need not be
+            and then never calls ``hessian``; without it the solver forms
+            S hess f(x) S^T from ``hessian``.  The result need not be
             exactly symmetric.
     """
 
@@ -428,6 +430,8 @@ def get_problem(selector: str) -> ObjectiveProblem:
             raise UnsupportedProblemError(f"unknown parameters {sorted(params)}")
         if d is None:
             raise UnsupportedProblemError(f"selector {selector!r} needs d=<dim>")
+        if seed < 0:
+            raise UnsupportedProblemError(f"selector {selector!r} needs seed >= 0")
         return augment(builtin_problem(base_name, n, rank), d, seed)
 
     n = params.pop("N", params.pop("d", None))

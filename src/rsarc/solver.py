@@ -17,18 +17,18 @@ ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
 
 The identity sketch is never formed as a matrix: g and the symmetric part
 of the dense Hessian enter the model as they are, its Gram is None and
-the step is s itself.  For other sketches S H S^T comes from the
-problem's ``sketched_hessian`` when it has one, so no d x d array is
-formed; otherwise the dense Hessian is evaluated once per iteration and
-projected.
+the step is s itself.  For other sketches S H S^T comes from one
+projection chosen at the start of the run: the problem's
+``sketched_hessian`` when it has one, so no d x d array is formed, and
+otherwise S H S^T from the dense Hessian, evaluated for every sketch.
 
-An iteration makes one l x l eigendecomposition, in ``subproblem.solve``,
-and takes the observed rank from its spectrum.  A rejected step leaves
-x_k, the sketch and l as they were, so the next iteration reuses the
-model and that spectrum with the new sigma: it draws nothing, evaluates
-no Hessian and decomposes nothing, and its iterate is bit for bit the
-one a recomputation would give.  A success, a redraw or a change of l
-drops the reused arrays before the next Hessian is formed.
+An iteration makes one l x l eigendecomposition, in
+``subproblem.build_model``, and takes the observed rank from the model's
+eigenvalues.  A rejected step leaves x_k, the sketch and l as they were,
+so the next iteration reuses the model with the new sigma: it draws
+nothing, evaluates no Hessian and decomposes nothing, and its iterate is
+bit for bit the one a recomputation would give.  A success, a redraw or
+a change of l drops the model before the next Hessian is formed.
 
 A non-finite value f(x_k), gradient or projected derivative
 ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
@@ -114,6 +114,9 @@ class SolverConfig:
     max_inner: int = _setting(200, "secular-equation evaluations per subproblem")
 
     def validate(self) -> None:
+        for name in _FLOAT_SETTINGS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"need a finite {name}, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
@@ -141,6 +144,12 @@ class SolverConfig:
             raise ConfigError(f"unknown redraw policy {self.redraw_policy!r}")
         if self.distribution is not None and self.distribution not in sk.DISTRIBUTIONS:
             raise ConfigError(f"unknown distribution {self.distribution!r}")
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
+        if self.inner_tol <= 0.0:
+            raise ConfigError(f"need inner_tol > 0, got {self.inner_tol}")
+        if self.max_inner < 1:
+            raise ConfigError(f"need max_inner >= 1, got {self.max_inner}")
 
     def solver_id(self) -> str:
         if self.mode == MODE_ARC:
@@ -148,6 +157,10 @@ class SolverConfig:
         if self.mode == MODE_RARC:
             return f"rarc-l{self.l0}"
         return f"rarc-d-l0{self.l0}"
+
+
+#: the float fields of SolverConfig, each of which must be finite
+_FLOAT_SETTINGS = tuple(name for name, hint in get_type_hints(SolverConfig).items() if hint is float)
 
 
 @dataclass
@@ -215,17 +228,17 @@ def _distribution(config: SolverConfig) -> str:
     return sk.IDENTITY if config.mode == MODE_ARC else sk.SCALED_GAUSSIAN
 
 
-def _observed_rank(solution: sp.SubproblemSolution, rel_tol: float) -> int:
-    """Numerical rank of the sketched Hessian S H S^T, from the solve's spectrum.
+def _observed_rank(model: sp.SketchedCubicModel, rel_tol: float) -> int:
+    """Numerical rank of the sketched Hessian S H S^T, from the model's spectrum.
 
-    ``solve`` decomposed L^{-1} S H S^T L^{-T}, which is congruent to
+    ``build_model`` decomposed L^{-1} S H S^T L^{-T}, which is congruent to
     S H S^T and so has its rank (Sylvester's law of inertia).  By
     Ostrowski's theorem each eigenvalue is scaled by a factor between the
     extreme eigenvalues of (S S^T)^{-1}, so the relative threshold can rank
     the two spectra differently only for eigenvalues within cond(S S^T) of
     it.  With an identity Gram (None) the spectrum is that of S H S^T itself.
     """
-    return sk.spectrum_rank(solution.eigenvalues, rel_tol).numerical_rank
+    return sk.spectrum_rank(model.eigenvalues, rel_tol).numerical_rank
 
 
 def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
@@ -262,7 +275,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     status = STATUS_MAX_ITER
     f = problem.value(x)
     grad = problem.gradient(x)
-    sketch_first = problem.sketched_hessian is not None and not identity
+    project = problem.sketched_hessian or (lambda x, s: s @ problem.hessian(x) @ s.T)
 
     reuse = False  # the last step was rejected with x, S and l unchanged
     for k in range(config.max_iter + 1):
@@ -278,16 +291,12 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             break
 
         t0 = time.perf_counter()
-        spectrum = solution.spectrum if reuse else None
-        # free the last iteration's d x d arrays before the next H is formed
         solution = None
         if reuse:
-            # only sigma moved: keep g_hat, H_hat, the Gram factor and the spectrum
+            # only sigma moved: keep g_hat, H_hat, the Gram factor and the eigenpairs
             model = replace(model, sigma=sigma)
         else:
-            model = h_hat = hess = None
-            if not (identity or sketch_first):
-                hess = problem.hessian(x)  # kept for the redraw loop below
+            model = h_hat = None  # free the last d x d arrays before the next H is formed
         finite = True
         for redraws in range(_MAX_GRAM_REDRAWS + 1):
             try:
@@ -300,20 +309,15 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                             s_mat = sk.draw(distribution, l, d, rng)
                             need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
                         g_hat = sk.sketch_gradient(s_mat, grad)
-                        if sketch_first:
-                            h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
-                        else:
-                            h_hat = sk.sketch_hessian(s_mat, hess)
+                        h_hat = sk.symmetrize(project(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
                     if not finite:
                         break
                     model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
-                solution = sp.solve(
-                    model, inner_tol=config.inner_tol, max_inner=config.max_inner, spectrum=spectrum
-                )
+                solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
                 break
             except (SingularGramError, InnerSolverError):
-                model = spectrum = s_mat = None
+                model = s_mat = None
                 need_draw = True
                 if identity or redraws == _MAX_GRAM_REDRAWS:
                     break
@@ -322,7 +326,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             cum_time += time.perf_counter() - t0
             break
 
-        r_hat = _observed_rank(solution, config.rank_tol)
+        r_hat = _observed_rank(model, config.rank_tol)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 

@@ -11,14 +11,14 @@ cubic-regularized model with a Euclidean norm, which is minimized globally
 by eigendecomposition plus scalar root-finding on the secular equation
 sigma * ||u(mu)|| = mu with
 u(mu) = -(H_tilde + mu I)^{-1} g_tilde and mu >= max(0, -lambda_min),
-including explicit hard-case handling.  ``build_model`` factors G once
-and keeps the inverse factor L^{-1}, so the whitening
-g_tilde = L^{-1} g, H_tilde = L^{-1} H L^{-T} and the back-substitution
-s = L^{-T} u are matrix products.  The solution carries the rho
-denominator f0 - q(s), evaluated in that eigenbasis, and the eigenpairs
-of H_tilde; ``solve(..., spectrum=...)`` takes them back for a model that
-differs only in sigma, so a rejected step costs no second
-eigendecomposition.
+including explicit hard-case handling.  ``build_model`` factors G once,
+keeps the inverse factor L^{-1}, whitens H_tilde = L^{-1} H L^{-T} and
+eigendecomposes it, so a model carries its own eigenpairs and a model that
+differs only in sigma (``dataclasses.replace(model, sigma=...)``) is solved
+without a second eigendecomposition.  ``solve`` does the rest:
+g_tilde = L^{-1} g, the secular solve and the back-substitution
+s = L^{-T} u.  The solution carries the rho denominator f0 - q(s),
+evaluated in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InnerSolverError, InvalidDimensionError, SingularGramError
+from .errors import InnerSolverError, InvalidDimensionError, InvalidInputError, SingularGramError
 
 #: multiplicity tolerance when grouping eigenvalues with the smallest one
 _EIG_GROUP_TOL = 1e-12
@@ -49,6 +49,8 @@ class SketchedCubicModel:
     sigma: float
     gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
     linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
+    eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
+    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
 
     @property
     def dim(self) -> int:
@@ -64,13 +66,6 @@ class SubproblemSolution:
     inner_iterations: int
     mu: float  # secular multiplier: (H_tilde + mu I) u = -g_tilde
     hard_case: bool  # the step was padded along the minimal eigenvector
-    eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
-    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
-
-    @property
-    def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The eigenpairs ``solve`` takes back through ``spectrum=``."""
-        return self.eigenvalues, self.eigenvectors
 
 
 def build_model(
@@ -80,15 +75,16 @@ def build_model(
     sigma: float,
     gram: Optional[np.ndarray] = None,
 ) -> SketchedCubicModel:
-    """Assemble a model and factorize its Gram matrix.
+    """Assemble a model: factorize its Gram matrix and decompose H_tilde.
 
-    The model keeps L^{-1} for the Cholesky factor G = L L^T, the one
-    factor ``solve`` whitens with.  ``gram=None`` means the identity, the
-    Gram of an identity sketch; the factorization and the whitening in
-    ``solve`` are then skipped.
+    The model keeps L^{-1} for the Cholesky factor G = L L^T and the
+    eigenpairs of H_tilde = L^{-1} H L^{-T}.  ``gram=None`` means the
+    identity, the Gram of an identity sketch; the factorization and the
+    whitening are then skipped and the eigenpairs are those of H itself.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
-    the outer loop treats as a signal to redraw the sketch.
+    the outer loop treats as a signal to redraw the sketch, and
+    InvalidInputError unless sigma > 0.
     """
     l = g_hat.shape[0]
     if h_hat.shape != (l, l) or (gram is not None and gram.shape != (l, l)):
@@ -96,9 +92,10 @@ def build_model(
             f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}, "
             f"G {getattr(gram, 'shape', None)}"
         )
-    if sigma <= 0.0:
-        raise ValueError(f"need sigma > 0, got {sigma}")
+    if not sigma > 0.0:
+        raise InvalidInputError(f"need sigma > 0, got {sigma}")
     linv = None
+    h_t = h_hat
     if gram is not None:
         try:
             chol = np.linalg.cholesky(gram)
@@ -107,7 +104,10 @@ def build_model(
         if not np.all(np.isfinite(chol)):
             raise SingularGramError("gram factorization produced non-finite entries")
         linv = np.linalg.inv(chol)
-    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv)
+        h_t = linv @ h_hat @ linv.T
+        h_t = 0.5 * (h_t + h_t.T)
+    lam, vecs = np.linalg.eigh(h_t)
+    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv, lam, vecs)
 
 
 def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
@@ -250,35 +250,20 @@ def solve(
     model: SketchedCubicModel,
     inner_tol: float = 1e-10,
     max_inner: int = 200,
-    spectrum: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SubproblemSolution:
     """Global minimizer of the sketched cubic model.
 
     Works in the whitened variables u = L^T s (u = s when the Gram is
-    None, the identity): g_tilde = L^{-1} g and H_tilde = L^{-1} H L^{-T}
-    are products with the model's inverse factor.  It eigendecomposes
-    H_tilde and solves the secular equation exactly (to inner_tol), with
+    None, the identity), in the eigenbasis of H_tilde that ``build_model``
+    computed: it solves the secular equation exactly (to inner_tol), with
     an eigenvector correction in the hard case.  A global minimizer meets
     the conditions of ``check_termination`` in exact arithmetic, so they
     are not evaluated here.  The solution carries the predicted decrease
-    f0 - q(s), evaluated in the eigenbasis, and the eigenpairs of H_tilde;
-    with an identity Gram they are those of the model Hessian itself.
-
-    ``spectrum`` is a previous solution's ``spectrum`` for a model with the
-    same g_hat, h_hat and Gram factor, such as the same model with another
-    sigma.  H_tilde is then neither formed nor decomposed again, and the
-    result equals that of a fresh solve bit for bit.
+    f0 - q(s), evaluated in the eigenbasis.
     """
     linv = model.linv
     g_t = model.g_hat if linv is None else linv @ model.g_hat
-    if spectrum is not None:
-        lam, vecs = spectrum
-    else:
-        h_t = model.h_hat
-        if linv is not None:
-            h_t = linv @ h_t @ linv.T
-            h_t = 0.5 * (h_t + h_t.T)
-        lam, vecs = np.linalg.eigh(h_t)
+    lam, vecs = model.eigenvalues, model.eigenvectors
     w = vecs.T @ g_t
     sigma = model.sigma
 
@@ -335,6 +320,4 @@ def solve(
         inner_iterations=iterations,
         mu=float(mu),
         hard_case=hard_case,
-        eigenvalues=lam,
-        eigenvectors=vecs,
     )

@@ -242,6 +242,9 @@ def test_manifest_missing_key(tmp_path, capsys):
     assert str(path) in err and "repeats" in err
 
 
+_SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -250,8 +253,22 @@ def test_manifest_missing_key(tmp_path, capsys):
         (["profile", "--runs", "{runs}", "--tau", "0.3", "--out", "{out}"], "tau 0.3"),
         (["profile", "--runs", "{profile}", "--out", "{out}"], "problem_id"),
         (["profile", "--runs", "{bad_row}", "--out", "{out}"], "bad_row.csv:3"),
+        (["embed-check", "--l", "5", "--d", "10", "--rank", "2", "--seed", "-1"], "--seed"),
+        (["solve", "--problem", "l-ARWHEAD:N=10:d=40:seed=-1"], "l-ARWHEAD:N=10:d=40:seed=-1"),
+        ([*_SOLVE, "--seed", "-1"], "seed"),
+        ([*_SOLVE, "--sigma0", "nan"], "sigma0"),
+        ([*_SOLVE, "--max-inner", "0"], "max_inner"),
+        ([*_SOLVE, "--rank-tol", "nan"], "rank_tol"),
+        ([*_SOLVE, "--gamma-inc", "nan"], "gamma_inc"),
+        ([*_SOLVE, "--inner-tol", "-1"], "inner_tol"),
+        (["bench", "--problem", "QUADRANK:d=6", "--seed-base", "-1", "--out", "{out}"], "seed_base"),
     ],
-    ids=["no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row"],
+    ids=[
+        "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
+        "embed-negative-seed", "selector-negative-seed", "solve-negative-seed", "nan-sigma0",
+        "no-inner-evaluations", "nan-rank-tol", "nan-gamma-inc", "negative-inner-tol",
+        "negative-seed-base",
+    ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row")}

@@ -184,7 +184,10 @@ def test_selector_parsing():
 
 @pytest.mark.parametrize(
     "selector",
-    ["NOPE", "NOPE:N=5", "ARWHEAD", "ARWHEAD:N=x", "l-ARWHEAD", "ARWHEAD:bogus=3", "ARWHEAD:N"],
+    [
+        "NOPE", "NOPE:N=5", "ARWHEAD", "ARWHEAD:N=x", "l-ARWHEAD", "ARWHEAD:bogus=3", "ARWHEAD:N",
+        "l-ARWHEAD:N=10:d=40:seed=-1",
+    ],
 )
 def test_selector_errors(selector):
     with pytest.raises(UnsupportedProblemError):

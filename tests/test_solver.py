@@ -243,6 +243,15 @@ def test_l0_larger_than_dimension_rejected():
         {"redraw_policy": "sometimes"},
         {"mode": "bogus"},
         {"distribution": "bogus"},
+        {"sigma0": math.nan},
+        {"gamma_inc": math.nan},
+        {"rank_tol": math.nan},
+        {"epsilon": math.inf},
+        {"inner_tol": math.nan},
+        {"inner_tol": -1.0},
+        {"inner_tol": 0.0},
+        {"max_inner": 0},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kwargs):
@@ -396,7 +405,7 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
-    # with an identity Gram the observed rank comes from the solve's spectrum
+    # with an identity Gram the observed rank comes from the model's spectrum
     p = get_problem("l-ARWHEAD:N=10:d=40")
     eigh = _counting(monkeypatch, np.linalg, "eigh")
     eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
@@ -411,7 +420,7 @@ def _reused(trace):
 
 
 def test_rarc_d_makes_one_eigendecomposition_per_iteration(monkeypatch):
-    # the rank comes from the whitened spectrum of the solve, which is
+    # the rank comes from the whitened spectrum of the model, which is
     # congruent to S H S^T: no second decomposition of S H S^T
     p = get_problem("l-COSINE:N=10:d=40")
     eigh = _counting(monkeypatch, np.linalg, "eigh")
@@ -483,15 +492,21 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
     # is dropped, and the redraw projects the Hessian evaluated at x_k
     p = builtin_problem("COSINE", 20)
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=20)
-    solve = solver_mod.sp.solve
-    failed = []
+    build_model, solve = solver_mod.sp.build_model, solver_mod.sp.solve
+    built, failed = [], []
 
-    def fail_first_reuse(model, inner_tol, max_inner, spectrum=None):
-        if spectrum is not None and not failed:
+    def recorded(*args):
+        built.append(build_model(*args))
+        return built[-1]
+
+    def fail_first_reuse(model, inner_tol, max_inner):
+        # a reused model is one build_model did not return
+        if not any(model is m for m in built) and not failed:
             failed.append(True)
             raise InnerSolverError("refused")
-        return solve(model, inner_tol=inner_tol, max_inner=max_inner, spectrum=spectrum)
+        return solve(model, inner_tol=inner_tol, max_inner=max_inner)
 
+    monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
     monkeypatch.setattr(solver_mod.sp, "solve", fail_first_reuse)
     res = run(p, cfg)
     assert failed and len(res.trace) == cfg.max_iter
@@ -500,18 +515,20 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
 
 
 def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):
-    # a solve handed the last spectrum matches one that decomposes again
+    # a model reused with a new sigma matches one that is built and
+    # decomposed again
     p = get_problem("l-COSINE:N=10:d=40")
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=60)
     reused = run(p, cfg)
-    solve = solver_mod.sp.solve
+    rebuilt = []
 
-    def decompose_again(model, inner_tol, max_inner, spectrum=None):
-        return solve(model, inner_tol=inner_tol, max_inner=max_inner)
+    def rebuild(m, sigma):
+        rebuilt.append(sigma)
+        return solver_mod.sp.build_model(m.f0, m.g_hat, m.h_hat, sigma, m.gram)
 
-    monkeypatch.setattr(solver_mod.sp, "solve", decompose_again)
+    monkeypatch.setattr(solver_mod, "replace", rebuild)
     again = run(p, cfg)
-    assert _reused(reused.trace)
+    assert _reused(reused.trace) and len(rebuilt) == len(_reused(reused.trace))
     untimed = [dataclasses.replace(row, wall_time_s=0.0) for row in reused.trace]
     assert untimed == [dataclasses.replace(row, wall_time_s=0.0) for row in again.trace]
     assert np.array_equal(reused.x_final, again.x_final)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from rsarc import (
+    InvalidInputError,
     SingularGramError,
     build_model,
     check_termination,
@@ -228,8 +229,9 @@ def test_singular_gram_rejected():
 
 
 def test_nonpositive_sigma_rejected():
-    with pytest.raises(ValueError):
-        build_model(0.0, np.ones(2), np.eye(2), 0.0, np.eye(2))
+    for sigma in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="sigma"):
+            build_model(0.0, np.ones(2), np.eye(2), sigma, np.eye(2))
 
 
 def test_gram_shape_mismatch():
@@ -253,12 +255,12 @@ def test_identity_gram_none_matches_the_cholesky_path():
             assert a.model_value == pytest.approx(b.model_value, rel=1e-12, abs=1e-14)
             assert a.predicted_decrease == pytest.approx(b.predicted_decrease,
                                                          rel=1e-12, abs=1e-14)
-            np.testing.assert_allclose(a.eigenvalues, np.linalg.eigvalsh(m.h_hat),
+            np.testing.assert_allclose(m.eigenvalues, np.linalg.eigvalsh(m.h_hat),
                                        rtol=1e-12, atol=1e-12)
 
 
 def test_rank_of_the_solve_spectrum_with_identity_gram():
-    # with G = I the solve decomposes H itself: ranking its spectrum gives
+    # with G = I the model decomposes H itself: ranking its spectrum gives
     # numerical_rank(H), including on exactly low-rank matrices
     rng = np.random.default_rng(62)
     for l in (3, 8, 20, 51):
@@ -269,7 +271,7 @@ def test_rank_of_the_solve_spectrum_with_identity_gram():
             h = (q * lam) @ q.T
             h = 0.5 * (h + h.T)
             m = build_model(0.0, rng.standard_normal(l), h, 1.0)
-            got = spectrum_rank(solve(m).eigenvalues, 1e-10).numerical_rank
+            got = spectrum_rank(m.eigenvalues, 1e-10).numerical_rank
             assert got == numerical_rank(h, 1e-10).numerical_rank == r
 
 
@@ -282,17 +284,23 @@ def _assert_same_solution(a, b):
             assert value == other, name
 
 
+def _rebuilt(m, sigma):
+    """The model ``build_model`` gives for m's data with another sigma."""
+    return build_model(m.f0, m.g_hat, m.h_hat, sigma, m.gram)
+
+
 @pytest.mark.parametrize("gram", ["random", "identity"])
 def test_a_solve_from_the_last_spectrum_equals_a_fresh_solve(gram):
-    # a rejected step changes sigma only: the eigenpairs carry over exactly
+    # a rejected step changes sigma only: the model's eigenpairs carry over
+    # exactly, and its solve equals that of a model built afresh
     rng = np.random.default_rng(64)
     for l in (1, 2, 5, 12):
         for _ in range(5):
             m = random_model(rng, l, gram=gram)
-            prev = solve(m)
+            solve(m)  # the solver solves a model before it reuses it
             for factor in (2.0, 4.0, 0.5):
-                m2 = replace(m, sigma=factor * m.sigma)
-                _assert_same_solution(solve(m2, spectrum=prev.spectrum), solve(m2))
+                sigma = factor * m.sigma
+                _assert_same_solution(solve(replace(m, sigma=sigma)), solve(_rebuilt(m, sigma)))
 
 
 def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
@@ -300,9 +308,8 @@ def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
     m = build_model(0.0, np.array([0.0, 0.3, -0.4]), np.diag(lam), 0.1)
     prev = solve(m)
     for sigma in (0.2, 0.4, 50.0):
-        m2 = replace(m, sigma=sigma)
-        fresh = solve(m2)
-        _assert_same_solution(solve(m2, spectrum=prev.spectrum), fresh)
+        fresh = solve(_rebuilt(m, sigma))
+        _assert_same_solution(solve(replace(m, sigma=sigma)), fresh)
     assert prev.hard_case and solve(replace(m, sigma=0.2)).hard_case
     assert not fresh.hard_case  # sigma = 50: the interior step is long enough
 
@@ -322,8 +329,8 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         x = rng.standard_normal(p.dim)
         s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
         h = symmetrize(p.sketched_hessian(x, s.matrix))
-        sol = solve(build_model(0.0, s.matrix @ p.gradient(x), h, 1.0, s.gram()))
-        got = spectrum_rank(sol.eigenvalues, 1e-10).numerical_rank
+        m = build_model(0.0, s.matrix @ p.gradient(x), h, 1.0, s.gram())
+        got = spectrum_rank(m.eigenvalues, 1e-10).numerical_rank
         want = numerical_rank(h, 1e-10).numerical_rank
         if got != want:
             mismatches.append((p.name, s.matrix.shape[0], got, want))
