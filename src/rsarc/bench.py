@@ -192,6 +192,8 @@ def run_grid(
         raise InvalidInputError("need at least one problem and one solver config")
     if metric not in METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if workers < 1:
+        raise InvalidInputError(f"need workers >= 1, got {workers}")
     for config in solver_configs:
         config.validate()
 

@@ -10,9 +10,10 @@ Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
 f, gradient or Hessian, 5 when the predicted decrease stayed below the
 rho guard on consecutive iterations (``DecreaseUnresolved``), 1 on usage
-errors and malformed config files.
+errors, malformed config files and files that cannot be read or written.
 The other subcommands exit 0 on completion and 1 on malformed input,
-including a malformed manifest.
+including a malformed manifest, or on a file error; ``bench`` writes its
+``manifest.json`` only once the grid has run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional, Tuple, get_args, get_type_hints
+from typing import List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -65,12 +66,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _types(name: str) -> tuple:
-    """The types a setting may take; the first is the one text is parsed to."""
-    hint = _SETTINGS[name]
-    return get_args(hint) or (hint,)
-
-
 def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
     """Field name and typed value of one solver setting read from a file.
 
@@ -80,15 +75,13 @@ def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
     name = _FIELD_ALIASES.get(key, key)
     if name not in _SETTINGS:
         raise RsarcError(f"{where}: unknown config key {key!r}")
-    types = _types(name)
-    if value is None and type(None) in types:
-        return name, None
+    kind = _SETTINGS[name]
     try:
-        typed = types[0](value)
+        typed = kind(value)
     except (TypeError, ValueError):
         typed = None
     if typed is None or (not isinstance(value, str) and typed != value):
-        raise RsarcError(f"{where}: {key} = {value!r} is not a valid {types[0].__name__}")
+        raise RsarcError(f"{where}: {key} = {value!r} is not a valid {kind.__name__}")
     return name, typed
 
 
@@ -143,7 +136,7 @@ def _add_solver_flags(parser) -> None:
         parser.add_argument(
             "--" + flag_of.get(f.name, f.name.replace("_", "-")),
             dest=f.name,
-            type=_types(f.name)[0],
+            type=_SETTINGS[f.name],
             choices=f.metadata["choices"],
             help=f"{f.metadata['help']} (default: {f.default})",
         )
@@ -212,7 +205,17 @@ def cmd_bench(args) -> int:
         seed_base = args.seed_base
         taus = args.tau or [1e-2, 1e-5]
         metric = args.metric
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the grid runs
+    runs = bn.run_grid(
+        selectors,
+        configs,
+        repeats=repeats,
+        seed_base=seed_base,
+        taus=taus,
+        metric=metric,
+        out_dir=args.out if args.traces else None,
+        workers=args.workers,
+    )
     manifest = {
         "problems": list(selectors),
         "solver_configs": [vars(c).copy() for c in configs],
@@ -224,16 +227,6 @@ def cmd_bench(args) -> int:
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    runs = bn.run_grid(
-        selectors,
-        configs,
-        repeats=repeats,
-        seed_base=seed_base,
-        taus=taus,
-        metric=metric,
-        out_dir=args.out if args.traces else None,
-        workers=args.workers,
-    )
     bn.write_runs_csv(runs, os.path.join(args.out, "runs.csv"))
     solved = sum(1 for r in runs if any(np.isfinite(v) for v in r.n_p.values()))
     print(f"{len(runs)} runs -> {args.out}/runs.csv ({solved} solved at some tolerance)")
@@ -329,10 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RsarcError as exc:
-        print(f"rsarc: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (RsarcError, OSError) as exc:
         print(f"rsarc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidDimensionError, UnsupportedProblemError
+from .errors import InvalidDimensionError, InvalidInputError, UnsupportedProblemError
 
 BUILTIN_NAMES = (
     "ARWHEAD",
@@ -91,6 +91,8 @@ def make_orthogonal_embedding(d: int, r: int, seed) -> np.ndarray:
     """
     if r < 1 or r > d:
         raise InvalidDimensionError(f"need 1 <= r <= d, got r={r}, d={d}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidInputError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     q, rmat = np.linalg.qr(rng.standard_normal((d, r)))
     # fix the sign convention so Q does not depend on QR implementation details

@@ -4,9 +4,12 @@ A sketch S is an l x d matrix used to project gradients (S g) and
 Hessians (S H S^T) into an l-dimensional subspace.  Scaled Gaussian
 sketches have i.i.d. N(0, 1/l) entries so that E||S y||^2 = ||y||^2.
 
-``IDENTITY`` names the sketch S = I (l = d) that full-space ARC uses.  It
-is never formed as a matrix: the solver takes g and the symmetric part of
-H as they are, so ``draw`` and the projections handle dense arrays only.
+The solver draws ``SCALED_GAUSSIAN`` sketches in its sketched modes.
+Full-space ARC uses S = I (l = d), which is never formed as a matrix: the
+solver takes g and the symmetric part of H as they are, so ``draw`` and
+the projections handle dense arrays only.  ``IDENTITY`` stays as the tag
+for that sketch, which perfbench's tracer reads when it counts the flops
+of ``sketch_hessian``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import InvalidDimensionError
 
 SCALED_GAUSSIAN = "scaled_gaussian"
 IDENTITY = "identity"
-DISTRIBUTIONS = (SCALED_GAUSSIAN, IDENTITY)
 
 RngLike = Union[int, None, np.random.Generator]
 

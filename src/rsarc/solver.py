@@ -17,18 +17,23 @@ ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
 
 The identity sketch is never formed as a matrix: g and the symmetric part
 of the dense Hessian enter the model as they are, its Gram is None and
-the step is s itself.  For other sketches S H S^T comes from one
-projection chosen at the start of the run: the problem's
-``sketched_hessian`` when it has one, so no d x d array is formed, and
-otherwise S H S^T from the dense Hessian, evaluated for every sketch.
+the step is s itself.  For the scaled-Gaussian sketches of ``rarc`` and
+``rarc-d``, S H S^T comes from one projection chosen at the start of the
+run: the problem's ``sketched_hessian`` when it has one, so no d x d
+array is formed, and otherwise S H S^T from the dense Hessian, evaluated
+for every sketch.
 
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
-eigenvalues.  A rejected step leaves x_k, the sketch and l as they were,
-so the next iteration reuses the model with the new sigma: it draws
-nothing, evaluates no Hessian and decomposes nothing, and its iterate is
-bit for bit the one a recomputation would give.  A success, a redraw or
-a change of l drops the model before the next Hessian is formed.
+eigenvalues.  ``run`` keeps its sketch state in two variables: ``s_mat``
+is None when the next iteration must draw a sketch, and ``model`` is None
+when it must build a model at x_k.  A success, a change of l or the
+``every-iteration`` policy drops ``s_mat``; a success, or a sketched mode
+whose ``s_mat`` was dropped, drops ``model`` before the next Hessian is
+formed.  A model that survives a rejected step is reused with the new
+sigma: that iteration draws nothing, evaluates no Hessian and decomposes
+nothing, and its iterate is bit for bit the one a recomputation would
+give.
 
 A non-finite value f(x_k), gradient or projected derivative
 ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
@@ -106,9 +111,6 @@ class SolverConfig:
     growth_c: int = _setting(1, "sketch growth constant of rarc-d (>= 1)")
     rank_tol: float = _setting(1e-10, "relative eigenvalue threshold of the observed rank")
     redraw_policy: str = _setting(REDRAW_ON_SUCCESS, "sketch redraw policy", REDRAW_POLICIES)
-    distribution: Optional[str] = _setting(
-        None, "sketch distribution; None: identity for arc, else Gaussian", sk.DISTRIBUTIONS
-    )
     seed: int = _setting(0, "solver RNG seed")
     inner_tol: float = _setting(1e-10, "tolerance of the subproblem's secular equation")
     max_inner: int = _setting(200, "secular-equation evaluations per subproblem")
@@ -142,8 +144,6 @@ class SolverConfig:
             raise ConfigError(f"need rank_tol > 0, got {self.rank_tol}")
         if self.redraw_policy not in REDRAW_POLICIES:
             raise ConfigError(f"unknown redraw policy {self.redraw_policy!r}")
-        if self.distribution is not None and self.distribution not in sk.DISTRIBUTIONS:
-            raise ConfigError(f"unknown distribution {self.distribution!r}")
         if self.seed < 0:
             raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.inner_tol <= 0.0:
@@ -216,31 +216,6 @@ def decrease_ratio(f_x: float, f_trial: float, q_decrease: float, guard: float) 
     return math.nan
 
 
-def _initial_sketch_size(problem: ObjectiveProblem, config: SolverConfig) -> int:
-    if config.mode == MODE_ARC:
-        return problem.dim
-    return config.l0
-
-
-def _distribution(config: SolverConfig) -> str:
-    if config.distribution is not None:
-        return config.distribution
-    return sk.IDENTITY if config.mode == MODE_ARC else sk.SCALED_GAUSSIAN
-
-
-def _observed_rank(model: sp.SketchedCubicModel, rel_tol: float) -> int:
-    """Numerical rank of the sketched Hessian S H S^T, from the model's spectrum.
-
-    ``build_model`` decomposed L^{-1} S H S^T L^{-T}, which is congruent to
-    S H S^T and so has its rank (Sylvester's law of inertia).  By
-    Ostrowski's theorem each eigenvalue is scaled by a factor between the
-    extreme eigenvalues of (S S^T)^{-1}, so the relative threshold can rank
-    the two spectra differently only for eigenvalues within cond(S S^T) of
-    it.  With an identity Gram (None) the spectrum is that of S H S^T itself.
-    """
-    return sk.spectrum_rank(model.eigenvalues, rel_tol).numerical_rank
-
-
 def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     """Minimize ``problem`` until ||grad f|| <= epsilon or max_iter iterations.
 
@@ -254,20 +229,17 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     """
     config.validate()
     d = problem.dim
-    if config.mode != MODE_ARC and config.l0 > d:
+    identity = config.mode == MODE_ARC  # S = I is never formed: s_mat stays None
+    if not identity and config.l0 > d:
         raise InvalidDimensionError(f"l0={config.l0} exceeds problem dimension {d}")
-    distribution = _distribution(config)
-    if distribution == sk.IDENTITY and _initial_sketch_size(problem, config) != d:
-        raise ConfigError("identity sketches require l = d")
 
     rng = np.random.default_rng(config.seed)
     x = np.array(problem.x0, dtype=float, copy=True)
     sigma = config.sigma0
-    l = _initial_sketch_size(problem, config)
+    l = d if identity else config.l0
     r_hat_running = 0
-    identity = distribution == sk.IDENTITY  # S = I is never formed: s_mat stays None
-    s_mat: Optional[sk.SketchMatrix] = None
-    need_draw = True
+    s_mat: Optional[sk.SketchMatrix] = None  # None: draw a sketch before the next model
+    model: Optional[sp.SketchedCubicModel] = None  # None: build a model at x
     trace: List[IterationTrace] = []
     cum_rel = 0.0
     cum_time = 0.0
@@ -277,7 +249,6 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     grad = problem.gradient(x)
     project = problem.sketched_hessian or (lambda x, s: s @ problem.hessian(x) @ s.T)
 
-    reuse = False  # the last step was rejected with x, S and l unchanged
     for k in range(config.max_iter + 1):
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
             status = STATUS_NON_FINITE
@@ -292,11 +263,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
 
         t0 = time.perf_counter()
         solution = None
-        if reuse:
+        if model is not None:
             # only sigma moved: keep g_hat, H_hat, the Gram factor and the eigenpairs
             model = replace(model, sigma=sigma)
-        else:
-            model = h_hat = None  # free the last d x d arrays before the next H is formed
         finite = True
         for redraws in range(_MAX_GRAM_REDRAWS + 1):
             try:
@@ -305,9 +274,8 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                         g_hat = grad
                         h_hat = sk.symmetrize(problem.hessian(x))
                     else:
-                        if need_draw or s_mat is None:
-                            s_mat = sk.draw(distribution, l, d, rng)
-                            need_draw = config.redraw_policy == REDRAW_EVERY_ITERATION
+                        if s_mat is None:
+                            s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rng)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = sk.symmetrize(project(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
@@ -318,7 +286,6 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                 break
             except (SingularGramError, InnerSolverError):
                 model = s_mat = None
-                need_draw = True
                 if identity or redraws == _MAX_GRAM_REDRAWS:
                     break
         if solution is None:
@@ -326,7 +293,14 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             cum_time += time.perf_counter() - t0
             break
 
-        r_hat = _observed_rank(model, config.rank_tol)
+        # build_model decomposed L^{-1} S H S^T L^{-T}, which is congruent to
+        # S H S^T and so has its rank (Sylvester's law of inertia).  By
+        # Ostrowski's theorem each eigenvalue is scaled by a factor between
+        # the extreme eigenvalues of (S S^T)^{-1}, so the relative threshold
+        # can rank the two spectra differently only for eigenvalues within
+        # cond(S S^T) of it.  With an identity Gram (None) the spectrum is
+        # that of S H S^T itself.
+        r_hat = sk.spectrum_rank(model.eigenvalues, config.rank_tol).numerical_rank
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
@@ -345,8 +319,6 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             f = f_trial
             grad = problem.gradient(x)
             sigma = max(config.gamma_dec * sigma, config.sigma_min)
-            if config.redraw_policy == REDRAW_ON_SUCCESS:
-                need_draw = True
         else:
             sigma = config.gamma_inc * sigma
 
@@ -386,8 +358,11 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                     )
             if l_next != l:
                 l = l_next
-                need_draw = True
-        reuse = not success and (identity or not need_draw)
+                s_mat = None
+        if success or config.redraw_policy == REDRAW_EVERY_ITERATION:
+            s_mat = None
+        if success or (not identity and s_mat is None):
+            model = h_hat = None  # free the last d x d arrays before the next H is formed
 
         if unresolved == _MAX_UNRESOLVED_DECREASES:
             status = STATUS_DECREASE_UNRESOLVED

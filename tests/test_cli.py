@@ -195,11 +195,11 @@ def test_embed_check(capsys):
 def test_new_setting_flags_reach_the_config(tmp_path):
     code = main([
         "solve", "--problem", "QUADRANK:d=6:rank=6", "--mode", "arc",
-        "--distribution", "identity", "--max-inner", "50", "--out", str(tmp_path),
+        "--inner-tol", "1e-9", "--max-inner", "50", "--out", str(tmp_path),
     ])
     assert code == 0
     config = json.loads((tmp_path / "summary_QUADRANK_d6_rank6.json").read_text())["config"]
-    assert config["distribution"] == "identity"
+    assert config["inner_tol"] == 1e-9
     assert config["max_inner"] == 50
 
 
@@ -262,12 +262,18 @@ _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
         ([*_SOLVE, "--gamma-inc", "nan"], "gamma_inc"),
         ([*_SOLVE, "--inner-tol", "-1"], "inner_tol"),
         (["bench", "--problem", "QUADRANK:d=6", "--seed-base", "-1", "--out", "{out}"], "seed_base"),
+        (["bench", "--problem", "QUADRANK:d=6", "--repeats", "0", "--out", "{out}"], "repeats"),
+        (["bench", "--problem", "QUADRANK:d=6", "--workers", "-3", "--out", "{out}"], "workers"),
+        ([*_SOLVE, "--config", "{dir}"], "Is a directory"),
+        (["profile", "--runs", "{dir}", "--out", "{out}"], "Is a directory"),
+        (["bench", "--manifest", "{dir}", "--out", "{out}"], "Is a directory"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
         "embed-negative-seed", "selector-negative-seed", "solve-negative-seed", "nan-sigma0",
         "no-inner-evaluations", "nan-rank-tol", "nan-gamma-inc", "negative-inner-tol",
-        "negative-seed-base",
+        "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",
+        "runs-is-a-directory", "manifest-is-a-directory",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
@@ -279,6 +285,7 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     paths["profile"].write_text("alpha,pi\n0.0,1.0\n")
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
-    code = main([arg.format(out=tmp_path / "out", **paths) for arg in argv])
+    code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()  # no manifest for a grid that never ran

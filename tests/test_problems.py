@@ -5,6 +5,7 @@ import pytest
 
 from rsarc import (
     InvalidDimensionError,
+    InvalidInputError,
     UnsupportedProblemError,
     augment,
     builtin_problem,
@@ -127,6 +128,11 @@ def test_augment_start_point_and_metadata():
 def test_augment_error():
     with pytest.raises(InvalidDimensionError):
         augment(builtin_problem("ARWHEAD", 30), 20, seed=0)
+
+
+def test_augment_rejects_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed"):
+        augment(builtin_problem("ARWHEAD", 10), 40, -1)
 
 
 def test_augmented_derivatives_match_finite_differences():

@@ -72,17 +72,6 @@ def test_arc_is_seed_independent():
     assert np.array_equal(res_a.x_final, res_b.x_final)
 
 
-def test_arc_equals_fixed_identity_sketch():
-    p = builtin_problem("ENGVAL1", 12)
-    res_a = run(p, SolverConfig(mode="arc", epsilon=1e-6))
-    res_b = run(
-        p,
-        SolverConfig(mode="rarc", l0=12, distribution="identity", epsilon=1e-6, seed=5),
-    )
-    assert [t.f for t in res_a.trace] == [t.f for t in res_b.trace]
-    assert np.array_equal(res_a.x_final, res_b.x_final)
-
-
 def test_trace_invariants():
     p = augment(builtin_problem("QUADRANK", 8), 40, seed=2)
     cfg = SolverConfig(mode="rarc-d", l0=2, growth_c=1, epsilon=1e-7, seed=3)
@@ -215,12 +204,6 @@ def test_max_iter_status():
     assert len(res.trace) == 3
 
 
-def test_identity_sketch_requires_l_equal_d():
-    p = builtin_problem("QUADRANK", 6)
-    with pytest.raises(ConfigError, match="l = d"):
-        run(p, SolverConfig(mode="rarc", l0=3, distribution="identity"))
-
-
 def test_l0_larger_than_dimension_rejected():
     p = builtin_problem("QUADRANK", 4)
     with pytest.raises(InvalidDimensionError):
@@ -242,7 +225,7 @@ def test_l0_larger_than_dimension_rejected():
         {"rank_tol": 0.0},
         {"redraw_policy": "sometimes"},
         {"mode": "bogus"},
-        {"distribution": "bogus"},
+        {"max_iter": -1},
         {"sigma0": math.nan},
         {"gamma_inc": math.nan},
         {"rank_tol": math.nan},
@@ -484,6 +467,27 @@ def test_a_rejected_step_is_solved_again_from_the_same_spectrum(monkeypatch, sel
     segments = _segments(log)
     assert len(segments) == len(res.trace)
     for row, calls in zip(res.trace, segments):
+        assert calls == ([] if row.k in reused else fresh_calls), row.k
+
+
+@pytest.mark.parametrize(
+    "mode, rows, rejected, draws, builds",
+    [("rarc-d", 16, 5, 16, 16), ("arc", 80, 30, 0, 51)],
+)
+def test_every_iteration_redraws_leave_only_arc_a_model_to_reuse(
+    monkeypatch, mode, rows, rejected, draws, builds
+):
+    # a sketched mode draws, projects and decomposes on every row; the
+    # identity sketch is never redrawn, so arc reuses its model after a
+    # rejected step under either policy
+    p, log = _iteration_calls(monkeypatch, get_problem("l-COSINE:N=10:d=40"))
+    cfg = SolverConfig(mode=mode, l0=3, seed=0, max_iter=80, redraw_policy="every-iteration")
+    res = run(p, cfg)
+    assert (len(res.trace), sum(not row.success for row in res.trace)) == (rows, rejected)
+    assert (log.count("draw"), log.count("eigh")) == (draws, builds)
+    reused = set(_reused(res.trace)) if mode == "arc" else set()
+    fresh_calls = ["hessian", "eigh"] if mode == "arc" else ["draw", "hessian", "eigh"]
+    for row, calls in zip(res.trace, _segments(log)):
         assert calls == ([] if row.k in reused else fresh_calls), row.k
 
 

@@ -4,7 +4,10 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from rsarc import SolverConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsarc"
 
@@ -47,3 +50,27 @@ def test_importing_the_package_loads_no_multiprocessing():
     code = "import sys, rsarc; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_solver_setting_is_read_outside_validate():
+    # a setting that nothing reads changes no run; validate() alone does not count
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "validate"
+            for node in ast.walk(fn)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("config", "self")
+            and id(node) not in skip
+        )
+    unread = [f.name for f in fields(SolverConfig) if f.name not in read]
+    assert not unread, f"SolverConfig fields read nowhere outside validate: {unread}"
