@@ -50,3 +50,11 @@ def model_value_oracle(model, s):
     quad = s @ model.g_hat + 0.5 * np.einsum("...i,ij,...j->...", s, model.h_hat, s)
     cube = model.sigma / 3.0 * np.einsum("...i,ij,...j->...", s, gram, s) ** 1.5
     return model.f0 + quad + cube
+
+
+def householder_q(a):
+    """Q of the thin QR of ``a`` by Householder QR, signed so that R has a positive diagonal."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs

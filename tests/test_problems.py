@@ -14,7 +14,8 @@ from rsarc import (
     numerical_rank,
     quadrank_minimizer,
 )
-from helpers import fd_gradient, fd_jacobian, rel_err
+from rsarc.problems import cholesky_qr2
+from helpers import fd_gradient, fd_jacobian, householder_q, rel_err
 
 # catalogue starting values for the anchored problems at N=100
 ANCHORS = {
@@ -91,16 +92,65 @@ def test_builtin_errors():
         builtin_problem("POWER", 5, rank=2)
 
 
-def test_orthogonal_embedding_square():
-    q = make_orthogonal_embedding(3, 3, seed=0)
-    assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
-    assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
+def _assert_householder_q(q, a):
+    # orthonormal to 1e-14, and the Householder Q of the same draw to 1e-13
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-14
+    assert np.abs(q - householder_q(a)).max() <= 1e-13
 
 
-def test_orthogonal_embedding_rectangular():
-    q = make_orthogonal_embedding(5, 2, seed=42)
-    assert q.shape == (5, 2)
-    assert np.allclose(q.T @ q, np.eye(2), atol=1e-12)
+@pytest.mark.parametrize("d,r", [(3, 3), (7, 7), (100, 100)])
+def test_orthogonal_embedding_square(d, r):
+    q = make_orthogonal_embedding(d, r, seed=0)
+    _assert_householder_q(q, np.random.default_rng(0).standard_normal((d, r)))
+    assert np.abs(q @ q.T - np.eye(d)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (500, 50), (2000, 100)])
+def test_orthogonal_embedding_rectangular(d, r):
+    q = make_orthogonal_embedding(d, r, seed=42)
+    assert q.shape == (d, r)
+    _assert_householder_q(q, np.random.default_rng(42).standard_normal((d, r)))
+
+
+@pytest.fixture
+def householder_calls(monkeypatch):
+    """Count the calls cholesky_qr2 makes to its Householder fallback."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def test_cholesky_qr2_is_blind_to_column_scaling(householder_calls):
+    # scaling a column by 1e-10 makes cond(A) >= 1e10 but leaves the
+    # positive-diagonal Q unchanged; Cholesky QR is invariant to it too, so
+    # no fallback is needed
+    a = np.random.default_rng(0).standard_normal((2000, 100))
+    scaled = a.copy()
+    scaled[:, 5] *= 1e-10
+    assert np.linalg.cond(scaled) >= 1e10
+    q = cholesky_qr2(scaled)
+    assert not householder_calls
+    assert np.abs(q.T @ q - np.eye(100)).max() <= 1e-14
+    assert np.abs(q - householder_q(a)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_cholesky_qr2_falls_back_to_householder_when_ill_conditioned(householder_calls, eps):
+    # column 7 nearly repeats column 6: cond(A) >= 1e8 > u^(-1/2), so the
+    # first Cholesky breaks down or leaves Q1^T Q1 far from I
+    a = np.random.default_rng(0).standard_normal((2000, 100))
+    a[:, 7] = a[:, 6] + eps * a[:, 7]
+    assert np.linalg.cond(a) >= 1e8
+    q = cholesky_qr2(a.copy())
+    assert householder_calls == [a.shape]
+    assert np.abs(q.T @ q - np.eye(100)).max() <= 1e-14
+    assert np.abs(q - householder_q(a)).max() <= 1e-13
 
 
 def test_orthogonal_embedding_deterministic():
@@ -212,13 +262,16 @@ def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
 
 def test_a_lifted_instance_holds_its_embedding_once():
     # Q (d x N) is the only large array a lifted instance keeps; it held a
-    # transposed copy beside it before, twice the bytes
+    # transposed copy beside it before, twice the bytes.  Building it needs
+    # the Gaussian draw and one more d x N array at a time, where Householder
+    # QR needed three
     d, n = 2000, 100
     tracemalloc.start()
     try:
         p = get_problem(f"l-ARWHEAD:N={n}:d={d}")
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert p.dim == d
     assert retained <= 1.25 * 8 * d * n, f"retained {retained / (8 * d * n):.2f} x 8dN bytes"
+    assert peak <= 2.5 * 8 * d * n, f"peak {peak / (8 * d * n):.2f} x 8dN bytes"
