@@ -40,7 +40,6 @@ from .sketch import (
     IDENTITY,
     SCALED_GAUSSIAN,
     EmbeddingCheck,
-    RankReport,
     SketchMatrix,
     check_subspace_embedding,
     draw,

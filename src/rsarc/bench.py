@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidProblemError
 from .problems import get_problem
-from .solver import IterationTrace, SolverConfig, run, trace_to_csv
+from .solver import ONE_BLAS_THREAD, IterationTrace, SolverConfig, run, trace_to_csv
 
 METRIC_REL_HESSIANS = "rel-hessians"
 METRIC_RUNTIME = "runtime"
@@ -182,7 +182,9 @@ def run_grid(
     ``problems`` are registry selectors without an instance seed; each
     repeat augments low-rank problems with a fresh embedding seeded by
     seed_base + repeat, and gets its own solver seed.  Failed runs are
-    recorded as unsolved rather than aborting the grid.
+    recorded as unsolved rather than aborting the grid.  ``workers > 1``
+    runs the jobs in spawned processes with one BLAS thread each, as a serial
+    run under ``ONE_BLAS_THREAD`` would; scripts need a ``__main__`` guard.
     """
     if repeats < 1:
         raise InvalidInputError(f"need repeats >= 1, got {repeats}")
@@ -215,13 +217,23 @@ def run_grid(
         os.makedirs(out_dir, exist_ok=True)
 
     columns = list(zip(*jobs))
-    if workers > 1:
-        # imported here: multiprocessing adds about 2 MB to every ``import rsarc``
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        return list(map(_run_one, *columns))
+    # imported here: multiprocessing adds about 2 MB to every ``import rsarc``
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # spawned, not forked (which keeps this process's BLAS): workers load it anew
+    saved = {name: os.environ.pop(name, None) for name in ONE_BLAS_THREAD}
+    os.environ.update(ONE_BLAS_THREAD)
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             return list(pool.map(_run_one, *columns))
-    return list(map(_run_one, *columns))
+    finally:
+        for name in ONE_BLAS_THREAD:
+            del os.environ[name]
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
 def _sanitize(name: str) -> str:

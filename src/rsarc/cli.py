@@ -33,6 +33,7 @@ from .errors import RsarcError
 from .problems import get_problem
 from .solver import (
     MODES,
+    ONE_BLAS_THREAD,
     STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
@@ -40,6 +41,7 @@ from .solver import (
     STATUS_NON_FINITE,
     SolverConfig,
     run,
+    thread_settings,
     trace_to_csv,
     write_summary,
 )
@@ -223,6 +225,7 @@ def cmd_bench(args) -> int:
         "seed_base": seed_base,
         "taus": list(taus),
         "metric": metric,
+        "threads": {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})},
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

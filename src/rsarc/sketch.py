@@ -9,7 +9,7 @@ Full-space ARC uses S = I (l = d), which is never formed as a matrix: the
 solver takes g and the symmetric part of H as they are, so ``draw`` and
 the projections handle dense arrays only.  ``IDENTITY`` stays as the tag
 for that sketch, which perfbench's tracer reads when it counts the flops
-of ``sketch_hessian``.
+of ``sketch_hessian``.  The rank helpers return the rank as an int.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ class SketchMatrix:
     def gram(self) -> np.ndarray:
         """The l x l Gram matrix S S^T, symmetrized."""
         return symmetrize(self.matrix @ self.matrix.T)
-
-
-@dataclass
-class RankReport:
-    """Numerical rank of a symmetric matrix with the spectrum that produced it."""
-
-    singular_values: np.ndarray  # nonincreasing
-    numerical_rank: int
-    tolerance_used: float  # absolute threshold actually applied
 
 
 @dataclass
@@ -107,30 +98,27 @@ def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
     return symmetrize(s.matrix @ hess @ s.matrix.T)
 
 
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
+def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> int:
     """Numerical rank of a symmetric matrix via its singular values.
 
     For symmetric input the singular values are the absolute eigenvalues,
-    computed with eigvalsh and ranked by ``spectrum_rank``.
+    computed with eigvalsh and counted by ``spectrum_rank``.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"need a square matrix, got shape {m.shape}")
     return spectrum_rank(np.linalg.eigvalsh(m), rel_tol)
 
 
-def spectrum_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
+def spectrum_rank(eigenvalues: np.ndarray, rel_tol: float = 1e-10) -> int:
     """Numerical rank of a symmetric matrix with the given eigenvalues.
 
-    The rank is the number of absolute eigenvalues exceeding rel_tol times
-    the largest one; the zero matrix has rank 0.
+    The rank is the number (an int) of absolute eigenvalues exceeding rel_tol
+    times the largest one; the zero matrix and an empty spectrum have rank 0.
     """
     if rel_tol <= 0:
         raise InvalidDimensionError(f"need rel_tol > 0, got {rel_tol}")
-    sv = np.sort(np.abs(eigenvalues))[::-1]
-    if sv.size == 0 or sv[0] == 0.0:
-        return RankReport(sv, 0, 0.0)
-    tol = rel_tol * sv[0]
-    return RankReport(sv, int(np.count_nonzero(sv > tol)), tol)
+    sv = np.abs(eigenvalues)
+    return int(np.count_nonzero(sv > rel_tol * sv.max())) if sv.size else 0
 
 
 def check_subspace_embedding(

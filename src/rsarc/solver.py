@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, get_type_hints
@@ -85,6 +86,8 @@ _MAX_GRAM_REDRAWS = 10
 #: consecutive iterations with the predicted decrease at or below the rho
 #: guard tolerated before giving up
 _MAX_UNRESOLVED_DECREASES = 20
+#: the variables that set the BLAS thread count when numpy loads, at one thread
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 def _setting(default, help: str, choices=None):
     """A SolverConfig field; its help and choices are those of its CLI flag."""
@@ -112,8 +115,6 @@ class SolverConfig:
     rank_tol: float = _setting(1e-10, "relative eigenvalue threshold of the observed rank")
     redraw_policy: str = _setting(REDRAW_ON_SUCCESS, "sketch redraw policy", REDRAW_POLICIES)
     seed: int = _setting(0, "solver RNG seed")
-    inner_tol: float = _setting(1e-10, "tolerance of the subproblem's secular equation")
-    max_inner: int = _setting(200, "secular-equation evaluations per subproblem")
 
     def validate(self) -> None:
         for name in _FLOAT_SETTINGS:
@@ -146,10 +147,6 @@ class SolverConfig:
             raise ConfigError(f"unknown redraw policy {self.redraw_policy!r}")
         if self.seed < 0:
             raise ConfigError(f"need seed >= 0, got {self.seed}")
-        if self.inner_tol <= 0.0:
-            raise ConfigError(f"need inner_tol > 0, got {self.inner_tol}")
-        if self.max_inner < 1:
-            raise ConfigError(f"need max_inner >= 1, got {self.max_inner}")
 
     def solver_id(self) -> str:
         if self.mode == MODE_ARC:
@@ -282,7 +279,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                     if not finite:
                         break
                     model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
-                solution = sp.solve(model, inner_tol=config.inner_tol, max_inner=config.max_inner)
+                solution = sp.solve(model)
                 break
             except (SingularGramError, InnerSolverError):
                 model = s_mat = None
@@ -300,7 +297,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         # can rank the two spectra differently only for eigenvalues within
         # cond(S S^T) of it.  With an identity Gram (None) the spectrum is
         # that of S H S^T itself.
-        r_hat = sk.spectrum_rank(model.eigenvalues, config.rank_tol).numerical_rank
+        r_hat = sk.spectrum_rank(model.eigenvalues, config.rank_tol)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
@@ -398,10 +395,15 @@ def trace_from_csv(path) -> List[IterationTrace]:
         ]
 
 
+def thread_settings() -> dict:
+    """The BLAS thread variables (None when unset), on which rounding depends, and the cores."""
+    return {**{name: os.environ.get(name) for name in ONE_BLAS_THREAD}, "cpu_count": os.cpu_count()}
+
+
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:
     """JSON-serializable run summary: config echo, status, final values,
-    step, Gram-redraw and hard-case counts and the range of sigma_k (null
-    for an empty trace)."""
+    step, Gram-redraw and hard-case counts, the range of sigma_k (null
+    for an empty trace) and the BLAS thread settings of this process."""
     accepted = sum(row.success for row in result.trace)
     sigmas = [row.sigma_k for row in result.trace]
     return {
@@ -420,6 +422,7 @@ def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveR
         "hard_cases": sum(row.hard_case for row in result.trace),
         "sigma_k_min": min(sigmas, default=None),
         "sigma_k_max": max(sigmas, default=None),
+        "threads": thread_settings(),
     }
 
 

@@ -11,14 +11,15 @@ cubic-regularized model with a Euclidean norm, which is minimized globally
 by eigendecomposition plus scalar root-finding on the secular equation
 sigma * ||u(mu)|| = mu with
 u(mu) = -(H_tilde + mu I)^{-1} g_tilde and mu >= max(0, -lambda_min),
-including explicit hard-case handling.  ``build_model`` factors G once,
-keeps the inverse factor L^{-1}, whitens H_tilde = L^{-1} H L^{-T} and
-eigendecomposes it, so a model carries its own eigenpairs and a model that
-differs only in sigma (``dataclasses.replace(model, sigma=...)``) is solved
-without a second eigendecomposition.  ``solve`` does the rest:
-g_tilde = L^{-1} g, the secular solve and the back-substitution
-s = L^{-T} u.  The solution carries the rho denominator f0 - q(s),
-evaluated in the eigenbasis.
+including explicit hard-case handling; its tolerance and evaluation cap
+are the module constants ``_SECULAR_TOL`` and ``_MAX_INNER``.
+``build_model`` factors G once, keeps the inverse factor L^{-1}, whitens
+H_tilde = L^{-1} H L^{-T} and eigendecomposes it, so a model carries its
+own eigenpairs and a model that differs only in sigma
+(``dataclasses.replace(model, sigma=...)``) is solved without a second
+eigendecomposition.  ``solve`` does the rest: g_tilde = L^{-1} g, the
+secular solve and the back-substitution s = L^{-T} u.  The solution
+carries the rho denominator f0 - q(s), evaluated in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _EIG_GROUP_TOL = 1e-12
 _HARD_CASE_TOL = 1e-12
 #: absolute roundoff slack in the second/third termination conditions
 _TERMINATION_SLACK = 1e-12
+#: secular solve: stop at |phi(mu)| <= _SECULAR_TOL * max(1, mu), fail after _MAX_INNER evaluations
+_SECULAR_TOL = 1e-10
+_MAX_INNER = 200
 
 
 @dataclass
@@ -187,23 +191,17 @@ def _secular_norm(mu: float, lam: np.ndarray, w2: np.ndarray) -> Tuple[float, fl
         return nrm, -float(np.sum(d3)) / nrm
 
 
-def _solve_secular(
-    lam: np.ndarray,
-    w: np.ndarray,
-    sigma: float,
-    inner_tol: float,
-    max_inner: int,
-) -> Tuple[float, int]:
+def _solve_secular(lam: np.ndarray, w: np.ndarray, wnorm: float, sigma: float) -> Tuple[float, int]:
     """Root of phi(mu) = sigma ||u(mu)|| - mu on [max(0, -lam_min), inf).
 
     Safeguarded Newton with a bisection fallback; phi is strictly
     decreasing on the bracket, and the upper end
-    mu_lo + sqrt(sigma ||w||) is an analytic bound on the root.
+    mu_lo + sqrt(sigma ||w||), with wnorm = ||w||, bounds the root.
     """
     w2 = w**2
     mu_lo = max(0.0, -float(lam[0]))
     lo = mu_lo
-    hi = mu_lo + np.sqrt(sigma * np.linalg.norm(w)) + 1e-16
+    hi = mu_lo + np.sqrt(sigma * wnorm) + 1e-16
     evals = 0
 
     # guard against the analytic bound being grazed by roundoff
@@ -218,13 +216,13 @@ def _solve_secular(
 
     mu = 0.5 * (lo + hi)
     best_mu, best_abs = hi, np.inf
-    while evals < max_inner:
+    while evals < _MAX_INNER:
         nrm, dnrm = _secular_norm(mu, lam, w2)
         evals += 1
         phi = sigma * nrm - mu
         if np.isfinite(phi) and abs(phi) < best_abs:
             best_mu, best_abs = mu, abs(phi)
-        if np.isfinite(phi) and abs(phi) <= inner_tol * max(1.0, mu):
+        if np.isfinite(phi) and abs(phi) <= _SECULAR_TOL * max(1.0, mu):
             return mu, evals
         if phi > 0.0:
             lo = mu
@@ -242,21 +240,17 @@ def _solve_secular(
             nxt = 0.5 * (lo + hi)
         mu = nxt
     raise InnerSolverError(
-        f"secular root-finding did not converge in {max_inner} evaluations"
+        f"secular root-finding did not converge in {_MAX_INNER} evaluations"
     )
 
 
-def solve(
-    model: SketchedCubicModel,
-    inner_tol: float = 1e-10,
-    max_inner: int = 200,
-) -> SubproblemSolution:
+def solve(model: SketchedCubicModel) -> SubproblemSolution:
     """Global minimizer of the sketched cubic model.
 
     Works in the whitened variables u = L^T s (u = s when the Gram is
     None, the identity), in the eigenbasis of H_tilde that ``build_model``
-    computed: it solves the secular equation exactly (to inner_tol), with
-    an eigenvector correction in the hard case.  A global minimizer meets
+    computed: it solves the secular equation exactly (to ``_SECULAR_TOL``),
+    with an eigenvector correction in the hard case.  A global minimizer meets
     the conditions of ``check_termination`` in exact arithmetic, so they
     are not evaluated here.  The solution carries the predicted decrease
     f0 - q(s), evaluated in the eigenbasis.
@@ -282,7 +276,6 @@ def solve(
         hard_candidate = lam1 < 0.0 and w_min <= _HARD_CASE_TOL * gnorm
         y = None
         if hard_candidate:
-            w_eff = np.where(group, 0.0, w)
             u_perp = np.zeros_like(w)
             u_perp[~group] = -w[~group] / (lam[~group] + mu_lo)
             p = float(np.linalg.norm(u_perp))
@@ -295,9 +288,10 @@ def solve(
                 mu = mu_lo
                 hard_case = True
             else:
-                w = w_eff  # treat the negligible components as exact zeros
+                w = np.where(group, 0.0, w)  # the negligible components are exact zeros
+                gnorm = float(np.linalg.norm(w))
         if y is None:
-            mu, iterations = _solve_secular(lam, w, sigma, inner_tol, max_inner)
+            mu, iterations = _solve_secular(lam, w, gnorm, sigma)
             denom = lam + mu
             with np.errstate(divide="ignore", invalid="ignore"):
                 y = np.where(w == 0.0, 0.0, -w / denom)

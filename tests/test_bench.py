@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from rsarc import (
     write_runs_csv,
 )
 from rsarc.bench import METRIC_REL_HESSIANS, METRIC_RUNTIME, BenchmarkRun
-from rsarc.solver import IterationTrace
+from rsarc.solver import ONE_BLAS_THREAD, IterationTrace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_trace(fs, l=1, d=1):
@@ -207,8 +213,36 @@ def test_grid_worker_pool_matches_serial():
     problems = ["QUADRANK:d=8:rank=8", "l-QUADRANK:N=6:d=20"]
     configs = [SolverConfig(mode="rarc-d", l0=2, epsilon=1e-7)]
     serial = run_grid(problems, configs, repeats=2, seed_base=1, taus=(1e-2,))
+    before = {name: os.environ.get(name) for name in ONE_BLAS_THREAD}
     pooled = run_grid(problems, configs, repeats=2, seed_base=1, taus=(1e-2,), workers=2)
     assert [r.n_p for r in serial] == [r.n_p for r in pooled]
+    # the workers' thread setting does not leak into this process's environment
+    assert {name: os.environ.get(name) for name in ONE_BLAS_THREAD} == before
+
+
+#: writes the runs CSV of a small grid; argv: workers, output path
+_GRID_SCRIPT = """
+import sys
+from rsarc import SolverConfig, run_grid, write_runs_csv
+
+configs = [SolverConfig(mode=mode, epsilon=1e-6) for mode in ("arc", "rarc-d")]
+problems = ["l-ARWHEAD:N=10:d=40", "l-ENGVAL1:N=10:d=40"]
+runs = run_grid(problems, configs, repeats=2, seed_base=0, workers=int(sys.argv[1]))
+write_runs_csv(runs, sys.argv[2])
+"""
+
+
+def test_grid_workers_equal_a_single_thread_serial_run(tmp_path):
+    # the pool's workers run one BLAS thread each, whatever this process has
+    env = {k: v for k, v in os.environ.items() if k not in ONE_BLAS_THREAD}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = {}
+    for workers, run_env in ((1, dict(env, **ONE_BLAS_THREAD)), (2, env)):
+        outputs[workers] = tmp_path / f"runs_{workers}.csv"
+        cmd = [sys.executable, "-c", _GRID_SCRIPT, str(workers), str(outputs[workers])]
+        subprocess.run(cmd, env=run_env, check=True, timeout=300)
+    assert outputs[1].read_bytes() == outputs[2].read_bytes()
+    assert len(outputs[1].read_text().splitlines()) == 1 + 2 * 2 * 2 * 2  # header + runs x taus
 
 
 def test_runs_csv_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -195,12 +196,12 @@ def test_embed_check(capsys):
 def test_new_setting_flags_reach_the_config(tmp_path):
     code = main([
         "solve", "--problem", "QUADRANK:d=6:rank=6", "--mode", "arc",
-        "--inner-tol", "1e-9", "--max-inner", "50", "--out", str(tmp_path),
+        "--rank-tol", "1e-9", "--gamma-dec", "0.25", "--out", str(tmp_path),
     ])
     assert code == 0
     config = json.loads((tmp_path / "summary_QUADRANK_d6_rank6.json").read_text())["config"]
-    assert config["inner_tol"] == 1e-9
-    assert config["max_inner"] == 50
+    assert config["rank_tol"] == 1e-9
+    assert config["gamma_dec"] == 0.25
 
 
 def test_config_file_bad_value(tmp_path, capsys):
@@ -220,6 +221,20 @@ def _written_manifest(tmp_path):
     ])
     path = out / "manifest.json"
     return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch, workers):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out = tmp_path / "b"
+    main([
+        "bench", "--problem", "QUADRANK:d=6:rank=6", "--solvers", "arc", "--repeats", "1",
+        "--workers", str(workers), "--out", str(out),
+    ])
+    threads = json.loads((out / "manifest.json").read_text())["threads"]
+    assert threads["cpu_count"] == os.cpu_count()
+    # a parallel grid's workers run one BLAS thread each
+    assert threads["OPENBLAS_NUM_THREADS"] == (None if workers == 1 else "1")
 
 
 def test_manifest_unknown_solver_key(tmp_path, capsys):
@@ -257,10 +272,10 @@ _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
         (["solve", "--problem", "l-ARWHEAD:N=10:d=40:seed=-1"], "l-ARWHEAD:N=10:d=40:seed=-1"),
         ([*_SOLVE, "--seed", "-1"], "seed"),
         ([*_SOLVE, "--sigma0", "nan"], "sigma0"),
-        ([*_SOLVE, "--max-inner", "0"], "max_inner"),
+        (["bench", "--manifest", "{old_manifest}", "--out", "{out}"], "unknown config key 'max_inner'"),
         ([*_SOLVE, "--rank-tol", "nan"], "rank_tol"),
         ([*_SOLVE, "--gamma-inc", "nan"], "gamma_inc"),
-        ([*_SOLVE, "--inner-tol", "-1"], "inner_tol"),
+        ([*_SOLVE, "--config", "{old_config}"], "unknown config key 'inner_tol'"),
         (["bench", "--problem", "QUADRANK:d=6", "--seed-base", "-1", "--out", "{out}"], "seed_base"),
         (["bench", "--problem", "QUADRANK:d=6", "--repeats", "0", "--out", "{out}"], "repeats"),
         (["bench", "--problem", "QUADRANK:d=6", "--workers", "-3", "--out", "{out}"], "workers"),
@@ -283,6 +298,14 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
         paths["runs"],
     )
     paths["profile"].write_text("alpha,pi\n0.0,1.0\n")
+    # files that still set inner_tol or max_inner, which are no longer settings
+    paths["old_config"] = tmp_path / "old.cfg"
+    paths["old_config"].write_text("inner_tol = -1\n")
+    paths["old_manifest"] = tmp_path / "old_manifest.json"
+    paths["old_manifest"].write_text(json.dumps({
+        "problems": ["QUADRANK:d=6"], "solver_configs": [{"mode": "arc", "max_inner": 0}],
+        "repeats": 1, "seed_base": 0, "taus": [0.01],
+    }))
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
     code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])

@@ -10,6 +10,7 @@ from rsarc import (
     numerical_rank,
     sketch_gradient,
     sketch_hessian,
+    spectrum_rank,
 )
 from rsarc.sketch import SketchMatrix
 
@@ -91,28 +92,39 @@ def test_sketch_hessian_symmetric_and_psd_preserving():
 
 
 def test_numerical_rank_exact_zeros():
-    rep = numerical_rank(np.diag([1.0, 1.0, 0.0]))
-    assert rep.numerical_rank == 2
-    assert rep.singular_values[0] == 1.0
+    assert numerical_rank(np.diag([1.0, 1.0, 0.0])) == 2
 
 
 def test_numerical_rank_threshold():
-    rep = numerical_rank(np.diag([1.0, 1e-14]), rel_tol=1e-10)
-    assert rep.numerical_rank == 1
-    assert rep.tolerance_used == pytest.approx(1e-10)
+    # the threshold is rel_tol times the largest absolute eigenvalue
+    assert numerical_rank(np.diag([1.0, 1e-14]), rel_tol=1e-10) == 1
+    assert numerical_rank(np.diag([-1e3, 1e-6]), rel_tol=1e-10) == 2
+    assert numerical_rank(np.diag([-1e3, 1e-8]), rel_tol=1e-10) == 1
 
 
 def test_numerical_rank_zero_matrix():
-    rep = numerical_rank(np.zeros((4, 4)))
-    assert rep.numerical_rank == 0
-    assert rep.tolerance_used == 0.0
+    assert numerical_rank(np.zeros((4, 4))) == 0
+
+
+def test_spectrum_rank_is_the_count_above_the_relative_threshold():
+    rng = np.random.default_rng(9)
+    for rel_tol in (1e-10, 1e-3, 0.5):
+        for _ in range(50):
+            lam = rng.standard_normal(int(rng.integers(1, 12))) * 10.0 ** rng.integers(-12, 3, 1)
+            lam[rng.uniform(size=lam.size) < 0.3] = 0.0
+            got = spectrum_rank(lam, rel_tol)
+            assert type(got) is int
+            assert got == sum(abs(v) > rel_tol * max(abs(lam)) for v in lam)
+    for lam in (np.zeros(5), np.zeros(0)):
+        got = spectrum_rank(lam)
+        assert type(got) is int and got == 0
 
 
 def test_numerical_rank_rotation_invariant():
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     h = q @ np.diag([3.0, 2.5, 1.1, 0.9, 0.4] + [0.0] * 15) @ q.T
-    assert numerical_rank(h).numerical_rank == 5
+    assert numerical_rank(h) == 5
 
 
 def test_numerical_rank_errors():
@@ -132,7 +144,7 @@ def test_rank_preservation_small(r):
             a = rng.standard_normal((r, d))
             h = a.T @ a
             s = draw(SCALED_GAUSSIAN, l, d, rng)
-            assert numerical_rank(sketch_hessian(s, h)).numerical_rank == min(l, r)
+            assert numerical_rank(sketch_hessian(s, h)) == min(l, r)
 
 
 def test_embedding_identity_passes_exactly():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -230,10 +231,10 @@ def test_l0_larger_than_dimension_rejected():
         {"gamma_inc": math.nan},
         {"rank_tol": math.nan},
         {"epsilon": math.inf},
-        {"inner_tol": math.nan},
-        {"inner_tol": -1.0},
-        {"inner_tol": 0.0},
-        {"max_inner": 0},
+        {"theta": math.nan},
+        {"sigma_min": math.inf},
+        {"gamma_dec": math.nan},
+        {"sigma_min": 0.0},
         {"seed": -1},
     ],
 )
@@ -269,6 +270,17 @@ def test_summary_dict_contents():
     assert s["solver_id"] == "arc"
     assert s["config"]["epsilon"] == 1e-9
     assert s["iterations"] == len(res.trace)
+
+
+def test_summary_records_the_blas_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    p = builtin_problem("QUADRANK", 6)
+    cfg = SolverConfig(mode="arc")
+    threads = summary_dict(p, cfg, run(p, cfg))["threads"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
+    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"}
+    assert threads["cpu_count"] == os.cpu_count()
 
 
 def _unresolved_decrease_run():
@@ -503,12 +515,12 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
         built.append(build_model(*args))
         return built[-1]
 
-    def fail_first_reuse(model, inner_tol, max_inner):
+    def fail_first_reuse(model):
         # a reused model is one build_model did not return
         if not any(model is m for m in built) and not failed:
             failed.append(True)
             raise InnerSolverError("refused")
-        return solve(model, inner_tol=inner_tol, max_inner=max_inner)
+        return solve(model)
 
     monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
     monkeypatch.setattr(solver_mod.sp, "solve", fail_first_reuse)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from rsarc import (
+    InnerSolverError,
     InvalidInputError,
     SingularGramError,
     build_model,
@@ -19,6 +20,7 @@ from rsarc import (
     spectrum_rank,
 )
 from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
+from rsarc import subproblem
 from rsarc.subproblem import cubic_norm
 from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
@@ -140,9 +142,24 @@ def test_secular_residual_bound():
     rng = np.random.default_rng(56)
     for _ in range(20):
         m = random_model(rng, int(rng.integers(1, 6)))
-        sol = solve(m, inner_tol=1e-10)
+        sol = solve(m)
         grad_norm = np.linalg.norm(model_gradient(m, sol.s_hat))
         assert grad_norm <= 1e-10 * (1.0 + np.linalg.norm(m.g_hat))
+
+
+def test_the_evaluation_cap_ends_the_secular_solve(monkeypatch):
+    # _MAX_INNER bounds the evaluations, bracketing included: a cap at the
+    # count a solve needs still solves it, one fewer raises
+    rng = np.random.default_rng(57)
+    m = random_model(rng, 6)
+    needed = solve(m).inner_iterations
+    assert needed > 2
+    monkeypatch.setattr(subproblem, "_MAX_INNER", needed)
+    assert solve(m).inner_iterations == needed
+    for cap in (needed - 1, 1):
+        monkeypatch.setattr(subproblem, "_MAX_INNER", cap)
+        with pytest.raises(InnerSolverError, match=f"in {cap} evaluations"):
+            solve(m)
 
 
 @pytest.mark.parametrize("gram", ["random", "identity"])
@@ -271,8 +288,8 @@ def test_rank_of_the_solve_spectrum_with_identity_gram():
             h = (q * lam) @ q.T
             h = 0.5 * (h + h.T)
             m = build_model(0.0, rng.standard_normal(l), h, 1.0)
-            got = spectrum_rank(m.eigenvalues, 1e-10).numerical_rank
-            assert got == numerical_rank(h, 1e-10).numerical_rank == r
+            got = spectrum_rank(m.eigenvalues, 1e-10)
+            assert got == numerical_rank(h, 1e-10) == r
 
 
 def _assert_same_solution(a, b):
@@ -330,8 +347,8 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
         h = symmetrize(p.sketched_hessian(x, s.matrix))
         m = build_model(0.0, s.matrix @ p.gradient(x), h, 1.0, s.gram())
-        got = spectrum_rank(m.eigenvalues, 1e-10).numerical_rank
-        want = numerical_rank(h, 1e-10).numerical_rank
+        got = spectrum_rank(m.eigenvalues, 1e-10)
+        want = numerical_rank(h, 1e-10)
         if got != want:
             mismatches.append((p.name, s.matrix.shape[0], got, want))
     assert not mismatches
