@@ -208,7 +208,7 @@ def run_grid(
                 trace_path = None
                 if out_dir is not None:
                     fname = "trace_{}_{}_rep{}.csv".format(
-                        _sanitize(instance), _sanitize(cfg.solver_id()), rep
+                        file_stem(instance), file_stem(cfg.solver_id()), rep
                     )
                     trace_path = os.path.join(out_dir, fname)
                 jobs.append((instance, cfg, rep, tuple(taus), metric, trace_path))
@@ -236,7 +236,8 @@ def run_grid(
         os.environ.update({name: value for name, value in saved.items() if value is not None})
 
 
-def _sanitize(name: str) -> str:
+def file_stem(name: str) -> str:
+    """``name`` (a selector or solver id) as a file-name part: ':' to '_', '=' dropped."""
     return name.replace(":", "_").replace("=", "")
 
 

@@ -150,7 +150,7 @@ def cmd_solve(args) -> int:
     result = run(problem, config)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        stem = args.problem.replace(":", "_").replace("=", "")
+        stem = bn.file_stem(args.problem)
         trace_to_csv(result.trace, os.path.join(args.out, f"trace_{stem}.csv"))
         write_summary(problem, config, result, os.path.join(args.out, f"summary_{stem}.json"))
     final_l = result.trace[-1].l_k if result.trace else config.l0
@@ -173,26 +173,28 @@ def _suite_selectors(args) -> List[str]:
 
 
 def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
-    """'arc', 'rarc:l=10', or 'rarc-d[:l0=2]' on top of shared settings."""
+    """'arc', 'rarc:l=10' or 'rarc-d:l0=2:C=2': a mode, then config-file settings (l = l0)."""
     head, _, rest = spec.partition(":")
     if head not in MODES:
         raise RsarcError(f"unknown solver spec {spec!r}")
-    config = replace(base, mode=head)
+    settings = {}
     for part in filter(None, rest.split(":")):
         key, _, raw = part.partition("=")
-        name = {"l": "l0", "l0": "l0", "C": "growth_c"}.get(key)
-        if name is None:
-            raise RsarcError(f"unknown solver parameter {part!r} in {spec!r}")
-        try:
-            config = replace(config, **{name: int(raw)})
-        except ValueError:
-            raise RsarcError(f"{key} = {raw!r} in solver spec {spec!r} is not an integer") from None
-    return config
+        name, value = _typed_setting(f"solver spec {spec!r}", "l0" if key == "l" else key, raw)
+        if name == "mode":
+            raise RsarcError(f"solver spec {spec!r}: the mode is the spec's head, not {part!r}")
+        settings[name] = value
+    return replace(base, mode=head, **settings)
 
 
 def cmd_bench(args) -> int:
+    # a parallel grid's workers run one BLAS thread each
+    threads = {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})}
     if args.manifest:
         manifest = read_manifest(args.manifest)
+        if manifest.get("threads", threads) != threads:
+            note = f"{args.manifest} ran with threads {manifest['threads']}, this rerun uses {threads}"
+            print(f"rsarc: note: {note}; its results may differ in rounding", file=sys.stderr)
         selectors = manifest["problems"]
         configs = manifest["solver_configs"]
         repeats = manifest["repeats"]
@@ -225,7 +227,7 @@ def cmd_bench(args) -> int:
         "seed_base": seed_base,
         "taus": list(taus),
         "metric": metric,
-        "threads": {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})},
+        "threads": threads,
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

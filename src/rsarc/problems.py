@@ -34,16 +34,6 @@ import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError, UnsupportedProblemError
 
-BUILTIN_NAMES = (
-    "ARWHEAD",
-    "COSINE",
-    "ENGVAL1",
-    "POWER",
-    "NONDQUAR",
-    "QUADRANK",
-    "ROSENCHAIN",
-)
-
 # Best objective values for ENGVAL1, computed to full precision with a
 # second-order trust-region method from several starts (all converge to
 # ||grad|| < 1e-14 with positive definite Hessian, min eigenvalue ~2.06).
@@ -428,6 +418,19 @@ def quadrank_minimizer(n: int, rank: int) -> np.ndarray:
     return x
 
 
+#: built-in problem name -> factory of N (QUADRANK's also takes the rank)
+_BUILTINS = {
+    "ARWHEAD": _arwhead,
+    "COSINE": _cosine,
+    "ENGVAL1": _engval1,
+    "POWER": _power,
+    "NONDQUAR": _nondquar,
+    "QUADRANK": _quadrank,
+    "ROSENCHAIN": _rosenchain,
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_problem(name: str, n: int, rank: Optional[int] = None) -> ObjectiveProblem:
     """Construct a built-in problem by name with dimension parameter N.
 
@@ -437,21 +440,13 @@ def builtin_problem(name: str, n: int, rank: Optional[int] = None) -> ObjectiveP
     if n < 2:
         raise InvalidDimensionError(f"need N >= 2, got {n}")
     key = name.upper()
+    if key not in _BUILTINS:
+        raise UnsupportedProblemError(f"unknown problem {name!r}")
     if key == "QUADRANK":
         return _quadrank(n, n if rank is None else rank)
     if rank is not None:
         raise UnsupportedProblemError(f"rank parameter not supported for {key}")
-    factories = {
-        "ARWHEAD": _arwhead,
-        "COSINE": _cosine,
-        "ENGVAL1": _engval1,
-        "POWER": _power,
-        "NONDQUAR": _nondquar,
-        "ROSENCHAIN": _rosenchain,
-    }
-    if key not in factories:
-        raise UnsupportedProblemError(f"unknown problem {name!r}")
-    return factories[key](n)
+    return _BUILTINS[key](n)
 
 
 def get_problem(selector: str) -> ObjectiveProblem:

@@ -12,8 +12,10 @@ Modes:
 Each iteration draws (or reuses) a sketch S_k, forms the projected
 derivatives S g and S H S^T, minimizes the sketched cubic model exactly,
 and accepts the trial step when the achieved-over-predicted decrease
-ratio rho exceeds theta.  Per-iteration cost is charged as (l_k/d)^2
-"relative Hessians seen", the budget metric used by the benchmark layer.
+ratio rho reaches ``_THETA``; that test and the sigma update are the fixed
+ones of adaptive cubic regularization (module constants).  Per-iteration
+cost is charged as (l_k/d)^2 "relative Hessians seen", the budget metric
+used by the benchmark layer.
 
 The identity sketch is never formed as a matrix: g and the symmetric part
 of the dense Hessian enter the model as they are, its Gram is None and
@@ -25,15 +27,14 @@ for every sketch.
 
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
-eigenvalues.  ``run`` keeps its sketch state in two variables: ``s_mat``
-is None when the next iteration must draw a sketch, and ``model`` is None
-when it must build a model at x_k.  A success, a change of l or the
-``every-iteration`` policy drops ``s_mat``; a success, or a sketched mode
-whose ``s_mat`` was dropped, drops ``model`` before the next Hessian is
-formed.  A model that survives a rejected step is reused with the new
-sigma: that iteration draws nothing, evaluates no Hessian and decomposes
-nothing, and its iterate is bit for bit the one a recomputation would
-give.
+eigenvalues.  ``run`` keeps its sketch state in one variable: ``model``
+is None when the next iteration must build a model at x_k, and a sketched
+mode draws a fresh sketch for every model it builds.  A success, a change
+of l or the ``every-iteration`` policy drops the model, together with its
+sketch and the last Hessian, before the next Hessian is formed.  A model
+that survives a rejected step is reused with the new sigma: that
+iteration draws nothing, evaluates no Hessian and decomposes nothing, and
+its iterate is bit for bit the one a recomputation would give.
 
 A non-finite value f(x_k), gradient or projected derivative
 ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
@@ -86,6 +87,13 @@ _MAX_GRAM_REDRAWS = 10
 #: consecutive iterations with the predicted decrease at or below the rho
 #: guard tolerated before giving up
 _MAX_UNRESOLVED_DECREASES = 20
+#: the step test rho >= _THETA and the sigma update of adaptive cubic regularization
+#: (Cartis, Gould & Toint 2011): sigma * _GAMMA_INC after a rejected step,
+#: max(sigma * _GAMMA_DEC, _SIGMA_MIN) after an accepted one
+_THETA = 0.01
+_GAMMA_INC = 2.0
+_GAMMA_DEC = 0.5
+_SIGMA_MIN = 1e-16
 #: the variables that set the BLAS thread count when numpy loads, at one thread
 ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
@@ -103,16 +111,11 @@ class SolverConfig:
     """
 
     mode: str = _setting(MODE_RARC_D, "solver variant", MODES)
-    theta: float = _setting(0.01, "acceptance threshold on rho, in (0,1)")
     sigma0: float = _setting(1.0, "initial regularization weight")
-    sigma_min: float = _setting(1e-16, "floor of sigma after a successful step")
-    gamma_inc: float = _setting(2.0, "sigma growth factor after a failed step (> 1)")
-    gamma_dec: float = _setting(0.5, "sigma decrease factor after a successful step, in (0,1)")
     epsilon: float = _setting(1e-5, "first-order tolerance on ||grad f||")
     max_iter: int = _setting(2000, "iteration cap")
     l0: int = _setting(2, "initial (or, for rarc, fixed) sketch size")
     growth_c: int = _setting(1, "sketch growth constant of rarc-d (>= 1)")
-    rank_tol: float = _setting(1e-10, "relative eigenvalue threshold of the observed rank")
     redraw_policy: str = _setting(REDRAW_ON_SUCCESS, "sketch redraw policy", REDRAW_POLICIES)
     seed: int = _setting(0, "solver RNG seed")
 
@@ -122,17 +125,8 @@ class SolverConfig:
                 raise ConfigError(f"need a finite {name}, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError(f"need theta in (0,1), got {self.theta}")
-        if self.sigma0 <= 0.0 or self.sigma_min <= 0.0 or self.sigma0 < self.sigma_min:
-            raise ConfigError(
-                f"need sigma0 >= sigma_min > 0, got sigma0={self.sigma0}, "
-                f"sigma_min={self.sigma_min}"
-            )
-        if self.gamma_inc <= 1.0:
-            raise ConfigError(f"need gamma_inc > 1, got {self.gamma_inc}")
-        if not 0.0 < self.gamma_dec < 1.0:
-            raise ConfigError(f"need gamma_dec in (0,1), got {self.gamma_dec}")
+        if self.sigma0 < _SIGMA_MIN:
+            raise ConfigError(f"need sigma0 >= {_SIGMA_MIN}, got {self.sigma0}")
         if self.epsilon <= 0.0:
             raise ConfigError(f"need epsilon > 0, got {self.epsilon}")
         if self.max_iter < 0:
@@ -141,8 +135,6 @@ class SolverConfig:
             raise ConfigError(f"need l0 >= 1, got {self.l0}")
         if self.growth_c < 1:
             raise ConfigError(f"need C >= 1, got {self.growth_c}")
-        if self.rank_tol <= 0.0:
-            raise ConfigError(f"need rank_tol > 0, got {self.rank_tol}")
         if self.redraw_policy not in REDRAW_POLICIES:
             raise ConfigError(f"unknown redraw policy {self.redraw_policy!r}")
         if self.seed < 0:
@@ -235,8 +227,8 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     sigma = config.sigma0
     l = d if identity else config.l0
     r_hat_running = 0
-    s_mat: Optional[sk.SketchMatrix] = None  # None: draw a sketch before the next model
-    model: Optional[sp.SketchedCubicModel] = None  # None: build a model at x
+    s_mat: Optional[sk.SketchMatrix] = None  # the sketch of model
+    model: Optional[sp.SketchedCubicModel] = None  # None: draw and build a model at x
     trace: List[IterationTrace] = []
     cum_rel = 0.0
     cum_time = 0.0
@@ -271,8 +263,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                         g_hat = grad
                         h_hat = sk.symmetrize(problem.hessian(x))
                     else:
-                        if s_mat is None:
-                            s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rng)
+                        s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rng)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = sk.symmetrize(project(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
@@ -297,7 +288,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         # can rank the two spectra differently only for eigenvalues within
         # cond(S S^T) of it.  With an identity Gram (None) the spectrum is
         # that of S H S^T itself.
-        r_hat = sk.spectrum_rank(model.eigenvalues, config.rank_tol)
+        r_hat = sk.spectrum_rank(model.eigenvalues)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
@@ -306,7 +297,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
         f_trial = problem.value(x + step)
         guard = 1e-16 * (1.0 + abs(f))
         rho = decrease_ratio(f, f_trial, q_dec, guard)
-        success = bool(rho >= config.theta)  # False when rho is NaN
+        success = bool(rho >= _THETA)  # False when rho is NaN
         unresolved = unresolved + 1 if q_dec <= guard else 0
 
         f_at_k = f  # value at the iterate this row describes
@@ -315,9 +306,9 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             x = x + step
             f = f_trial
             grad = problem.gradient(x)
-            sigma = max(config.gamma_dec * sigma, config.sigma_min)
+            sigma = max(_GAMMA_DEC * sigma, _SIGMA_MIN)
         else:
-            sigma = config.gamma_inc * sigma
+            sigma = _GAMMA_INC * sigma
 
         cum_rel += (l / d) ** 2
         cum_time += time.perf_counter() - t0
@@ -343,6 +334,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
             )
         )
 
+        l_next = l
         if config.mode == MODE_RARC_D:
             l_next = update_sketch_size(l, r_hat_running, r_hat_prev, config.growth_c, d)
             if problem.known_rank is not None:
@@ -353,13 +345,11 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                         f"{problem.name} declares known_rank={problem.known_rank} "
                         f"but a sketched Hessian of rank {r_hat_running} was observed"
                     )
-            if l_next != l:
-                l = l_next
-                s_mat = None
-        if success or config.redraw_policy == REDRAW_EVERY_ITERATION:
-            s_mat = None
-        if success or (not identity and s_mat is None):
-            model = h_hat = None  # free the last d x d arrays before the next H is formed
+        redraw = l_next != l or config.redraw_policy == REDRAW_EVERY_ITERATION
+        l = l_next
+        if success or (not identity and redraw):
+            # free the last sketch and d x d arrays before the next H is formed
+            model = h_hat = s_mat = None
 
         if unresolved == _MAX_UNRESOLVED_DECREASES:
             status = STATUS_DECREASE_UNRESOLVED

@@ -104,6 +104,9 @@ def test_help_documents_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--problem", "--mode", "--l0", "--C", "--eps", "--seed", "--redraw"):
         assert flag in out
+    # the step test, the sigma update and the rank tolerance are constants
+    for flag in ("--theta", "--sigma-min", "--gamma-inc", "--gamma-dec", "--rank-tol"):
+        assert flag not in out
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -173,7 +176,9 @@ def test_bench_fixed_sketch_solver_spec(tmp_path):
     assert "rarc-l7" in (out / "runs.csv").read_text()
 
 
-@pytest.mark.parametrize("spec", ["rarc:l=abc", "rarc-d:l0=2.5", "rarc-d:C="])
+@pytest.mark.parametrize(
+    "spec", ["rarc:l=abc", "rarc-d:l0=2.5", "rarc-d:C=", "rarc:mode=arc", "rarc:kappa=1"]
+)
 def test_bench_non_integer_solver_parameter(tmp_path, capsys, spec):
     code = main([
         "bench", "--problem", "l-ARWHEAD:N=10:d=20", "--solvers", spec,
@@ -181,6 +186,17 @@ def test_bench_non_integer_solver_parameter(tmp_path, capsys, spec):
     ])
     assert code == 1
     assert spec in capsys.readouterr().err
+
+
+def test_solver_spec_parts_are_settings(tmp_path):
+    out = tmp_path / "b"
+    code = main([
+        "bench", "--problem", "l-ARWHEAD:N=10:d=20", "--solvers", "rarc-d:l0=3:C=2",
+        "--repeats", "1", "--out", str(out),
+    ])
+    assert code == 0
+    config = json.loads((out / "manifest.json").read_text())["solver_configs"][0]
+    assert (config["l0"], config["growth_c"]) == (3, 2)
 
 
 def test_embed_check(capsys):
@@ -196,12 +212,12 @@ def test_embed_check(capsys):
 def test_new_setting_flags_reach_the_config(tmp_path):
     code = main([
         "solve", "--problem", "QUADRANK:d=6:rank=6", "--mode", "arc",
-        "--rank-tol", "1e-9", "--gamma-dec", "0.25", "--out", str(tmp_path),
+        "--sigma0", "4.0", "--redraw", "every-iteration", "--out", str(tmp_path),
     ])
     assert code == 0
     config = json.loads((tmp_path / "summary_QUADRANK_d6_rank6.json").read_text())["config"]
-    assert config["rank_tol"] == 1e-9
-    assert config["gamma_dec"] == 0.25
+    assert config["sigma0"] == 4.0
+    assert config["redraw_policy"] == "every-iteration"
 
 
 def test_config_file_bad_value(tmp_path, capsys):
@@ -235,6 +251,25 @@ def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch, worker
     assert threads["cpu_count"] == os.cpu_count()
     # a parallel grid's workers run one BLAS thread each
     assert threads["OPENBLAS_NUM_THREADS"] == (None if workers == 1 else "1")
+
+
+def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    path, manifest = _written_manifest(tmp_path)
+    rerun = ["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]
+    capsys.readouterr()
+    assert main(rerun) == 0
+    assert "note" not in capsys.readouterr().err
+    # the rerun uses one BLAS thread per worker, the manifest recorded the default
+    assert main([*rerun, "--workers", "2"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("rsarc: note:") and "'OPENBLAS_NUM_THREADS': None" in err
+    assert "'OPENBLAS_NUM_THREADS': '1'" in err
+    # a manifest written before the record existed is rerun without a note
+    del manifest["threads"]
+    path.write_text(json.dumps(manifest))
+    assert main([*rerun, "--workers", "2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_manifest_unknown_solver_key(tmp_path, capsys):
@@ -273,9 +308,8 @@ _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
         ([*_SOLVE, "--seed", "-1"], "seed"),
         ([*_SOLVE, "--sigma0", "nan"], "sigma0"),
         (["bench", "--manifest", "{old_manifest}", "--out", "{out}"], "unknown config key 'max_inner'"),
-        ([*_SOLVE, "--rank-tol", "nan"], "rank_tol"),
-        ([*_SOLVE, "--gamma-inc", "nan"], "gamma_inc"),
         ([*_SOLVE, "--config", "{old_config}"], "unknown config key 'inner_tol'"),
+        ([*_SOLVE, "--config", "{theta_config}"], "unknown config key 'theta'"),
         (["bench", "--problem", "QUADRANK:d=6", "--seed-base", "-1", "--out", "{out}"], "seed_base"),
         (["bench", "--problem", "QUADRANK:d=6", "--repeats", "0", "--out", "{out}"], "repeats"),
         (["bench", "--problem", "QUADRANK:d=6", "--workers", "-3", "--out", "{out}"], "workers"),
@@ -286,7 +320,7 @@ _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
         "embed-negative-seed", "selector-negative-seed", "solve-negative-seed", "nan-sigma0",
-        "no-inner-evaluations", "nan-rank-tol", "nan-gamma-inc", "negative-inner-tol",
+        "no-inner-evaluations", "negative-inner-tol", "theta-config",
         "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",
         "runs-is-a-directory", "manifest-is-a-directory",
     ],
@@ -298,9 +332,11 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
         paths["runs"],
     )
     paths["profile"].write_text("alpha,pi\n0.0,1.0\n")
-    # files that still set inner_tol or max_inner, which are no longer settings
+    # files that still set inner_tol, max_inner or theta, which are no longer settings
     paths["old_config"] = tmp_path / "old.cfg"
     paths["old_config"].write_text("inner_tol = -1\n")
+    paths["theta_config"] = tmp_path / "theta.cfg"
+    paths["theta_config"].write_text("theta = 0.01\n")
     paths["old_manifest"] = tmp_path / "old_manifest.json"
     paths["old_manifest"].write_text(json.dumps({
         "problems": ["QUADRANK:d=6"], "solver_configs": [{"mode": "arc", "max_inner": 0}],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rsarc import (
+    BUILTIN_NAMES,
     InvalidDimensionError,
     InvalidInputError,
     UnsupportedProblemError,
@@ -79,6 +80,12 @@ def test_engval1_reported_minimum_is_attained():
     res = minimize(p.value, p.x0, jac=p.gradient, hess=p.hessian, method="trust-exact",
                    options={"gtol": 1e-12})
     assert res.fun == pytest.approx(p.f_star, rel=1e-12)
+
+
+def test_every_builtin_name_builds():
+    assert sorted(BUILTIN_NAMES) == sorted(ALL_NAMES)
+    for name in BUILTIN_NAMES:
+        assert builtin_problem(name, 6).dim == 6
 
 
 def test_builtin_errors():

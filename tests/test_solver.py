@@ -84,7 +84,7 @@ def test_trace_invariants():
     for i, t in enumerate(tr):
         assert t.r_hat_k <= t.l_k
         assert t.big_r_hat_k <= p.known_rank
-        assert t.sigma_k >= cfg.sigma_min
+        assert t.sigma_k >= solver_mod._SIGMA_MIN
         if i > 0:
             assert t.l_k >= tr[i - 1].l_k  # never shrinks
             assert t.big_r_hat_k >= tr[i - 1].big_r_hat_k
@@ -115,6 +115,15 @@ def test_sigma_growth_geometric_on_failures():
         else:
             assert b.sigma_k == pytest.approx(max(a.sigma_k * 0.5, 1e-16), rel=1e-15)
     assert saw_failure_pair > 0  # the run must actually exercise failures
+
+
+def test_a_step_is_accepted_exactly_when_rho_reaches_theta():
+    p = builtin_problem("COSINE", 20)
+    res = run(p, SolverConfig(mode="rarc-d", l0=2, epsilon=1e-6, max_iter=300, seed=11))
+    assert all(row.success == (row.rho_k >= 0.01) for row in res.trace)  # NaN rho rejects
+    # rows on both sides of theta, close to it, pin its value
+    assert any(0.005 < row.rho_k < 0.01 for row in res.trace)
+    assert any(0.01 <= row.rho_k < 0.015 for row in res.trace)
 
 
 def test_rho_nan_on_guarded_denominator():
@@ -214,28 +223,28 @@ def test_l0_larger_than_dimension_rejected():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"theta": 0.0},
-        {"theta": 1.0},
         {"sigma0": 0.0},
-        {"sigma0": 1e-20, "sigma_min": 1e-16},
-        {"gamma_inc": 1.0},
-        {"gamma_dec": 1.0},
+        {"sigma0": 1e-20},
+        {"sigma0": -1.0},
         {"epsilon": 0.0},
+        {"epsilon": -1e-5},
         {"l0": 0},
+        {"l0": -1},
         {"growth_c": 0},
-        {"rank_tol": 0.0},
+        {"growth_c": -1},
         {"redraw_policy": "sometimes"},
         {"mode": "bogus"},
         {"max_iter": -1},
         {"sigma0": math.nan},
-        {"gamma_inc": math.nan},
-        {"rank_tol": math.nan},
+        {"sigma0": math.inf},
+        {"sigma0": -math.inf},
         {"epsilon": math.inf},
-        {"theta": math.nan},
-        {"sigma_min": math.inf},
-        {"gamma_dec": math.nan},
-        {"sigma_min": 0.0},
+        {"epsilon": math.nan},
+        {"epsilon": -math.inf},
+        {"mode": "ARC"},
+        {"redraw_policy": ""},
         {"seed": -1},
+        {"sigma0": 9.9e-17},
     ],
 )
 def test_config_validation(kwargs):
