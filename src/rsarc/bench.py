@@ -43,7 +43,6 @@ class BenchmarkRun:
     seed: int  # solver seed; the instance seed is part of problem_id
     n_p: Dict[float, float]  # tolerance -> budget at solve (inf if unsolved)
     status: str
-    trace_path: Optional[str] = None
 
 
 @dataclass
@@ -91,10 +90,9 @@ def solved_budget(
 def data_profile(
     runs: Sequence[BenchmarkRun],
     tau: float,
-    alpha_grid: Optional[np.ndarray] = None,
     solver_id: Optional[str] = None,
 ) -> DataProfile:
-    """Fraction of runs solved within budget alpha, per grid point.
+    """Fraction of runs solved within budget alpha, per point of DEFAULT_ALPHA_GRID.
 
     Each run counts as one problem instance; unsolved runs stay in the
     denominator.  When ``solver_id`` is None the runs must all share one.
@@ -115,10 +113,9 @@ def data_profile(
     if any(tau not in r.n_p for r in runs):
         known = sorted({t for r in runs for t in r.n_p}, reverse=True)
         raise InvalidInputError(f"tau {tau!r} is not a tolerance of every run; runs have {known}")
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     budgets = np.array([r.n_p[tau] for r in runs])
-    pi = np.array([np.mean(budgets <= a) for a in grid])
-    return DataProfile(solver_id, tau, grid, pi)
+    pi = np.array([np.mean(budgets <= a) for a in DEFAULT_ALPHA_GRID])
+    return DataProfile(solver_id, tau, DEFAULT_ALPHA_GRID, pi)
 
 
 def _run_one(
@@ -148,15 +145,12 @@ def _run_one(
             trace_to_csv(result.trace, trace_path)
     except Exception as exc:  # noqa: BLE001 - isolate per-run failures
         status = f"Error:{type(exc).__name__}"
-        trace_path = None
-    return BenchmarkRun(
-        problem_id, config.solver_id(), repeat, config.seed, budgets, status, trace_path
-    )
+    return BenchmarkRun(problem_id, config.solver_id(), repeat, config.seed, budgets, status)
 
 
 def _instance_selector(selector: str, instance_seed: int) -> str:
     """Inject the per-repeat augmentation seed into a low-rank selector."""
-    if selector.startswith("l-") and "seed=" not in selector:
+    if selector.lower().startswith("l-") and "seed=" not in selector:
         return f"{selector}:seed={instance_seed}"
     return selector
 
@@ -196,6 +190,12 @@ def run_grid(
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if workers < 1:
         raise InvalidInputError(f"need workers >= 1, got {workers}")
+    if not all(0.0 < tau < 1.0 for tau in taus):
+        raise InvalidInputError(f"need every tau in (0,1), got {list(taus)}")
+    ids = [config.solver_id() for config in solver_configs]
+    shared = sorted({i for i in ids if ids.count(i) > 1})
+    if shared:
+        raise InvalidInputError(f"solver configs share the id(s) {shared}; their runs would merge")
     for config in solver_configs:
         config.validate()
 

@@ -1,10 +1,12 @@
 """Command-line interface: single solves, benchmark grids, profiles, embedding checks.
 
-``solve`` and ``bench`` take one flag per ``SolverConfig`` field, named
-``--field-name`` except ``--C`` (growth_c), ``--eps`` (epsilon) and
-``--redraw`` (redraw_policy).  A ``--config`` file sets the same fields
-as flat ``key = value`` lines keyed by field name or by those three
-aliases; flags override it.
+``solve`` takes one flag per ``SolverConfig`` field, named ``--field-name``
+except ``--C`` (growth_c), ``--eps`` (epsilon) and ``--redraw`` (redraw_policy);
+``bench`` takes every one but ``--mode`` and ``--seed``, which its ``--solvers``
+specs and ``--seed-base`` set.  A ``--config`` file sets the same fields as flat
+``key = value`` lines keyed by field name or by those three aliases; flags
+override it.  ``bench`` writes ``run_grid``'s arguments plus ``threads`` to
+``manifest.json``, which ``bench --manifest`` reruns.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
@@ -57,7 +59,9 @@ _EXIT_BY_STATUS = {
 _FIELD_ALIASES = {"C": "growth_c", "eps": "epsilon", "redraw": "redraw_policy"}
 #: SolverConfig field name -> its type hint
 _SETTINGS = get_type_hints(SolverConfig)
-_MANIFEST_KEYS = ("problems", "solver_configs", "repeats", "seed_base", "taus")
+#: run_grid's arguments in its order -> the JSON type of the value, or [type of each item]
+_GRID = {"problems": [str], "solver_configs": [dict], "repeats": int, "seed_base": int,
+         "taus": [float], "metric": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +70,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _typed(where: str, key: str, value, kind: type, parse: bool = False):
+    """``value`` as ``kind``: parsed to it when ``parse``, else (a JSON value) it
+    must already equal its typed form, so 2.0 is an int but 1.5 and "2" are not."""
+    try:
+        typed = kind(value)
+    except (TypeError, ValueError):
+        typed = None
+    if typed is None or (not parse and typed != value):
+        raise RsarcError(f"{where}: {key} = {value!r} is not a valid {kind.__name__}")
+    return typed
 
 
 def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
@@ -77,14 +93,7 @@ def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
     name = _FIELD_ALIASES.get(key, key)
     if name not in _SETTINGS:
         raise RsarcError(f"{where}: unknown config key {key!r}")
-    kind = _SETTINGS[name]
-    try:
-        typed = kind(value)
-    except (TypeError, ValueError):
-        typed = None
-    if typed is None or (not isinstance(value, str) and typed != value):
-        raise RsarcError(f"{where}: {key} = {value!r} is not a valid {kind.__name__}")
-    return name, typed
+    return name, _typed(where, key, value, _SETTINGS[name], parse=isinstance(value, str))
 
 
 def read_config_file(path: str) -> dict:
@@ -103,38 +112,46 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def read_manifest(path: str) -> dict:
-    """A manifest.json written by ``bench``, its solver configs as SolverConfig."""
+def read_manifest(path: str) -> Tuple[dict, Optional[dict]]:
+    """The grid record of a manifest.json written by ``bench`` (``run_grid``'s
+    arguments, solver configs as SolverConfig) and its ``threads`` record, if any."""
     with open(path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise RsarcError(f"{path}: not a JSON manifest: {exc}") from None
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    # a manifest without "metric" predates its record and ran the default
+    manifest = {"metric": bn.METRIC_REL_HESSIANS, **_typed(path, "manifest", manifest, dict)}
+    missing = [key for key in _GRID if key not in manifest]
     if missing:
         raise RsarcError(f"{path}: missing manifest key(s) {missing}")
-    configs = []
-    for i, raw in enumerate(manifest["solver_configs"]):
-        where = f"{path}: solver_configs[{i}]"
-        configs.append(SolverConfig(**dict(_typed_setting(where, k, v) for k, v in raw.items())))
-    manifest["solver_configs"] = configs
-    return manifest
+    grid = {}
+    for key, kind in _GRID.items():
+        if isinstance(kind, list):
+            items = enumerate(_typed(path, key, manifest[key], list))
+            grid[key] = [_typed(path, f"{key}[{i}]", item, kind[0]) for i, item in items]
+        else:
+            grid[key] = _typed(path, key, manifest[key], kind)
+    for i, raw in enumerate(grid["solver_configs"]):
+        settings = (_typed_setting(f"{path}: solver_configs[{i}]", *kv) for kv in raw.items())
+        grid["solver_configs"][i] = SolverConfig(**dict(settings))
+    return grid, manifest.get("threads")
 
 
 def _config_from_args(args) -> SolverConfig:
     config = SolverConfig()
     if args.config:
         config = replace(config, **read_config_file(args.config))
-    flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(SolverConfig)}
     config = replace(config, **{name: v for name, v in flags.items() if v is not None})
     config.validate()
     return config
 
 
-def _add_solver_flags(parser) -> None:
+def _add_solver_flags(parser, omit: Tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="flat key = value file of solver settings")
     flag_of = {name: flag for flag, name in _FIELD_ALIASES.items()}
-    for f in fields(SolverConfig):
+    for f in (f for f in fields(SolverConfig) if f.name not in omit):
         parser.add_argument(
             "--" + flag_of.get(f.name, f.name.replace("_", "-")),
             dest=f.name,
@@ -181,8 +198,8 @@ def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
     for part in filter(None, rest.split(":")):
         key, _, raw = part.partition("=")
         name, value = _typed_setting(f"solver spec {spec!r}", "l0" if key == "l" else key, raw)
-        if name == "mode":
-            raise RsarcError(f"solver spec {spec!r}: the mode is the spec's head, not {part!r}")
+        if name in ("mode", "seed"):
+            raise RsarcError(f"solver spec {spec!r}: the head sets the mode, --seed-base the seed")
         settings[name] = value
     return replace(base, mode=head, **settings)
 
@@ -191,44 +208,24 @@ def cmd_bench(args) -> int:
     # a parallel grid's workers run one BLAS thread each
     threads = {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})}
     if args.manifest:
-        manifest = read_manifest(args.manifest)
-        if manifest.get("threads", threads) != threads:
-            note = f"{args.manifest} ran with threads {manifest['threads']}, this rerun uses {threads}"
+        grid, recorded = read_manifest(args.manifest)
+        if recorded not in (None, threads):
+            note = f"{args.manifest} ran with threads {recorded}, this rerun uses {threads}"
             print(f"rsarc: note: {note}; its results may differ in rounding", file=sys.stderr)
-        selectors = manifest["problems"]
-        configs = manifest["solver_configs"]
-        repeats = manifest["repeats"]
-        seed_base = manifest["seed_base"]
-        taus = manifest["taus"]
-        metric = manifest.get("metric", bn.METRIC_REL_HESSIANS)
     else:
         base = _config_from_args(args)
-        selectors = _suite_selectors(args)
-        configs = [_parse_solver_spec(s, base) for s in args.solvers.split(",")]
-        repeats = args.repeats
-        seed_base = args.seed_base
-        taus = args.tau or [1e-2, 1e-5]
-        metric = args.metric
+        grid = {
+            "problems": _suite_selectors(args),
+            "solver_configs": [_parse_solver_spec(s, base) for s in args.solvers.split(",")],
+            "repeats": args.repeats,
+            "seed_base": args.seed_base,
+            "taus": args.tau or [1e-2, 1e-5],
+            "metric": args.metric,
+        }
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the grid runs
-    runs = bn.run_grid(
-        selectors,
-        configs,
-        repeats=repeats,
-        seed_base=seed_base,
-        taus=taus,
-        metric=metric,
-        out_dir=args.out if args.traces else None,
-        workers=args.workers,
-    )
-    manifest = {
-        "problems": list(selectors),
-        "solver_configs": [vars(c).copy() for c in configs],
-        "repeats": repeats,
-        "seed_base": seed_base,
-        "taus": list(taus),
-        "metric": metric,
-        "threads": threads,
-    }
+    runs = bn.run_grid(**grid, out_dir=args.out if args.traces else None, workers=args.workers)
+    configs = [vars(c) for c in grid["solver_configs"]]
+    manifest = {**grid, "solver_configs": configs, "threads": threads}
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -286,7 +283,8 @@ def build_parser() -> _Parser:
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark grid")
+    # no abbreviations: a solve flag such as --seed must not reach --seed-base
+    p_bench = sub.add_parser("bench", help="run a benchmark grid", allow_abbrev=False)
     p_bench.add_argument("--suite", choices=("lowrank",), help="predefined problem set")
     p_bench.add_argument("--problem", action="append", help="registry selector (repeatable)")
     p_bench.add_argument("--d", type=int, default=1000, help="ambient dimension for --suite")
@@ -300,7 +298,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--traces", action="store_true", help="also write per-run trace CSVs")
     p_bench.add_argument("--manifest", help="rerun a previously written manifest.json")
     p_bench.add_argument("--out", required=True)
-    _add_solver_flags(p_bench)
+    _add_solver_flags(p_bench, omit=("mode", "seed"))
     p_bench.set_defaults(func=cmd_bench)
 
     p_prof = sub.add_parser("profile", help="data profiles from a runs.csv")

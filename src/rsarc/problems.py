@@ -453,7 +453,7 @@ def get_problem(selector: str) -> ObjectiveProblem:
     """Resolve a problem selector string from the registry.
 
     Built-ins: ``NAME[:N=<n>][:rank=<r>]`` (``d=`` is accepted as an alias
-    for ``N=``), e.g. ``QUADRANK:d=10:rank=10``.
+    for ``N=``, but not beside it), e.g. ``QUADRANK:d=10:rank=10``.
 
     Low-rank variants: ``l-NAME[:N=<n>]:d=<d>[:seed=<s>]``, e.g.
     ``l-ARWHEAD:d=1000:seed=1`` (N defaults to 100, seed to 0).
@@ -484,7 +484,7 @@ def get_problem(selector: str) -> ObjectiveProblem:
             raise UnsupportedProblemError(f"selector {selector!r} needs seed >= 0")
         return augment(builtin_problem(base_name, n, rank), d, seed)
 
-    n = params.pop("N", params.pop("d", None))
+    n = params.pop("N") if "N" in params else params.pop("d", None)
     rank = params.pop("rank", None)
     if params:
         raise UnsupportedProblemError(f"unknown parameters {sorted(params)}")

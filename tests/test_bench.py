@@ -261,7 +261,25 @@ def test_runs_csv_roundtrip(tmp_path):
 def test_grid_writes_traces(tmp_path):
     problems = ["QUADRANK:d=6:rank=6"]
     configs = [SolverConfig(mode="arc", epsilon=1e-7)]
-    runs = run_grid(problems, configs, repeats=1, seed_base=0, taus=(1e-2,),
-                    out_dir=str(tmp_path))
-    assert runs[0].trace_path is not None
-    assert (tmp_path / runs[0].trace_path.split("/")[-1]).exists()
+    run_grid(problems, configs, repeats=1, seed_base=0, taus=(1e-2,), out_dir=str(tmp_path))
+    assert (tmp_path / "trace_QUADRANK_d6_rank6_arc_rep0.csv").exists()
+
+
+def test_grid_refuses_configs_that_share_a_solver_id(tmp_path):
+    configs = [SolverConfig(mode="rarc-d", growth_c=1), SolverConfig(mode="rarc-d", growth_c=3)]
+    with pytest.raises(InvalidInputError, match="'rarc-d-l02'.*would merge"):
+        run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())  # refused before any run
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, math.nan])
+def test_grid_refuses_a_tau_outside_the_unit_interval(tau):
+    configs = [SolverConfig(mode="arc")]
+    with pytest.raises(InvalidInputError, match="tau"):
+        run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, taus=(1e-2, tau))
+
+
+def test_lifted_selector_gets_instance_seeds_in_either_case():
+    configs = [SolverConfig(mode="arc", epsilon=1e-6)]
+    runs = run_grid(["L-ARWHEAD:N=10:d=40"], configs, repeats=2, seed_base=0, taus=(1e-2,))
+    assert [r.problem_id for r in runs] == [f"L-ARWHEAD:N=10:d=40:seed={s}" for s in (0, 1)]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -109,6 +110,19 @@ def test_help_documents_flags(capsys):
         assert flag not in out
 
 
+def test_bench_has_no_mode_or_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert {"--solvers", "--seed-base", "--l0", "--C", "--eps"} <= flags
+    assert not {"--mode", "--seed"} & flags
+    # the specs set every mode and --seed-base every seed, so --seed is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "QUADRANK:d=6", "--seed", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 1
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("# solver settings\nsigma0 = 4.0\neps = 1e-7\nmax_iter = 500\n")
@@ -177,7 +191,8 @@ def test_bench_fixed_sketch_solver_spec(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec", ["rarc:l=abc", "rarc-d:l0=2.5", "rarc-d:C=", "rarc:mode=arc", "rarc:kappa=1"]
+    "spec",
+    ["rarc:l=abc", "rarc-d:l0=2.5", "rarc-d:C=", "rarc:mode=arc", "rarc:kappa=1", "rarc-d:seed=3"],
 )
 def test_bench_non_integer_solver_parameter(tmp_path, capsys, spec):
     code = main([
@@ -292,7 +307,28 @@ def test_manifest_missing_key(tmp_path, capsys):
     assert str(path) in err and "repeats" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("repeats", "2", "repeats = '2'"),
+        ("seed_base", 1.5, "seed_base = 1.5"),
+        ("problems", "QUADRANK:d=6:rank=6", "problems = 'QUADRANK:d=6:rank=6'"),
+        ("taus", [0.01, "tight"], "taus[1] = 'tight'"),
+    ],
+)
+def test_manifest_value_of_the_wrong_type(tmp_path, capsys, key, value, message):
+    path, manifest = _written_manifest(tmp_path)
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert not (tmp_path / "b2").exists()
+
+
 _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
+_BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -316,13 +352,15 @@ _SOLVE = ["solve", "--problem", "l-ARWHEAD:N=10:d=40"]
         ([*_SOLVE, "--config", "{dir}"], "Is a directory"),
         (["profile", "--runs", "{dir}", "--out", "{out}"], "Is a directory"),
         (["bench", "--manifest", "{dir}", "--out", "{out}"], "Is a directory"),
+        ([*_BENCH, "--solvers", "rarc-d:C=1,rarc-d:C=3"], "'rarc-d-l02'"),
+        ([*_BENCH, "--tau", "2"], "got [2.0]"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
         "embed-negative-seed", "selector-negative-seed", "solve-negative-seed", "nan-sigma0",
         "no-inner-evaluations", "negative-inner-tol", "theta-config",
         "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",
-        "runs-is-a-directory", "manifest-is-a-directory",
+        "runs-is-a-directory", "manifest-is-a-directory", "shared-solver-id", "tau-above-one",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
