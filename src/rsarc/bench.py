@@ -161,25 +161,9 @@ def solver_seed(seed_base: int, run_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def run_grid(
-    problems: Sequence[str],
-    solver_configs: Sequence[SolverConfig],
-    repeats: int,
-    seed_base: int,
-    taus: Sequence[float] = (1e-2, 1e-5),
-    metric: str = METRIC_REL_HESSIANS,
-    out_dir: Optional[str] = None,
-    workers: int = 1,
-) -> List[BenchmarkRun]:
-    """Run every (problem, solver, repeat) combination, reproducibly.
-
-    ``problems`` are registry selectors without an instance seed; each
-    repeat augments low-rank problems with a fresh embedding seeded by
-    seed_base + repeat, and gets its own solver seed.  Failed runs are
-    recorded as unsolved rather than aborting the grid.  ``workers > 1``
-    runs the jobs in spawned processes with one BLAS thread each, as a serial
-    run under ``ONE_BLAS_THREAD`` would; scripts need a ``__main__`` guard.
-    """
+def check_grid(problems, solver_configs, repeats, seed_base, taus=(1e-2, 1e-5),
+               metric=METRIC_REL_HESSIANS, workers=1) -> None:
+    """Raise InvalidInputError unless ``run_grid`` accepts these arguments."""
     if repeats < 1:
         raise InvalidInputError(f"need repeats >= 1, got {repeats}")
     if seed_base < 0:
@@ -199,6 +183,27 @@ def run_grid(
     for config in solver_configs:
         config.validate()
 
+
+def run_grid(
+    problems: Sequence[str],
+    solver_configs: Sequence[SolverConfig],
+    repeats: int,
+    seed_base: int,
+    taus: Sequence[float] = (1e-2, 1e-5),
+    metric: str = METRIC_REL_HESSIANS,
+    out_dir: Optional[str] = None,
+    workers: int = 1,
+) -> List[BenchmarkRun]:
+    """Run every (problem, solver, repeat) combination, reproducibly.
+
+    ``problems`` are registry selectors without an instance seed; each
+    repeat augments low-rank problems with a fresh embedding seeded by
+    seed_base + repeat, and gets its own solver seed.  Failed runs are
+    recorded as unsolved rather than aborting the grid.  ``workers > 1``
+    runs the jobs in spawned processes with one BLAS thread each, as a serial
+    run under ``ONE_BLAS_THREAD`` would; scripts need a ``__main__`` guard.
+    """
+    check_grid(problems, solver_configs, repeats, seed_base, taus, metric, workers)
     jobs = []
     for selector in problems:
         for config in solver_configs:

@@ -4,9 +4,9 @@
 except ``--C`` (growth_c), ``--eps`` (epsilon) and ``--redraw`` (redraw_policy);
 ``bench`` takes every one but ``--mode`` and ``--seed``, which its ``--solvers``
 specs and ``--seed-base`` set.  A ``--config`` file sets the same fields as flat
-``key = value`` lines keyed by field name or by those three aliases; flags
-override it.  ``bench`` writes ``run_grid``'s arguments plus ``threads`` to
-``manifest.json``, which ``bench --manifest`` reruns.
+``key = value`` lines keyed by field name or by those three aliases, for each
+flag the command takes; flags override it.  ``bench`` writes ``run_grid``'s
+arguments plus ``threads`` to ``manifest.json``, which ``bench --manifest`` reruns.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
@@ -14,8 +14,8 @@ f, gradient or Hessian, 5 when the predicted decrease stayed below the
 rho guard on consecutive iterations (``DecreaseUnresolved``), 1 on usage
 errors, malformed config files and files that cannot be read or written.
 The other subcommands exit 0 on completion and 1 on malformed input,
-including a malformed manifest, or on a file error; ``bench`` writes its
-``manifest.json`` only once the grid has run.
+including a malformed manifest, or on a file error; ``bench`` creates ``--out``
+once ``run_grid`` accepts the grid and writes ``manifest.json`` once it has run.
 """
 
 from __future__ import annotations
@@ -141,7 +141,11 @@ def read_manifest(path: str) -> Tuple[dict, Optional[dict]]:
 def _config_from_args(args) -> SolverConfig:
     config = SolverConfig()
     if args.config:
-        config = replace(config, **read_config_file(args.config))
+        values = read_config_file(args.config)
+        per_run = [name for name in values if not hasattr(args, name)]  # bench has no --mode, --seed
+        if per_run:
+            raise RsarcError(f"{args.config}: bench sets {per_run} per run (--solvers, --seed-base)")
+        config = replace(config, **values)
     flags = {f.name: getattr(args, f.name, None) for f in fields(SolverConfig)}
     config = replace(config, **{name: v for name, v in flags.items() if v is not None})
     config.validate()
@@ -222,6 +226,7 @@ def cmd_bench(args) -> int:
             "taus": args.tau or [1e-2, 1e-5],
             "metric": args.metric,
         }
+    bn.check_grid(**grid, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the grid runs
     runs = bn.run_grid(**grid, out_dir=args.out if args.traces else None, workers=args.workers)
     configs = [vars(c) for c in grid["solver_configs"]]
@@ -237,15 +242,14 @@ def cmd_bench(args) -> int:
 
 def cmd_profile(args) -> int:
     runs = bn.read_runs_csv(args.runs)
-    os.makedirs(args.out, exist_ok=True)
     solver_ids = sorted({r.solver_id for r in runs})
     taus = args.tau or sorted({t for r in runs for t in r.n_p}, reverse=True)
-    for solver_id in solver_ids:
-        for tau in taus:
-            profile = bn.data_profile(runs, tau, solver_id=solver_id)
-            name = f"profile_{solver_id}_{tau:g}.csv"
-            bn.write_profile_csv(profile, os.path.join(args.out, name))
-            print(f"{name}: pi(100) = {profile.pi[-1]:.3f}")
+    profiles = [bn.data_profile(runs, tau, solver_id=s) for s in solver_ids for tau in taus]
+    os.makedirs(args.out, exist_ok=True)
+    for profile in profiles:
+        name = f"profile_{profile.solver_id}_{profile.tau:g}.csv"
+        bn.write_profile_csv(profile, os.path.join(args.out, name))
+        print(f"{name}: pi(100) = {profile.pi[-1]:.3f}")
     return 0
 
 

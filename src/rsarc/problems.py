@@ -11,18 +11,15 @@ two GEMM and r x r work, about 6 d r^2 flops in level-3 BLAS); a draw too
 ill-conditioned for that, with cond near u^{-1/2} or above, falls back to
 Householder QR.
 
-Second-order information comes in two forms.  Every problem provides the
-dense d x d ``hessian``.  The ``arc`` mode (the identity sketch, which is
-never formed: the model takes the symmetric part of H itself) and output
-checks use it.  A problem may also provide ``sketched_hessian(x, S)``,
-which returns S H(x) S^T for an l x d sketch array S without forming H.
-It is optional: the solver calls it for every drawn sketch when it is
-present, and otherwise forms S H S^T from ``hessian``.  Lifted problems
-provide it as (S Q) H_f(Q^T x) (S Q)^T, which costs
-O(l d r + l r^2 + l^2 r) flops and needs no d x d array.  A lifted
-problem holds its d x r embedding Q once, as one C-ordered array: Q^T x
-is evaluated as x @ Q, and the dense Hessian multiplies by the
-transposed view Q^T, not by a copy.
+Every problem provides second-order information twice.  The dense d x d
+``hessian`` serves ``arc`` (the identity sketch, never formed: the model
+takes the symmetric part of H itself) and output checks;
+``sketched_hessian(x, S)`` returns S H(x) S^T for an l x d sketch array S
+without forming H, and the sketched modes use only it.  Built-ins build it
+from the columns of S in O(l^2 d) flops.  Lifted problems compute it as
+(S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 + l^2 r) flops; each holds its
+d x r embedding Q once, as one C-ordered array: Q^T x is evaluated as
+x @ Q, and the dense Hessian multiplies by the transposed view Q^T.
 """
 
 from __future__ import annotations
@@ -56,13 +53,11 @@ class ObjectiveProblem:
         f_star: known optimal objective value, or None if unknown.
         known_rank: upper bound on rank(hess f(x)) valid at every x, or None.
         value / gradient / hessian: evaluators; pure functions of x.  The
-            dense ``hessian`` is always required: ``arc`` (the
-            identity sketch) and output checks use it.
-        sketched_hessian: optional ``(x, S) -> S hess f(x) S^T`` for an
-            l x d sketch array S, computed without the d x d Hessian.  The
-            solver uses it, when present, for every non-identity sketch
-            and then never calls ``hessian``; without it the solver forms
-            S hess f(x) S^T from ``hessian``.  The result need not be
+            dense ``hessian`` serves ``arc`` (the identity sketch) and
+            output checks.
+        sketched_hessian: ``(x, S) -> S hess f(x) S^T`` for an l x d sketch
+            array S, computed without the d x d Hessian; the sketched
+            modes call it and never ``hessian``.  The result need not be
             exactly symmetric.
     """
 
@@ -72,9 +67,9 @@ class ObjectiveProblem:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    sketched_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f_star: Optional[float] = None
     known_rank: Optional[int] = None
-    sketched_hessian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 #: Largest ||Q1^T Q1 - I||_F accepted after the first Cholesky QR pass.
@@ -171,9 +166,9 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
         value=value,
         gradient=gradient,
         hessian=hessian,
+        sketched_hessian=sketched_hessian,
         f_star=base.f_star,
         known_rank=rank,
-        sketched_hessian=sketched_hessian,
     )
 
 
@@ -199,8 +194,36 @@ def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
 # ---------------------------------------------------------------------------
 
 
+def _tridiagonal(name, n, x0, value, gradient, link, f_star) -> ObjectiveProblem:
+    """Chained f = sum_{i<n} f_i(x_i, x_{i+1}), whose Hessian is tridiagonal:
+    ``link(x)`` gives each f_i's second derivatives in x_i, in x_{i+1} and
+    across; S H S^T = (S a) S^T + T + T^T with T = (S_{:, :-1} b) S_{:, 1:}^T."""
+    idx = np.arange(n - 1)
+
+    def bands(x):
+        first, second, b = link(x)
+        a = np.zeros(n)
+        a[:-1] += first
+        a[1:] += second
+        return a, b
+
+    def hessian(x):
+        a, b = bands(x)
+        h = np.diag(a)
+        h[idx, idx + 1] = h[idx + 1, idx] = b
+        return h
+
+    def sketched_hessian(x, s):
+        a, b = bands(x)
+        t = (s[:, :-1] * b) @ s[:, 1:].T
+        return (s * a) @ s.T + t + t.T
+
+    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, f_star=f_star)
+
+
 def _arwhead(n: int) -> ObjectiveProblem:
     # f(x) = sum_{i<n} ((x_i^2 + x_n^2)^2 - 4 x_i + 3), x0 = ones, f* = 0
+    idx = np.arange(n - 1)
 
     def value(x):
         u = x[:-1] ** 2 + x[-1] ** 2
@@ -213,16 +236,24 @@ def _arwhead(n: int) -> ObjectiveProblem:
         g[-1] = 4.0 * x[-1] * np.sum(u)
         return g
 
-    def hessian(x):
+    def arrow(x):
+        # the diagonal a, and v in the last row and column off the diagonal
         u = x[:-1] ** 2 + x[-1] ** 2
-        h = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        h[idx, idx] = 4.0 * u + 8.0 * x[:-1] ** 2
-        h[idx, -1] = h[-1, idx] = 8.0 * x[:-1] * x[-1]
-        h[-1, -1] = 4.0 * np.sum(u) + 8.0 * (n - 1) * x[-1] ** 2
+        a = np.append(4.0 * u + 8.0 * x[:-1] ** 2, 4.0 * np.sum(u) + 8.0 * (n - 1) * x[-1] ** 2)
+        return a, 8.0 * x[:-1] * x[-1]
+
+    def hessian(x):
+        a, v = arrow(x)
+        h = np.diag(a)
+        h[idx, -1] = h[-1, idx] = v
         return h
 
-    return ObjectiveProblem("ARWHEAD", n, np.ones(n), value, gradient, hessian, f_star=0.0)
+    def sketched_hessian(x, s):
+        a, v = arrow(x)
+        p = np.outer(s[:, :-1] @ v, s[:, -1])
+        return (s * a) @ s.T + p + p.T
+
+    return ObjectiveProblem("ARWHEAD", n, np.ones(n), value, gradient, hessian, sketched_hessian, f_star=0.0)
 
 
 def _cosine(n: int) -> ObjectiveProblem:
@@ -239,19 +270,12 @@ def _cosine(n: int) -> ObjectiveProblem:
         g[1:] += 0.5 * s
         return g
 
-    def hessian(x):
+    def link(x):
         t = x[:-1] ** 2 - 0.5 * x[1:]
         s, c = np.sin(t), np.cos(t)
-        h = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        h[idx, idx] += -4.0 * x[:-1] ** 2 * c - 2.0 * s
-        h[idx, idx + 1] = h[idx + 1, idx] = x[:-1] * c
-        h[idx + 1, idx + 1] += -0.25 * c
-        return h
+        return -4.0 * x[:-1] ** 2 * c - 2.0 * s, -0.25 * c, x[:-1] * c
 
-    return ObjectiveProblem(
-        "COSINE", n, np.ones(n), value, gradient, hessian, f_star=-(n - 1.0)
-    )
+    return _tridiagonal("COSINE", n, np.ones(n), value, gradient, link, f_star=-(n - 1.0))
 
 
 def _engval1(n: int) -> ObjectiveProblem:
@@ -268,24 +292,11 @@ def _engval1(n: int) -> ObjectiveProblem:
         g[1:] += 4.0 * x[1:] * u
         return g
 
-    def hessian(x):
+    def link(x):
         u = x[:-1] ** 2 + x[1:] ** 2
-        h = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        h[idx, idx] += 4.0 * u + 8.0 * x[:-1] ** 2
-        h[idx + 1, idx + 1] += 4.0 * u + 8.0 * x[1:] ** 2
-        h[idx, idx + 1] = h[idx + 1, idx] = 8.0 * x[:-1] * x[1:]
-        return h
+        return 4.0 * u + 8.0 * x[:-1] ** 2, 4.0 * u + 8.0 * x[1:] ** 2, 8.0 * x[:-1] * x[1:]
 
-    return ObjectiveProblem(
-        "ENGVAL1",
-        n,
-        2.0 * np.ones(n),
-        value,
-        gradient,
-        hessian,
-        f_star=_ENGVAL1_MIN.get(n),
-    )
+    return _tridiagonal("ENGVAL1", n, 2.0 * np.ones(n), value, gradient, link, f_star=_ENGVAL1_MIN.get(n))
 
 
 def _power(n: int) -> ObjectiveProblem:
@@ -303,12 +314,17 @@ def _power(n: int) -> ObjectiveProblem:
         v = w * x
         return 4.0 * t * np.diag(w) + 8.0 * np.outer(v, v)
 
-    return ObjectiveProblem("POWER", n, np.ones(n), value, gradient, hessian, f_star=0.0)
+    def sketched_hessian(x, s):
+        sv = s @ (w * x)
+        return 4.0 * np.dot(w, x**2) * ((s * w) @ s.T) + 8.0 * np.outer(sv, sv)
+
+    return ObjectiveProblem("POWER", n, np.ones(n), value, gradient, hessian, sketched_hessian, f_star=0.0)
 
 
 def _nondquar(n: int) -> ObjectiveProblem:
     # f(x) = (x_1-x_2)^2 + (x_{n-1}-x_n)^2 + sum_{i<=n-2} (x_i+x_{i+1}+x_n)^4
     # x0 alternates +1/-1, f* = 0
+    end = np.array([[2.0, -2.0], [-2.0, 2.0]])  # the Hessian of each squared difference
 
     def value(x):
         t = x[:-2] + x[1:-1] + x[-1]
@@ -330,14 +346,8 @@ def _nondquar(n: int) -> ObjectiveProblem:
     def hessian(x):
         t = x[:-2] + x[1:-1] + x[-1]
         h = np.zeros((n, n))
-        h[0, 0] += 2.0
-        h[1, 1] += 2.0
-        h[0, 1] -= 2.0
-        h[1, 0] -= 2.0
-        h[-2, -2] += 2.0
-        h[-1, -1] += 2.0
-        h[-2, -1] -= 2.0
-        h[-1, -2] -= 2.0
+        h[:2, :2] += end
+        h[-2:, -2:] += end
         c = 12.0 * t**2
         for i in range(n - 2):
             for a in (i, i + 1, n - 1):
@@ -345,9 +355,16 @@ def _nondquar(n: int) -> ObjectiveProblem:
                     h[a, b] += c[i]
         return h
 
+    def sketched_hessian(x, s):
+        # sum_i c_i v_i v_i^T with v_i = S (e_i + e_{i+1} + e_n), and the two end blocks
+        v = s[:, :-2] + s[:, 1:-1] + s[:, -1:]
+        c = 12.0 * (x[:-2] + x[1:-1] + x[-1]) ** 2
+        head, tail = s[:, 0] - s[:, 1], s[:, -2] - s[:, -1]
+        return (v * c) @ v.T + 2.0 * (np.outer(head, head) + np.outer(tail, tail))
+
     x0 = np.ones(n)
     x0[1::2] = -1.0
-    return ObjectiveProblem("NONDQUAR", n, x0, value, gradient, hessian, f_star=0.0)
+    return ObjectiveProblem("NONDQUAR", n, x0, value, gradient, hessian, sketched_hessian, f_star=0.0)
 
 
 def _rosenchain(n: int) -> ObjectiveProblem:
@@ -363,18 +380,12 @@ def _rosenchain(n: int) -> ObjectiveProblem:
         g[1:] += 200.0 * r
         return g
 
-    def hessian(x):
-        r = x[1:] - x[:-1] ** 2
-        h = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        h[idx, idx] += -400.0 * r + 800.0 * x[:-1] ** 2 + 2.0
-        h[idx + 1, idx + 1] += 200.0
-        h[idx, idx + 1] = h[idx + 1, idx] = -400.0 * x[:-1]
-        return h
+    def link(x):
+        return -400.0 * (x[1:] - x[:-1] ** 2) + 800.0 * x[:-1] ** 2 + 2.0, 200.0, -400.0 * x[:-1]
 
     x0 = np.ones(n)
     x0[0::2] = -1.2
-    return ObjectiveProblem("ROSENCHAIN", n, x0, value, gradient, hessian, f_star=0.0)
+    return _tridiagonal("ROSENCHAIN", n, x0, value, gradient, link, f_star=0.0)
 
 
 def _quadrank(n: int, rank: int) -> ObjectiveProblem:
@@ -399,15 +410,12 @@ def _quadrank(n: int, rank: int) -> ObjectiveProblem:
     def hessian(x):
         return np.diag(d)
 
+    def sketched_hessian(x, s):
+        return (s[:, :rank] * d[:rank]) @ s[:, :rank].T
+
     return ObjectiveProblem(
-        f"QUADRANK:d={n}:rank={rank}",
-        n,
-        np.zeros(n),
-        value,
-        gradient,
-        hessian,
-        f_star=f_star,
-        known_rank=rank,
+        f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hessian, sketched_hessian,
+        f_star=f_star, known_rank=rank,
     )
 
 

@@ -20,10 +20,8 @@ used by the benchmark layer.
 The identity sketch is never formed as a matrix: g and the symmetric part
 of the dense Hessian enter the model as they are, its Gram is None and
 the step is s itself.  For the scaled-Gaussian sketches of ``rarc`` and
-``rarc-d``, S H S^T comes from one projection chosen at the start of the
-run: the problem's ``sketched_hessian`` when it has one, so no d x d
-array is formed, and otherwise S H S^T from the dense Hessian, evaluated
-for every sketch.
+``rarc-d``, S H S^T is the problem's ``sketched_hessian``, so no d x d
+array is formed.
 
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
@@ -236,7 +234,6 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     status = STATUS_MAX_ITER
     f = problem.value(x)
     grad = problem.gradient(x)
-    project = problem.sketched_hessian or (lambda x, s: s @ problem.hessian(x) @ s.T)
 
     for k in range(config.max_iter + 1):
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
@@ -265,7 +262,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                     else:
                         s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rng)
                         g_hat = sk.sketch_gradient(s_mat, grad)
-                        h_hat = sk.symmetrize(project(x, s_mat.matrix))
+                        h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
                     if not finite:
                         break

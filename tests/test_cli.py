@@ -74,16 +74,17 @@ def test_solve_non_finite_hessian_exits_4(monkeypatch, capsys):
 
 
 def test_solve_rarc_d_at_large_d_never_forms_a_dense_hessian(capsys):
-    # one 20000 x 20000 float64 Hessian would be 3.2 GB
-    tracemalloc.start()
-    try:
-        code = main(["solve", "--problem", "l-ARWHEAD:N=100:d=20000", "--mode", "rarc-d"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 100e6
-    assert "GradientTolReached" in capsys.readouterr().out
+    # one 20000 x 20000 float64 Hessian would be 3.2 GB, a 100000 x 100000 one 80 GB
+    for problem in ("l-ARWHEAD:N=100:d=20000", "QUADRANK:N=100000:rank=10"):
+        tracemalloc.start()
+        try:
+            code = main(["solve", "--problem", problem, "--mode", "rarc-d"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, problem
+        assert peak < 100e6, problem
+        assert "GradientTolReached" in capsys.readouterr().out
 
 
 def test_unknown_flag_fails_fast():
@@ -354,6 +355,8 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         (["bench", "--manifest", "{dir}", "--out", "{out}"], "Is a directory"),
         ([*_BENCH, "--solvers", "rarc-d:C=1,rarc-d:C=3"], "'rarc-d-l02'"),
         ([*_BENCH, "--tau", "2"], "got [2.0]"),
+        ([*_BENCH, "--config", "{seed_config}"], "bench sets ['seed'] per run"),
+        ([*_BENCH, "--config", "{mode_config}"], "bench sets ['mode'] per run"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
@@ -361,6 +364,7 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         "no-inner-evaluations", "negative-inner-tol", "theta-config",
         "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",
         "runs-is-a-directory", "manifest-is-a-directory", "shared-solver-id", "tau-above-one",
+        "bench-config-seed", "bench-config-mode",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
@@ -375,6 +379,10 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     paths["old_config"].write_text("inner_tol = -1\n")
     paths["theta_config"] = tmp_path / "theta.cfg"
     paths["theta_config"].write_text("theta = 0.01\n")
+    # bench's --solvers heads set every mode and --seed-base every seed
+    for key, line in (("seed_config", "seed = 5\n"), ("mode_config", "sigma0 = 2.0\nmode = arc\n")):
+        paths[key] = tmp_path / f"{key}.cfg"
+        paths[key].write_text(line)
     paths["old_manifest"] = tmp_path / "old_manifest.json"
     paths["old_manifest"].write_text(json.dumps({
         "problems": ["QUADRANK:d=6"], "solver_configs": [{"mode": "arc", "max_inner": 0}],
@@ -385,4 +393,4 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])
     assert code == 1
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "manifest.json").exists()  # no manifest for a grid that never ran
+    assert not (tmp_path / "out").exists()  # refused input leaves no output directory

@@ -257,10 +257,18 @@ def test_selector_errors(selector):
         get_problem(selector)
 
 
-@pytest.mark.parametrize("name", ("ARWHEAD", "COSINE", "ENGVAL1", "POWER"))
-@pytest.mark.parametrize("l,d", [(1, 20), (7, 20), (20, 20), (31, 300)])
+@pytest.mark.parametrize(
+    "name",
+    [*ALL_NAMES, "QUADRANK:rank=3", *(f"{name}:N=d" for name in ALL_NAMES), "QUADRANK:N=d:rank=3"],
+)
+@pytest.mark.parametrize("l,d", [(1, 3), (3, 3), (7, 3), (1, 20), (7, 20), (20, 20), (31, 300)])
 def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
-    g = augment(builtin_problem(name, 10), d, seed=l)
+    # the sketched_hessian contract of every problem: NAME[:rank=r] is lifted
+    # from N = min(10, d) to d, NAME:N=d[:rank=r] is the built-in at N = d
+    if "N=d" in name:
+        g = get_problem(name.replace("N=d", f"N={d}"))
+    else:
+        g = get_problem(f"l-{name}:N={min(10, d)}:d={d}:seed={l}")
     rng = np.random.default_rng(d + l)
     s = rng.standard_normal((l, d))
     for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):

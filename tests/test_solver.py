@@ -329,9 +329,18 @@ def test_sketched_modes_never_form_the_dense_hessian(mode):
     def hessian(x):
         raise AssertionError("dense Hessian evaluated")
 
-    p = dataclasses.replace(get_problem("l-ARWHEAD:N=20:d=300:seed=2"), hessian=hessian)
-    res = run(p, SolverConfig(mode=mode, l0=21, epsilon=1e-5, seed=4))
-    assert res.status == STATUS_GRADIENT_TOL
+    # a lifted problem and built-ins, the rank-5 QUADRANK among them; COSINE
+    # stalls on its unbounded sublevel sets, so it runs 20 iterations
+    cases = [
+        ("l-ARWHEAD:N=20:d=300:seed=2", 21, 2000, STATUS_GRADIENT_TOL),
+        ("QUADRANK:N=30:rank=5", 6, 2000, STATUS_GRADIENT_TOL),
+        ("NONDQUAR:N=20", 20, 2000, STATUS_GRADIENT_TOL),
+        ("COSINE:N=20", 5, 20, STATUS_MAX_ITER),
+    ]
+    for selector, l0, max_iter, status in cases:
+        p = dataclasses.replace(get_problem(selector), hessian=hessian)
+        res = run(p, SolverConfig(mode=mode, l0=l0, max_iter=max_iter, epsilon=1e-5, seed=4))
+        assert res.status == status, selector
 
 
 def test_arc_uses_the_dense_hessian_of_a_lifted_problem():
@@ -348,12 +357,18 @@ def test_arc_uses_the_dense_hessian_of_a_lifted_problem():
 
 
 def _nan_hessian(problem):
-    def hessian(x):
-        h = problem.hessian(x)
-        h[0, 0] = math.nan
-        return h
+    # both forms: arc calls hessian, the sketched modes sketched_hessian
+    def poisoned(form):
+        def call(*args):
+            h = form(*args)
+            h[0, 0] = math.nan
+            return h
 
-    return dataclasses.replace(problem, hessian=hessian)
+        return call
+
+    return dataclasses.replace(
+        problem, hessian=poisoned(problem.hessian), sketched_hessian=poisoned(problem.sketched_hessian)
+    )
 
 
 @pytest.mark.parametrize(
@@ -513,8 +528,8 @@ def test_every_iteration_redraws_leave_only_arc_a_model_to_reuse(
 
 
 def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
-    # the dense path (no sketched_hessian): a reused model whose solve fails
-    # is dropped, and the redraw projects the Hessian evaluated at x_k
+    # a built-in, whose S H S^T comes from its own sketched_hessian: a reused
+    # model whose solve fails is dropped, and the redraw projects the Hessian at x_k
     p = builtin_problem("COSINE", 20)
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=20)
     build_model, solve = solver_mod.sp.build_model, solver_mod.sp.solve
