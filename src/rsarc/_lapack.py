@@ -1,0 +1,117 @@
+"""Three LAPACK routines, bound with ctypes from the OpenBLAS that numpy loads.
+
+numpy's wheels bundle ``libscipy_openblas64_``, whose LAPACKE interface
+exports ``scipy_LAPACKE_<routine>64_`` with 64-bit integers.  This module
+binds the routines of a factored symmetric eigendecomposition from it:
+
+  * ``dsytrd`` reduces A = Q T Q^T to a tridiagonal T, keeping Q as
+    Householder reflectors in A's own storage;
+  * ``dstedc`` computes T = Z diag(lambda) Z^T by divide and conquer;
+  * ``dormtr`` applies Q or Q^T to a vector from the reflectors.
+
+``np.linalg.eigh`` (LAPACK ``dsyevd``) runs the same ``dsytrd`` and
+``dstedc`` and then forms V = Q Z, an O(n^3) product, so the eigenvalues
+here are its own bit for bit on any matrix it does not first rescale.
+LAPACKE allocates the workspace of each call.  The routines are looked up
+in numpy's bundled library directory on first use; ``available()`` is
+False when numpy's build lacks the library or one of the symbols.  A
+nonzero LAPACKE ``info`` raises InnerSolverError.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+from pathlib import Path
+from typing import Optional, Tuple
+
+import numpy as np
+
+from .errors import InnerSolverError, InvalidDimensionError
+
+_COL_MAJOR = 102
+_INT = ctypes.c_int64
+_PTR = ctypes.c_void_p
+_SIGNATURES = {
+    # layout, uplo, n, a, lda, d, e, tau
+    "dsytrd": [ctypes.c_int, ctypes.c_char, _INT, _PTR, _INT, _PTR, _PTR, _PTR],
+    # layout, compz, n, d, e, z, ldz
+    "dstedc": [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT],
+    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+    "dormtr": [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+               _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],
+}
+
+
+@functools.cache
+def _routines() -> Optional[dict]:
+    """name -> bound LAPACKE routine, from the first library that has all three."""
+    libdirs = [Path(np.__file__).parent / ".libs", Path(np.__file__).parent.parent / "numpy.libs"]
+    for lib in (p for d in libdirs for p in sorted(glob.glob(str(d / "*openblas*")))):
+        try:
+            handle = ctypes.CDLL(lib)
+            routines = {name: getattr(handle, f"scipy_LAPACKE_{name}64_") for name in _SIGNATURES}
+        except (OSError, AttributeError):
+            continue
+        for name, routine in routines.items():
+            routine.argtypes, routine.restype = _SIGNATURES[name], _INT
+        return routines
+    return None
+
+
+def available() -> bool:
+    return _routines() is not None
+
+
+def _call(name: str, *args) -> None:
+    info = _routines()[name](_COL_MAJOR, *args)
+    if info != 0:
+        raise InnerSolverError(f"LAPACKE {name} failed with info = {info}")
+
+
+def _check(a: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """The routines read and write float64 arrays in column-major order."""
+    if a.dtype != np.float64 or a.shape != shape or not (a.flags.f_contiguous and a.flags.writeable):
+        raise InvalidDimensionError(
+            f"LAPACKE needs a writeable F-ordered float64 array of shape {shape}, "
+            f"got {a.dtype} {a.shape}"
+        )
+
+
+def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce the symmetric ``a`` (lower triangle read) to Q^T a Q = T.
+
+    Overwrites ``a`` with the reflectors of Q and returns T's diagonal,
+    its subdiagonal and the reflectors' scalars tau.
+    """
+    n = a.shape[0]
+    _check(a, (n, n))
+    diag, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    _call("dsytrd", b"L", n, a.ctypes.data, n, diag.ctypes.data, off.ctypes.data, tau.ctypes.data)
+    return diag, off, tau
+
+
+def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and F-ordered eigenvectors Z of the tridiagonal T.
+
+    ``diag`` is overwritten with the eigenvalues and returned; ``off`` is destroyed.
+    """
+    n = diag.shape[0]
+    _check(diag, (n,))
+    _check(off, (n - 1,))
+    z = np.empty((n, n), order="F")
+    _call("dstedc", b"I", n, diag.ctypes.data, off.ctypes.data, z.ctypes.data, n)
+    return diag, z
+
+
+def apply_q(reflectors: np.ndarray, tau: np.ndarray, v: np.ndarray, transpose: bool) -> np.ndarray:
+    """Q^T v (``transpose``) or Q v, for the Q that ``tridiagonalize`` left in ``reflectors``."""
+    n = reflectors.shape[0]
+    out = np.array(v, dtype=float)  # a fresh contiguous copy, overwritten in place
+    for array, shape in ((reflectors, (n, n)), (tau, (n - 1,)), (out, (n,))):
+        _check(array, shape)
+    trans = b"T" if transpose else b"N"
+    _call("dormtr", b"L", b"L", trans, n, 1, reflectors.ctypes.data, n, tau.ctypes.data,
+          out.ctypes.data, n)
+    return out

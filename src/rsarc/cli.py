@@ -6,7 +6,8 @@ except ``--C`` (growth_c), ``--eps`` (epsilon) and ``--redraw`` (redraw_policy);
 specs and ``--seed-base`` set.  A ``--config`` file sets the same fields as flat
 ``key = value`` lines keyed by field name or by those three aliases, for each
 flag the command takes; flags override it.  ``bench`` writes ``run_grid``'s
-arguments plus ``threads`` to ``manifest.json``, which ``bench --manifest`` reruns.
+arguments plus ``threads`` to ``manifest.json``, which ``bench --manifest`` reruns;
+the rerun takes only ``--workers``, ``--traces`` and ``--out`` besides.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
@@ -57,11 +58,18 @@ _EXIT_BY_STATUS = {
 }
 
 _FIELD_ALIASES = {"C": "growth_c", "eps": "epsilon", "redraw": "redraw_policy"}
+_FLAG_OF = {name: flag for flag, name in _FIELD_ALIASES.items()}
 #: SolverConfig field name -> its type hint
 _SETTINGS = get_type_hints(SolverConfig)
 #: run_grid's arguments in its order -> the JSON type of the value, or [type of each item]
 _GRID = {"problems": [str], "solver_configs": [dict], "repeats": int, "seed_base": int,
          "taus": [float], "metric": str}
+#: defaults of bench's grid flags; the flags themselves default to None, so
+#: that a --manifest rerun can tell which of them were given
+_BENCH_DEFAULTS = {"d": 1000, "N": 100, "solvers": "arc,rarc-d", "repeats": 5, "seed_base": 0,
+                   "metric": bn.METRIC_REL_HESSIANS}
+#: bench's arguments that a --manifest rerun takes; every other one sets the grid
+_RERUN_ARGS = ("command", "func", "manifest", "workers", "traces", "out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,12 +160,16 @@ def _config_from_args(args) -> SolverConfig:
     return config
 
 
+def _flag(dest: str) -> str:
+    """The command-line flag whose value argparse stores under ``dest``."""
+    return "--" + _FLAG_OF.get(dest, dest.replace("_", "-"))
+
+
 def _add_solver_flags(parser, omit: Tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="flat key = value file of solver settings")
-    flag_of = {name: flag for flag, name in _FIELD_ALIASES.items()}
     for f in (f for f in fields(SolverConfig) if f.name not in omit):
         parser.add_argument(
-            "--" + flag_of.get(f.name, f.name.replace("_", "-")),
+            _flag(f.name),
             dest=f.name,
             type=_SETTINGS[f.name],
             choices=f.metadata["choices"],
@@ -212,11 +224,17 @@ def cmd_bench(args) -> int:
     # a parallel grid's workers run one BLAS thread each
     threads = {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})}
     if args.manifest:
+        ignored = [_flag(k) for k, v in vars(args).items() if k not in _RERUN_ARGS and v is not None]
+        if ignored:
+            raise RsarcError(f"--manifest sets the whole grid; drop {', '.join(ignored)}")
         grid, recorded = read_manifest(args.manifest)
         if recorded not in (None, threads):
             note = f"{args.manifest} ran with threads {recorded}, this rerun uses {threads}"
             print(f"rsarc: note: {note}; its results may differ in rounding", file=sys.stderr)
     else:
+        for name, default in _BENCH_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         base = _config_from_args(args)
         grid = {
             "problems": _suite_selectors(args),
@@ -291,16 +309,17 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run a benchmark grid", allow_abbrev=False)
     p_bench.add_argument("--suite", choices=("lowrank",), help="predefined problem set")
     p_bench.add_argument("--problem", action="append", help="registry selector (repeatable)")
-    p_bench.add_argument("--d", type=int, default=1000, help="ambient dimension for --suite")
-    p_bench.add_argument("--N", type=int, default=100, help="base dimension for --suite")
-    p_bench.add_argument("--solvers", default="arc,rarc-d", help="comma list: arc,rarc:l=10,rarc-d")
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--seed-base", dest="seed_base", type=int, default=0)
+    default = {name: f"(default: {value})" for name, value in _BENCH_DEFAULTS.items()}
+    p_bench.add_argument("--d", type=int, help=f"ambient dimension for --suite {default['d']}")
+    p_bench.add_argument("--N", type=int, help=f"base dimension for --suite {default['N']}")
+    p_bench.add_argument("--solvers", help=f"comma list: arc,rarc:l=10,rarc-d {default['solvers']}")
+    p_bench.add_argument("--repeats", type=int, help=default["repeats"])
+    p_bench.add_argument("--seed-base", dest="seed_base", type=int, help=default["seed_base"])
     p_bench.add_argument("--tau", type=float, action="append", help="tolerance (repeatable)")
-    p_bench.add_argument("--metric", choices=bn.METRICS, default=bn.METRIC_REL_HESSIANS)
+    p_bench.add_argument("--metric", choices=bn.METRICS, help=default["metric"])
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--traces", action="store_true", help="also write per-run trace CSVs")
-    p_bench.add_argument("--manifest", help="rerun a previously written manifest.json")
+    p_bench.add_argument("--manifest", help="rerun a manifest.json; takes no grid flag besides")
     p_bench.add_argument("--out", required=True)
     _add_solver_flags(p_bench, omit=("mode", "seed"))
     p_bench.set_defaults(func=cmd_bench)

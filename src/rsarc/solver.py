@@ -25,11 +25,19 @@ array is formed.
 
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
-eigenvalues.  ``run`` keeps its sketch state in one variable: ``model``
-is None when the next iteration must build a model at x_k, and a sketched
-mode draws a fresh sketch for every model it builds.  A success, a change
-of l or the ``every-iteration`` policy drops the model, together with its
-sketch and the last Hessian, before the next Hessian is formed.  A model
+eigenvalues.  From l = ``subproblem._FACTORED_MIN`` on, the model keeps
+its eigenvectors factored (Householder reflectors of the tridiagonal
+reduction and the tridiagonal's eigenvectors, from numpy's LAPACK) and
+never forms the l x l eigenvector matrix; for ``arc`` the reduction
+overwrites the symmetrized Hessian, so an iteration holds two d x d
+arrays.  The eigenvalues, and so the ranks, are those of
+``np.linalg.eigh`` bit for bit on any matrix it does not rescale.
+
+``run`` keeps its sketch state in one variable: ``model`` is None when
+the next iteration must build a model at x_k, and a sketched mode draws
+a fresh sketch for every model it builds.  A success, a change of l or
+the ``every-iteration`` policy drops the model, together with its sketch
+and the last Hessian, before the next Hessian is formed.  A model
 that survives a rejected step is reused with the new sigma: that
 iteration draws nothing, evaluates no Hessian and decomposes nothing, and
 its iterate is bit for bit the one a recomputation would give.

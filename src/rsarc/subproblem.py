@@ -20,6 +20,20 @@ own eigenpairs and a model that differs only in sigma
 eigendecomposition.  ``solve`` does the rest: g_tilde = L^{-1} g, the
 secular solve and the back-substitution s = L^{-T} u.  The solution
 carries the rho denominator f0 - q(s), evaluated in the eigenbasis.
+
+The solve needs the eigenvectors V only through two products, V^T g_tilde
+and V y.  Below order ``_FACTORED_MIN`` the model keeps V from
+``np.linalg.eigh``.  From that order on, when numpy's OpenBLAS exports
+LAPACKE (``_lapack``), it keeps V = Q Z factored: the Householder
+reflectors of H_tilde = Q T Q^T (LAPACK ``dsytrd``) and the eigenvectors
+Z of the tridiagonal T (``dstedc``).  ``eigh`` runs the same two routines
+and then forms Q Z, an O(l^3) product; applying Q to a vector (``dormtr``)
+costs O(l^2).  The eigenvalues are therefore ``eigh``'s bit for bit, and
+only the eigenbasis products round differently.  (``eigh`` first rescales
+a matrix whose largest entry lies outside about [1e-146, 1e146]; on such a
+matrix the two spectra agree to rounding only.)  The reduction
+overwrites H_tilde, so a model whose Gram is None reduces the caller's
+h_hat in place and keeps ``h_hat = None``.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import _lapack
 from .errors import InnerSolverError, InvalidDimensionError, InvalidInputError, SingularGramError
 
 #: multiplicity tolerance when grouping eigenvalues with the smallest one
@@ -41,6 +56,10 @@ _TERMINATION_SLACK = 1e-12
 #: secular solve: stop at |phi(mu)| <= _SECULAR_TOL * max(1, mu), fail after _MAX_INNER evaluations
 _SECULAR_TOL = 1e-10
 _MAX_INNER = 200
+#: order from which build_model keeps the eigenvectors factored, as Q Z;
+#: build_model plus solve took 0.98 ms with eigh and 1.22 ms factored at
+#: l = 64, 2.74 and 1.83 ms at l = 128 (full-rank H, 2 cores, OpenBLAS)
+_FACTORED_MIN = 128
 
 
 @dataclass
@@ -49,12 +68,17 @@ class SketchedCubicModel:
 
     f0: float
     g_hat: np.ndarray  # (l,)
-    h_hat: np.ndarray  # (l, l), symmetric
+    h_hat: Optional[np.ndarray]  # (l, l), symmetric; None: reduced in place (gram None, factored)
     sigma: float
     gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
     linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
-    eigenvalues: np.ndarray  # ascending spectrum of L^{-1} H L^{-T}
-    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
+    eigenvalues: np.ndarray  # ascending spectrum of H_tilde = L^{-1} H L^{-T}
+    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue: V, or Z when factored
+    # V = Q Z with H_tilde = Q T Q^T (l >= _FACTORED_MIN and LAPACKE found): dsytrd's
+    # Householder reflectors below the diagonal of an F-ordered (l, l) array, and
+    # their scalars tau; None: the eigenvectors are V itself
+    reflectors: Optional[np.ndarray] = None
+    tau: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -82,9 +106,13 @@ def build_model(
     """Assemble a model: factorize its Gram matrix and decompose H_tilde.
 
     The model keeps L^{-1} for the Cholesky factor G = L L^T and the
-    eigenpairs of H_tilde = L^{-1} H L^{-T}.  ``gram=None`` means the
-    identity, the Gram of an identity sketch; the factorization and the
+    eigenpairs of H_tilde = L^{-1} H L^{-T}, factored from order
+    ``_FACTORED_MIN`` on (see the module docstring).  ``gram=None`` means
+    the identity, the Gram of an identity sketch; the factorization and the
     whitening are then skipped and the eigenpairs are those of H itself.
+    A factored model with ``gram=None`` overwrites ``h_hat``, which must
+    then be exactly symmetric (a C-ordered one is reduced in place), and
+    keeps ``h_hat = None``.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
     the outer loop treats as a signal to redraw the sketch, and
@@ -110,8 +138,31 @@ def build_model(
         linv = np.linalg.inv(chol)
         h_t = linv @ h_hat @ linv.T
         h_t = 0.5 * (h_t + h_t.T)
-    lam, vecs = np.linalg.eigh(h_t)
-    return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv, lam, vecs)
+    if l < _FACTORED_MIN or not _lapack.available():
+        lam, vecs = np.linalg.eigh(h_t)
+        return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv, lam, vecs)
+    # h_t.T is an F-ordered view of the symmetric h_t, whose lower triangle
+    # is eigh's: dsytrd overwrites it with the reflectors
+    reflectors = np.require(h_t.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+    diag, off, tau = _lapack.tridiagonalize(reflectors)
+    lam, z = _lapack.tridiagonal_eigh(diag, off)
+    h_kept = None if gram is None else h_hat
+    return SketchedCubicModel(float(f0), g_hat, h_kept, float(sigma), gram, linv, lam, z, reflectors, tau)
+
+
+def _to_eigenbasis(model: SketchedCubicModel, v: np.ndarray) -> np.ndarray:
+    """V^T v for the model's eigenvectors V."""
+    if model.reflectors is not None:
+        v = _lapack.apply_q(model.reflectors, model.tau, v, transpose=True)
+    return model.eigenvectors.T @ v
+
+
+def _from_eigenbasis(model: SketchedCubicModel, y: np.ndarray) -> np.ndarray:
+    """V y for the model's eigenvectors V."""
+    u = model.eigenvectors @ y
+    if model.reflectors is not None:
+        u = _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
+    return u
 
 
 def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
@@ -124,26 +175,33 @@ def cubic_norm(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
     return float(np.sqrt(max(s_hat @ _gram_times(model, s_hat), 0.0)))
 
 
+def _h_hat(model: SketchedCubicModel) -> np.ndarray:
+    if model.h_hat is None:
+        raise InvalidInputError("the model's H_hat was reduced in place by build_model")
+    return model.h_hat
+
+
 def model_value(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
-    quad = model.g_hat @ s_hat + 0.5 * (s_hat @ model.h_hat @ s_hat)
+    quad = model.g_hat @ s_hat + 0.5 * (s_hat @ _h_hat(model) @ s_hat)
     return model.f0 + float(quad) + (model.sigma / 3.0) * cubic_norm(model, s_hat) ** 3
 
 
 def model_gradient(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
     # grad m = g + H s + sigma ||S^T s|| G s
     gs = _gram_times(model, s_hat)
-    return model.g_hat + model.h_hat @ s_hat + model.sigma * cubic_norm(model, s_hat) * gs
+    return model.g_hat + _h_hat(model) @ s_hat + model.sigma * cubic_norm(model, s_hat) * gs
 
 
 def model_hessian(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
     # hess m = H + sigma (||S^T s|| G + (G s)(G s)^T / ||S^T s||); H at s with
     # ||S^T s|| = 0 (the cubic term is twice differentiable away from 0 only)
+    h_hat = _h_hat(model)
     nrm = cubic_norm(model, s_hat)
     if nrm == 0.0:
-        return model.h_hat.copy()
+        return h_hat.copy()
     gram = np.eye(model.dim) if model.gram is None else model.gram
     gs = gram @ s_hat
-    return model.h_hat + model.sigma * (nrm * gram + np.outer(gs, gs) / nrm)
+    return h_hat + model.sigma * (nrm * gram + np.outer(gs, gs) / nrm)
 
 
 def check_termination(
@@ -257,8 +315,8 @@ def solve(model: SketchedCubicModel) -> SubproblemSolution:
     """
     linv = model.linv
     g_t = model.g_hat if linv is None else linv @ model.g_hat
-    lam, vecs = model.eigenvalues, model.eigenvectors
-    w = vecs.T @ g_t
+    lam = model.eigenvalues
+    w = _to_eigenbasis(model, g_t)
     sigma = model.sigma
 
     gnorm = float(np.linalg.norm(w))
@@ -298,7 +356,7 @@ def solve(model: SketchedCubicModel) -> SubproblemSolution:
             if not np.all(np.isfinite(y)):
                 raise InnerSolverError("secular solution has non-finite components")
 
-    u = vecs @ y
+    u = _from_eigenbasis(model, y)
     s_hat = u if linv is None else linv.T @ u
     step_norm = float(np.linalg.norm(y))
 

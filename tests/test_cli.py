@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from rsarc import cli, write_runs_csv
+from rsarc import _lapack, cli, write_runs_csv
 from rsarc.bench import BenchmarkRun
 from rsarc.cli import main
 
@@ -286,6 +286,42 @@ def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsy
     path.write_text(json.dumps(manifest))
     assert main([*rerun, "--workers", "2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--problem", "QUADRANK:d=8"],
+        ["--suite", "lowrank", "--d", "40", "--N", "4"],
+        ["--solvers", "arc"],
+        ["--repeats", "5"],  # the default, given explicitly
+        ["--seed-base", "1", "--tau", "0.1", "--metric", "runtime"],
+        ["--eps", "0.5", "--config", "{config}"],
+        ["--sigma0", "2", "--max-iter", "3", "--l0", "1", "--C", "2", "--redraw", "every-iteration"],
+    ],
+)
+def test_manifest_rerun_refuses_the_grid_flags_it_would_ignore(tmp_path, capsys, flags):
+    path, _ = _written_manifest(tmp_path)
+    config = tmp_path / "solver.cfg"
+    config.write_text("sigma0 = 3.0\n")
+    out = tmp_path / "b2"
+    argv = ["bench", "--manifest", str(path), *flags, "--workers", "1", "--traces", "--out", str(out)]
+    capsys.readouterr()
+    assert main([arg.format(config=config) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert err.startswith("rsarc: error: --manifest") and all(flag in err for flag in named), err
+    assert not out.exists()
+
+
+def test_solve_exits_3_when_lapacke_fails(monkeypatch, capsys):
+    # a nonzero LAPACKE info ends the run as an inner failure, without a traceback
+    if not _lapack.available():
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE")
+    monkeypatch.setitem(_lapack._routines(), "dstedc", lambda *args: 1)
+    assert main(["solve", "--problem", "l-ARWHEAD:N=20:d=200", "--mode", "arc"]) == 3
+    captured = capsys.readouterr()
+    assert "status=InnerFailure" in captured.out and "Traceback" not in captured.err
 
 
 def test_manifest_unknown_solver_key(tmp_path, capsys):

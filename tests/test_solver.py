@@ -433,6 +433,22 @@ def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
     assert (len(eigh), len(eigvalsh)) == (len(res.trace), 0)
 
 
+@pytest.mark.skipif(not solver_mod.sp._lapack.available(), reason="numpy's OpenBLAS exports no LAPACKE")
+def test_without_lapacke_arc_falls_back_to_eigh(monkeypatch):
+    # a d x d model keeps its eigenvectors factored when numpy's OpenBLAS
+    # exports LAPACKE, and takes np.linalg.eigh's explicit ones otherwise
+    p = get_problem("l-ARWHEAD:N=20:d=200")
+    cfg = SolverConfig(mode="arc")
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    factored = run(p, cfg)
+    assert eigh == []
+    monkeypatch.setattr(solver_mod.sp._lapack, "available", lambda: False)
+    fallback = run(p, cfg)
+    assert len(eigh) == len(fallback.trace) - len(_reused(fallback.trace)) > 0
+    assert (fallback.status, len(fallback.trace)) == (factored.status, len(factored.trace))
+    assert [row.r_hat_k for row in fallback.trace] == [row.r_hat_k for row in factored.trace]
+
+
 def _reused(trace):
     """Rows whose iteration reuses the last one's model: it was rejected and l stayed."""
     return [b.k for a, b in zip(trace, trace[1:]) if not a.success and a.l_k == b.l_k]
@@ -586,9 +602,9 @@ def test_arc_draws_and_projects_no_sketch(monkeypatch):
 
 
 def test_arc_holds_about_two_d_by_d_arrays():
-    # H_hat and the eigenvectors (LAPACK's workspace is not traced); the
-    # identity sketch, the raw H and the last H_hat made 4.21 arrays of
-    # 8 d^2 bytes before
+    # H_hat, reduced in place to Householder reflectors, and the tridiagonal's
+    # eigenvectors (LAPACK's workspace is not traced); the identity sketch,
+    # the raw H and the last H_hat made 4.21 arrays of 8 d^2 bytes before
     d = 500
     p = get_problem(f"l-ARWHEAD:N=100:d={d}")
     cfg = SolverConfig(mode="arc")

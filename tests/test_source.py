@@ -52,6 +52,15 @@ def test_importing_the_package_loads_no_multiprocessing():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_package_loads_no_scipy():
+    # the LAPACK binding comes from numpy's own OpenBLAS: importing
+    # scipy.linalg.lapack as well added about 21 MB to the RSS of importing rsarc
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, rsarc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_every_solver_setting_is_read_outside_validate():
     # a setting that nothing reads changes no run; validate() alone does not count
     read = set()

@@ -5,9 +5,11 @@ import pytest
 from scipy.optimize import minimize
 
 from rsarc import (
+    STATUS_INNER_FAILURE,
     InnerSolverError,
     InvalidInputError,
     SingularGramError,
+    SolverConfig,
     build_model,
     check_termination,
     draw,
@@ -16,11 +18,12 @@ from rsarc import (
     model_hessian,
     model_value,
     numerical_rank,
+    run,
     solve,
     spectrum_rank,
 )
 from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
-from rsarc import subproblem
+from rsarc import _lapack, subproblem
 from rsarc.subproblem import cubic_norm
 from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
@@ -352,3 +355,83 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         if got != want:
             mismatches.append((p.name, s.matrix.shape[0], got, want))
     assert not mismatches
+
+
+needs_lapacke = pytest.mark.skipif(not _lapack.available(), reason="numpy's OpenBLAS exports no LAPACKE")
+
+
+def _large_instance(n, rank, gram, seed=66):
+    rng = np.random.default_rng(seed)
+    r = n if rank == "full" else rank
+    b = rng.standard_normal((n, r))
+    h = symmetrize((b * rng.standard_normal(r)) @ b.T)
+    gm = None if gram is None else draw(SCALED_GAUSSIAN, n, 2 * n, rng).gram()
+    return rng.standard_normal(n), h, gm, rng
+
+
+@needs_lapacke
+@pytest.mark.parametrize("gram", [None, "gaussian"])
+@pytest.mark.parametrize("rank", ["full", 50])
+@pytest.mark.parametrize("n", [subproblem._FACTORED_MIN, 300])
+def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
+    # from _FACTORED_MIN on the model keeps V = Q Z factored: the spectrum is
+    # eigh's bit for bit, and the eigenbasis products agree to rounding
+    g, h, gm, rng = _large_instance(n, rank, gram)
+    consumed = h.copy()
+    factored = build_model(0.0, g, consumed, 0.7, gm)
+    monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
+    explicit = build_model(0.0, g, h, 0.7, gm)
+    assert factored.reflectors is not None and explicit.reflectors is None
+    assert np.array_equal(factored.eigenvalues, explicit.eigenvalues)
+    vecs = explicit.eigenvectors  # eigh's explicit V
+    g_t = g if gm is None else explicit.linv @ g
+    y = rng.standard_normal(n)
+    assert rel_err(subproblem._to_eigenbasis(factored, g_t), vecs.T @ g_t) <= 1e-12
+    assert rel_err(subproblem._from_eigenbasis(factored, y), vecs @ y) <= 1e-12
+    a, b = solve(factored), solve(explicit)
+    assert rel_err(a.s_hat, b.s_hat) <= 1e-10
+    assert a.mu == pytest.approx(b.mu, rel=1e-10)
+    assert a.predicted_decrease == pytest.approx(b.predicted_decrease, rel=1e-10)
+    assert a.hard_case == b.hard_case
+    if gm is None:
+        # the identity Gram's H_hat is reduced in place and not kept
+        assert factored.h_hat is None and np.shares_memory(factored.reflectors, consumed)
+    else:
+        assert factored.h_hat is consumed and np.array_equal(consumed, h)
+
+
+@needs_lapacke
+def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
+    n = subproblem._FACTORED_MIN
+    rng = np.random.default_rng(67)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = np.concatenate([[-2.0], rng.uniform(1.0, 3.0, n - 1)])
+    h = symmetrize((q * lam) @ q.T)
+    g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, n - 1)  # no component along the minimal eigenvector
+    factored = solve(build_model(0.0, g, h.copy(), 0.5))
+    monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
+    explicit = solve(build_model(0.0, g, h, 0.5))
+    assert factored.hard_case and explicit.hard_case
+    assert factored.mu == explicit.mu
+    assert rel_err(factored.s_hat, explicit.s_hat) <= 1e-10
+
+
+@needs_lapacke
+@pytest.mark.parametrize("routine", ["dsytrd", "dstedc", "dormtr"])
+def test_a_failed_lapacke_call_raises_a_typed_error(monkeypatch, routine):
+    # a nonzero info from the bound routine is an inner failure, not a crash
+    g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, 50, None)
+    monkeypatch.setitem(_lapack._routines(), routine, lambda *args: 7)
+    with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
+        solve(build_model(0.0, g, h, 1.0))
+    res = run(get_problem("l-ARWHEAD:N=20:d=200"), SolverConfig(mode="arc"))
+    assert res.status == STATUS_INNER_FAILURE and res.trace == []
+
+
+def test_a_consumed_h_hat_is_refused_by_the_oracles():
+    m = build_model(0.0, np.ones(2), np.eye(2), 1.0)
+    m = replace(m, h_hat=None)
+    for oracle in (model_value, model_gradient, model_hessian):
+        with pytest.raises(InvalidInputError, match="reduced in place"):
+            oracle(m, np.ones(2))
+
