@@ -12,9 +12,11 @@ binds the routines of a factored symmetric eigendecomposition from it:
 ``np.linalg.eigh`` (LAPACK ``dsyevd``) runs the same ``dsytrd`` and
 ``dstedc`` and then forms V = Q Z, an O(n^3) product, so the eigenvalues
 here are its own bit for bit on any matrix it does not first rescale.
-LAPACKE allocates the workspace of each call.  The routines are looked up
-in numpy's bundled library directory on first use; ``available()`` is
-False when numpy's build lacks the library or one of the symbols.  A
+LAPACKE allocates the workspace of ``dsytrd`` and ``dstedc``; ``dormtr`` runs
+through ``LAPACKE_dormtr_work`` on the one-element minimum for one column,
+skipping the plain wrapper's NaN scan of the reflectors and workspace query.
+The routines are looked up in numpy's bundled library directory on first use;
+``available()`` is False when numpy's build lacks the library or a symbol.  A
 nonzero LAPACKE ``info`` raises InnerSolverError.
 """
 
@@ -33,14 +35,15 @@ from .errors import InnerSolverError, InvalidDimensionError
 _COL_MAJOR = 102
 _INT = ctypes.c_int64
 _PTR = ctypes.c_void_p
-_SIGNATURES = {
+#: routine -> (its LAPACKE function, that function's argument types)
+_BINDINGS = {
     # layout, uplo, n, a, lda, d, e, tau
-    "dsytrd": [ctypes.c_int, ctypes.c_char, _INT, _PTR, _INT, _PTR, _PTR, _PTR],
+    "dsytrd": ("dsytrd", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _INT, _PTR, _PTR, _PTR]),
     # layout, compz, n, d, e, z, ldz
-    "dstedc": [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT],
-    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
-    "dormtr": [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-               _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT],
+    "dstedc": ("dstedc", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT]),
+    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    "dormtr": ("dormtr_work", [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                               _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT]),
 }
 
 
@@ -51,11 +54,12 @@ def _routines() -> Optional[dict]:
     for lib in (p for d in libdirs for p in sorted(glob.glob(str(d / "*openblas*")))):
         try:
             handle = ctypes.CDLL(lib)
-            routines = {name: getattr(handle, f"scipy_LAPACKE_{name}64_") for name in _SIGNATURES}
+            routines = {name: getattr(handle, f"scipy_LAPACKE_{symbol}64_")
+                        for name, (symbol, _) in _BINDINGS.items()}
         except (OSError, AttributeError):
             continue
         for name, routine in routines.items():
-            routine.argtypes, routine.restype = _SIGNATURES[name], _INT
+            routine.argtypes, routine.restype = _BINDINGS[name][1], _INT
         return routines
     return None
 
@@ -112,6 +116,7 @@ def apply_q(reflectors: np.ndarray, tau: np.ndarray, v: np.ndarray, transpose: b
     for array, shape in ((reflectors, (n, n)), (tau, (n - 1,)), (out, (n,))):
         _check(array, shape)
     trans = b"T" if transpose else b"N"
+    work = np.empty(1)
     _call("dormtr", b"L", b"L", trans, n, 1, reflectors.ctypes.data, n, tau.ctypes.data,
-          out.ctypes.data, n)
+          out.ctypes.data, n, work.ctypes.data, 1)
     return out

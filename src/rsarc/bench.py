@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidProblemError
 from .problems import get_problem
-from .solver import ONE_BLAS_THREAD, IterationTrace, SolverConfig, run, trace_to_csv
+from .solver import ONE_BLAS_THREAD, IterationTrace, SolverConfig, run, thread_settings, trace_to_csv
 
 METRIC_REL_HESSIANS = "rel-hessians"
 METRIC_RUNTIME = "runtime"
@@ -28,6 +28,9 @@ METRICS = (METRIC_REL_HESSIANS, METRIC_RUNTIME)
 
 #: iteration cap applied when deciding whether an instance was solved
 ITERATION_CAP = 2000
+
+#: the tolerances a grid scores when it names none
+DEFAULT_TAUS = (1e-2, 1e-5)
 
 #: default budget grid: alpha = 0 plus 400 log-spaced points up to 100
 DEFAULT_ALPHA_GRID = np.concatenate(([0.0], np.logspace(-3, 2, 400)))
@@ -161,7 +164,7 @@ def solver_seed(seed_base: int, run_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def check_grid(problems, solver_configs, repeats, seed_base, taus=(1e-2, 1e-5),
+def check_grid(problems, solver_configs, repeats, seed_base, taus=DEFAULT_TAUS,
                metric=METRIC_REL_HESSIANS, workers=1) -> None:
     """Raise InvalidInputError unless ``run_grid`` accepts these arguments."""
     if repeats < 1:
@@ -189,7 +192,7 @@ def run_grid(
     solver_configs: Sequence[SolverConfig],
     repeats: int,
     seed_base: int,
-    taus: Sequence[float] = (1e-2, 1e-5),
+    taus: Sequence[float] = DEFAULT_TAUS,
     metric: str = METRIC_REL_HESSIANS,
     out_dir: Optional[str] = None,
     workers: int = 1,
@@ -239,6 +242,12 @@ def run_grid(
         for name in ONE_BLAS_THREAD:
             del os.environ[name]
         os.environ.update({name: value for name, value in saved.items() if value is not None})
+
+
+def grid_threads(workers: int) -> dict:
+    """The BLAS thread settings ``run_grid`` runs its jobs under: this process's,
+    or one thread per worker when ``workers > 1``."""
+    return {**thread_settings(), **(ONE_BLAS_THREAD if workers > 1 else {})}
 
 
 def file_stem(name: str) -> str:

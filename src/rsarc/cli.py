@@ -6,8 +6,8 @@ except ``--C`` (growth_c), ``--eps`` (epsilon) and ``--redraw`` (redraw_policy);
 specs and ``--seed-base`` set.  A ``--config`` file sets the same fields as flat
 ``key = value`` lines keyed by field name or by those three aliases, for each
 flag the command takes; flags override it.  ``bench`` writes ``run_grid``'s
-arguments plus ``threads`` to ``manifest.json``, which ``bench --manifest`` reruns;
-the rerun takes only ``--workers``, ``--traces`` and ``--out`` besides.
+arguments plus ``threads`` to ``manifest.json``; ``rerun --manifest`` runs that
+grid again and takes only ``--workers``, ``--traces`` and ``--out`` besides.
 
 Exit codes for ``solve``: 0 when the gradient tolerance was reached,
 2 on the iteration cap, 3 on inner-solver failure, 4 on a non-finite
@@ -15,8 +15,9 @@ f, gradient or Hessian, 5 when the predicted decrease stayed below the
 rho guard on consecutive iterations (``DecreaseUnresolved``), 1 on usage
 errors, malformed config files and files that cannot be read or written.
 The other subcommands exit 0 on completion and 1 on malformed input,
-including a malformed manifest, or on a file error; ``bench`` creates ``--out``
-once ``run_grid`` accepts the grid and writes ``manifest.json`` once it has run.
+including a malformed manifest, or on a file error; ``bench`` and ``rerun``
+create ``--out`` once ``run_grid`` accepts the grid and write ``manifest.json``
+once it has run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import RsarcError
 from .problems import get_problem
 from .solver import (
     MODES,
-    ONE_BLAS_THREAD,
     STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
@@ -44,7 +44,6 @@ from .solver import (
     STATUS_NON_FINITE,
     SolverConfig,
     run,
-    thread_settings,
     trace_to_csv,
     write_summary,
 )
@@ -64,12 +63,6 @@ _SETTINGS = get_type_hints(SolverConfig)
 #: run_grid's arguments in its order -> the JSON type of the value, or [type of each item]
 _GRID = {"problems": [str], "solver_configs": [dict], "repeats": int, "seed_base": int,
          "taus": [float], "metric": str}
-#: defaults of bench's grid flags; the flags themselves default to None, so
-#: that a --manifest rerun can tell which of them were given
-_BENCH_DEFAULTS = {"d": 1000, "N": 100, "solvers": "arc,rarc-d", "repeats": 5, "seed_base": 0,
-                   "metric": bn.METRIC_REL_HESSIANS}
-#: bench's arguments that a --manifest rerun takes; every other one sets the grid
-_RERUN_ARGS = ("command", "func", "manifest", "workers", "traces", "out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,17 +113,15 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def read_manifest(path: str) -> Tuple[dict, Optional[dict]]:
+def read_manifest(path: str) -> Tuple[dict, dict]:
     """The grid record of a manifest.json written by ``bench`` (``run_grid``'s
-    arguments, solver configs as SolverConfig) and its ``threads`` record, if any."""
+    arguments, solver configs as SolverConfig) and its ``threads`` record."""
     with open(path) as fh:
         try:
-            manifest = json.load(fh)
+            manifest = _typed(path, "manifest", json.load(fh), dict)
         except json.JSONDecodeError as exc:
             raise RsarcError(f"{path}: not a JSON manifest: {exc}") from None
-    # a manifest without "metric" predates its record and ran the default
-    manifest = {"metric": bn.METRIC_REL_HESSIANS, **_typed(path, "manifest", manifest, dict)}
-    missing = [key for key in _GRID if key not in manifest]
+    missing = [key for key in (*_GRID, "threads") if key not in manifest]
     if missing:
         raise RsarcError(f"{path}: missing manifest key(s) {missing}")
     grid = {}
@@ -143,7 +134,7 @@ def read_manifest(path: str) -> Tuple[dict, Optional[dict]]:
     for i, raw in enumerate(grid["solver_configs"]):
         settings = (_typed_setting(f"{path}: solver_configs[{i}]", *kv) for kv in raw.items())
         grid["solver_configs"][i] = SolverConfig(**dict(settings))
-    return grid, manifest.get("threads")
+    return grid, _typed(path, "threads", manifest["threads"], dict)
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -160,16 +151,11 @@ def _config_from_args(args) -> SolverConfig:
     return config
 
 
-def _flag(dest: str) -> str:
-    """The command-line flag whose value argparse stores under ``dest``."""
-    return "--" + _FLAG_OF.get(dest, dest.replace("_", "-"))
-
-
 def _add_solver_flags(parser, omit: Tuple[str, ...] = ()) -> None:
     parser.add_argument("--config", help="flat key = value file of solver settings")
     for f in (f for f in fields(SolverConfig) if f.name not in omit):
         parser.add_argument(
-            _flag(f.name),
+            "--" + _FLAG_OF.get(f.name, f.name.replace("_", "-")),
             dest=f.name,
             type=_SETTINGS[f.name],
             choices=f.metadata["choices"],
@@ -221,34 +207,35 @@ def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
 
 
 def cmd_bench(args) -> int:
-    # a parallel grid's workers run one BLAS thread each
-    threads = {**thread_settings(), **(ONE_BLAS_THREAD if args.workers > 1 else {})}
-    if args.manifest:
-        ignored = [_flag(k) for k, v in vars(args).items() if k not in _RERUN_ARGS and v is not None]
-        if ignored:
-            raise RsarcError(f"--manifest sets the whole grid; drop {', '.join(ignored)}")
-        grid, recorded = read_manifest(args.manifest)
-        if recorded not in (None, threads):
-            note = f"{args.manifest} ran with threads {recorded}, this rerun uses {threads}"
-            print(f"rsarc: note: {note}; its results may differ in rounding", file=sys.stderr)
-    else:
-        for name, default in _BENCH_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        base = _config_from_args(args)
-        grid = {
-            "problems": _suite_selectors(args),
-            "solver_configs": [_parse_solver_spec(s, base) for s in args.solvers.split(",")],
-            "repeats": args.repeats,
-            "seed_base": args.seed_base,
-            "taus": args.tau or [1e-2, 1e-5],
-            "metric": args.metric,
-        }
+    base = _config_from_args(args)
+    grid = {
+        "problems": _suite_selectors(args),
+        "solver_configs": [_parse_solver_spec(s, base) for s in args.solvers.split(",")],
+        "repeats": args.repeats,
+        "seed_base": args.seed_base,
+        "taus": args.tau or bn.DEFAULT_TAUS,
+        "metric": args.metric,
+    }
+    return _run_grid(args, grid)
+
+
+def cmd_rerun(args) -> int:
+    grid, recorded = read_manifest(args.manifest)
+    threads = bn.grid_threads(args.workers)
+    if recorded != threads:
+        note = f"{args.manifest} ran with threads {recorded}, this rerun uses {threads}"
+        print(f"rsarc: note: {note}; its results may differ in rounding", file=sys.stderr)
+    return _run_grid(args, grid)
+
+
+def _run_grid(args, grid: dict) -> int:
+    """Run ``grid`` (``run_grid``'s arguments) into ``args.out``: runs.csv, the
+    manifest.json that ``rerun`` reads and, with ``args.traces``, the traces."""
     bn.check_grid(**grid, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the grid runs
     runs = bn.run_grid(**grid, out_dir=args.out if args.traces else None, workers=args.workers)
     configs = [vars(c) for c in grid["solver_configs"]]
-    manifest = {**grid, "solver_configs": configs, "threads": threads}
+    manifest = {**grid, "solver_configs": configs, "threads": bn.grid_threads(args.workers)}
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -309,20 +296,27 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="run a benchmark grid", allow_abbrev=False)
     p_bench.add_argument("--suite", choices=("lowrank",), help="predefined problem set")
     p_bench.add_argument("--problem", action="append", help="registry selector (repeatable)")
-    default = {name: f"(default: {value})" for name, value in _BENCH_DEFAULTS.items()}
-    p_bench.add_argument("--d", type=int, help=f"ambient dimension for --suite {default['d']}")
-    p_bench.add_argument("--N", type=int, help=f"base dimension for --suite {default['N']}")
-    p_bench.add_argument("--solvers", help=f"comma list: arc,rarc:l=10,rarc-d {default['solvers']}")
-    p_bench.add_argument("--repeats", type=int, help=default["repeats"])
-    p_bench.add_argument("--seed-base", dest="seed_base", type=int, help=default["seed_base"])
-    p_bench.add_argument("--tau", type=float, action="append", help="tolerance (repeatable)")
-    p_bench.add_argument("--metric", choices=bn.METRICS, help=default["metric"])
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--traces", action="store_true", help="also write per-run trace CSVs")
-    p_bench.add_argument("--manifest", help="rerun a manifest.json; takes no grid flag besides")
-    p_bench.add_argument("--out", required=True)
+    default = " (default: %(default)s)"
+    p_bench.add_argument("--d", type=int, default=1000, help="ambient dimension for --suite" + default)
+    p_bench.add_argument("--N", type=int, default=100, help="base dimension for --suite" + default)
+    p_bench.add_argument("--solvers", default="arc,rarc-d",
+                         help="comma list such as arc,rarc:l=10,rarc-d:C=2" + default)
+    p_bench.add_argument("--repeats", type=int, default=5, help=default)
+    p_bench.add_argument("--seed-base", dest="seed_base", type=int, default=0, help=default)
+    p_bench.add_argument("--tau", type=float, action="append",
+                         help=f"tolerance, repeatable (default: {bn.DEFAULT_TAUS})")
+    p_bench.add_argument("--metric", choices=bn.METRICS, default=bn.METRIC_REL_HESSIANS, help=default)
     _add_solver_flags(p_bench, omit=("mode", "seed"))
     p_bench.set_defaults(func=cmd_bench)
+
+    p_rerun = sub.add_parser("rerun", help="run a manifest.json's grid again", allow_abbrev=False,
+                             description="Every grid and solver setting comes from --manifest.")
+    p_rerun.add_argument("--manifest", required=True, help="manifest.json written by bench or rerun")
+    p_rerun.set_defaults(func=cmd_rerun)
+    for p in (p_bench, p_rerun):
+        p.add_argument("--workers", type=int, default=1, help="processes; one BLAS thread each if > 1")
+        p.add_argument("--traces", action="store_true", help="also write per-run trace CSVs")
+        p.add_argument("--out", required=True)
 
     p_prof = sub.add_parser("profile", help="data profiles from a runs.csv")
     p_prof.add_argument("--runs", required=True)

@@ -39,8 +39,9 @@ class SketchMatrix:
         return self.matrix.shape[1]
 
     def gram(self) -> np.ndarray:
-        """The l x l Gram matrix S S^T, symmetrized."""
-        return symmetrize(self.matrix @ self.matrix.T)
+        """The l x l Gram matrix S S^T; numpy forms ``S @ S.T`` by a symmetric
+        rank-k update, so it is exactly symmetric."""
+        return self.matrix @ self.matrix.T
 
 
 @dataclass

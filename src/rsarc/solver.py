@@ -103,9 +103,9 @@ _SIGMA_MIN = 1e-16
 #: the variables that set the BLAS thread count when numpy loads, at one thread
 ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
-def _setting(default, help: str, choices=None):
-    """A SolverConfig field; its help and choices are those of its CLI flag."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def _setting(default, help: str, choices=None, minimum=None):
+    """A SolverConfig field: its CLI flag's help and choices, and the minimum validate holds it to."""
+    return field(default=default, metadata={"help": help, "choices": choices, "minimum": minimum})
 
 
 @dataclass
@@ -113,49 +113,38 @@ class SolverConfig:
     """Parameters of the outer loop; defaults follow common practice.
 
     Each field is one setting of the ``solve`` and ``bench`` commands and
-    of their config files; its metadata holds the flag's help text.
+    of their config files; ``validate`` reads its metadata alone.
     """
 
     mode: str = _setting(MODE_RARC_D, "solver variant", MODES)
-    sigma0: float = _setting(1.0, "initial regularization weight")
-    epsilon: float = _setting(1e-5, "first-order tolerance on ||grad f||")
-    max_iter: int = _setting(2000, "iteration cap")
-    l0: int = _setting(2, "initial (or, for rarc, fixed) sketch size")
-    growth_c: int = _setting(1, "sketch growth constant of rarc-d (>= 1)")
+    sigma0: float = _setting(1.0, "initial regularization weight", minimum=_SIGMA_MIN)
+    epsilon: float = _setting(1e-5, "first-order tolerance on ||grad f||", minimum=math.ulp(0.0))
+    max_iter: int = _setting(2000, "iteration cap", minimum=0)
+    l0: int = _setting(2, "initial (or, for rarc, fixed) sketch size", minimum=1)
+    growth_c: int = _setting(1, "sketch growth constant of rarc-d", minimum=1)
     redraw_policy: str = _setting(REDRAW_ON_SUCCESS, "sketch redraw policy", REDRAW_POLICIES)
-    seed: int = _setting(0, "solver RNG seed")
+    seed: int = _setting(0, "solver RNG seed", minimum=0)
 
     def validate(self) -> None:
-        for name in _FLOAT_SETTINGS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"need a finite {name}, got {getattr(self, name)}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.sigma0 < _SIGMA_MIN:
-            raise ConfigError(f"need sigma0 >= {_SIGMA_MIN}, got {self.sigma0}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"need epsilon > 0, got {self.epsilon}")
-        if self.max_iter < 0:
-            raise ConfigError(f"need max_iter >= 0, got {self.max_iter}")
-        if self.l0 < 1:
-            raise ConfigError(f"need l0 >= 1, got {self.l0}")
-        if self.growth_c < 1:
-            raise ConfigError(f"need C >= 1, got {self.growth_c}")
-        if self.redraw_policy not in REDRAW_POLICIES:
-            raise ConfigError(f"unknown redraw policy {self.redraw_policy!r}")
-        if self.seed < 0:
-            raise ConfigError(f"need seed >= 0, got {self.seed}")
+        for f in fields(self):
+            value, choices, minimum = getattr(self, f.name), f.metadata["choices"], f.metadata["minimum"]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"need a finite {f.name}, got {value}")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"unknown {f.name} {value!r}; expected one of {choices}")
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"need {f.name} >= {minimum}, got {value}")
 
     def solver_id(self) -> str:
+        """The mode and l0, then any growth constant other than 1 (rarc-d only) and
+        redraw policy other than on-success: ``rarc-d-l02-C2-every-iteration``."""
         if self.mode == MODE_ARC:
             return "arc"
         if self.mode == MODE_RARC:
-            return f"rarc-l{self.l0}"
-        return f"rarc-d-l0{self.l0}"
-
-
-#: the float fields of SolverConfig, each of which must be finite
-_FLOAT_SETTINGS = tuple(name for name, hint in get_type_hints(SolverConfig).items() if hint is float)
+            head = f"rarc-l{self.l0}"
+        else:
+            head = f"rarc-d-l0{self.l0}" + (f"-C{self.growth_c}" if self.growth_c != 1 else "")
+        return head if self.redraw_policy == REDRAW_ON_SUCCESS else f"{head}-{self.redraw_policy}"
 
 
 @dataclass

@@ -266,7 +266,7 @@ def test_grid_writes_traces(tmp_path):
 
 
 def test_grid_refuses_configs_that_share_a_solver_id(tmp_path):
-    configs = [SolverConfig(mode="rarc-d", growth_c=1), SolverConfig(mode="rarc-d", growth_c=3)]
+    configs = [SolverConfig(mode="rarc-d", sigma0=1.0), SolverConfig(mode="rarc-d", sigma0=3.0)]
     with pytest.raises(InvalidInputError, match="'rarc-d-l02'.*would merge"):
         run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, out_dir=str(tmp_path))
     assert not list(tmp_path.iterdir())  # refused before any run

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -117,7 +118,7 @@ def test_bench_has_no_mode_or_seed_flag(tmp_path, capsys):
     assert exc.value.code == 0
     flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
     assert {"--solvers", "--seed-base", "--l0", "--C", "--eps"} <= flags
-    assert not {"--mode", "--seed"} & flags
+    assert not {"--mode", "--seed", "--manifest"} & flags  # rerun takes a manifest
     # the specs set every mode and --seed-base every seed, so --seed is refused
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--problem", "QUADRANK:d=6", "--seed", "3", "--out", str(tmp_path)])
@@ -174,10 +175,36 @@ def test_bench_manifest_rerun_is_bitwise_identical(tmp_path):
         "--eps", "1e-7", "--out", str(out1),
     ])
     out2 = tmp_path / "b2"
-    code = main(["bench", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)])
+    code = main(["rerun", "--manifest", str(out1 / "manifest.json"), "--out", str(out2)])
     assert code == 0
     assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+
+def test_bench_lowrank_suite(tmp_path):
+    out = tmp_path / "b"
+    code = main([
+        "bench", "--suite", "lowrank", "--d", "40", "--N", "4", "--repeats", "1",
+        "--solvers", "rarc-d", "--out", str(out),
+    ])
+    assert code == 0
+    with open(out / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = [f"l-{name}:N=4:d=40:seed=0" for name in cli.LOWRANK_SUITE]
+    assert sorted({row["problem_id"] for row in rows}) == expected
+    assert len(rows) == len(expected) * 2  # one row per tolerance
+
+
+def test_bench_growth_constants_get_their_own_ids(tmp_path):
+    out = tmp_path / "b"
+    code = main([
+        "bench", "--problem", "l-ARWHEAD:N=10:d=40", "--solvers", "rarc-d:C=1,rarc-d:C=2",
+        "--repeats", "1", "--out", str(out),
+    ])
+    assert code == 0
+    with open(out / "runs.csv", newline="") as fh:
+        ids = {row["solver_id"] for row in csv.DictReader(fh)}
+    assert ids == {"rarc-d-l02", "rarc-d-l02-C2"}
 
 
 def test_bench_fixed_sketch_solver_spec(tmp_path):
@@ -271,8 +298,8 @@ def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch, worker
 
 def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    path, manifest = _written_manifest(tmp_path)
-    rerun = ["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]
+    path, _ = _written_manifest(tmp_path)
+    rerun = ["rerun", "--manifest", str(path), "--out", str(tmp_path / "b2")]
     capsys.readouterr()
     assert main(rerun) == 0
     assert "note" not in capsys.readouterr().err
@@ -281,11 +308,6 @@ def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("rsarc: note:") and "'OPENBLAS_NUM_THREADS': None" in err
     assert "'OPENBLAS_NUM_THREADS': '1'" in err
-    # a manifest written before the record existed is rerun without a note
-    del manifest["threads"]
-    path.write_text(json.dumps(manifest))
-    assert main([*rerun, "--workers", "2"]) == 0
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -301,16 +323,19 @@ def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsy
     ],
 )
 def test_manifest_rerun_refuses_the_grid_flags_it_would_ignore(tmp_path, capsys, flags):
+    # rerun takes the whole grid from the manifest, so it has no grid or solver flag
     path, _ = _written_manifest(tmp_path)
     config = tmp_path / "solver.cfg"
     config.write_text("sigma0 = 3.0\n")
     out = tmp_path / "b2"
-    argv = ["bench", "--manifest", str(path), *flags, "--workers", "1", "--traces", "--out", str(out)]
+    argv = ["rerun", "--manifest", str(path), *flags, "--workers", "1", "--traces", "--out", str(out)]
     capsys.readouterr()
-    assert main([arg.format(config=config) for arg in argv]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(config=config) for arg in argv])
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     named = [flag for flag in flags if flag.startswith("--")]
-    assert err.startswith("rsarc: error: --manifest") and all(flag in err for flag in named), err
+    assert "unrecognized arguments" in err and all(flag in err for flag in named), err
     assert not out.exists()
 
 
@@ -329,19 +354,20 @@ def test_manifest_unknown_solver_key(tmp_path, capsys):
     manifest["solver_configs"][0]["kappa_t"] = 0.1
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "kappa_t" in err
 
 
 def test_manifest_missing_key(tmp_path, capsys):
+    # every manifest bench writes records the metric and the thread settings
     path, manifest = _written_manifest(tmp_path)
-    del manifest["repeats"]
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
-    err = capsys.readouterr().err
-    assert str(path) in err and "repeats" in err
+    for key in ("repeats", "metric", "threads"):
+        path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and f"missing manifest key(s) ['{key}']" in err
 
 
 @pytest.mark.parametrize(
@@ -358,7 +384,7 @@ def test_manifest_value_of_the_wrong_type(tmp_path, capsys, key, value, message)
     manifest[key] = value
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and message in err
     assert not (tmp_path / "b2").exists()
@@ -380,7 +406,7 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         (["solve", "--problem", "l-ARWHEAD:N=10:d=40:seed=-1"], "l-ARWHEAD:N=10:d=40:seed=-1"),
         ([*_SOLVE, "--seed", "-1"], "seed"),
         ([*_SOLVE, "--sigma0", "nan"], "sigma0"),
-        (["bench", "--manifest", "{old_manifest}", "--out", "{out}"], "unknown config key 'max_inner'"),
+        (["rerun", "--manifest", "{old_manifest}", "--out", "{out}"], "unknown config key 'max_inner'"),
         ([*_SOLVE, "--config", "{old_config}"], "unknown config key 'inner_tol'"),
         ([*_SOLVE, "--config", "{theta_config}"], "unknown config key 'theta'"),
         (["bench", "--problem", "QUADRANK:d=6", "--seed-base", "-1", "--out", "{out}"], "seed_base"),
@@ -388,8 +414,8 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         (["bench", "--problem", "QUADRANK:d=6", "--workers", "-3", "--out", "{out}"], "workers"),
         ([*_SOLVE, "--config", "{dir}"], "Is a directory"),
         (["profile", "--runs", "{dir}", "--out", "{out}"], "Is a directory"),
-        (["bench", "--manifest", "{dir}", "--out", "{out}"], "Is a directory"),
-        ([*_BENCH, "--solvers", "rarc-d:C=1,rarc-d:C=3"], "'rarc-d-l02'"),
+        (["rerun", "--manifest", "{dir}", "--out", "{out}"], "Is a directory"),
+        ([*_BENCH, "--solvers", "rarc-d:sigma0=1,rarc-d:sigma0=3"], "'rarc-d-l02'"),
         ([*_BENCH, "--tau", "2"], "got [2.0]"),
         ([*_BENCH, "--config", "{seed_config}"], "bench sets ['seed'] per run"),
         ([*_BENCH, "--config", "{mode_config}"], "bench sets ['mode'] per run"),
@@ -422,7 +448,7 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     paths["old_manifest"] = tmp_path / "old_manifest.json"
     paths["old_manifest"].write_text(json.dumps({
         "problems": ["QUADRANK:d=6"], "solver_configs": [{"mode": "arc", "max_inner": 0}],
-        "repeats": 1, "seed_base": 0, "taus": [0.01],
+        "repeats": 1, "seed_base": 0, "taus": [0.01], "metric": "rel-hessians", "threads": {},
     }))
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))

@@ -91,6 +91,13 @@ def test_sketch_hessian_symmetric_and_psd_preserving():
     assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
 
+@pytest.mark.parametrize("l, d", [(1, 5), (2, 40), (7, 7), (43, 2000), (200, 500)])
+def test_gram_is_exactly_symmetric(l, d):
+    # gram() does not symmetrize: numpy forms S @ S.T by a symmetric rank-k update
+    g = draw(SCALED_GAUSSIAN, l, d, seed=l + d).gram()
+    assert np.array_equal(g, g.T)
+
+
 def test_numerical_rank_exact_zeros():
     assert numerical_rank(np.diag([1.0, 1.0, 0.0])) == 2
 

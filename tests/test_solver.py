@@ -252,6 +252,21 @@ def test_config_validation(kwargs):
         SolverConfig(**kwargs).validate()
 
 
+def test_solver_id_names_the_settings_that_change_the_run():
+    assert SolverConfig(mode="arc", growth_c=2, redraw_policy="every-iteration").solver_id() == "arc"
+    assert SolverConfig(mode="rarc", l0=7, growth_c=2).solver_id() == "rarc-l7"  # fixed l
+    assert SolverConfig(mode="rarc-d").solver_id() == "rarc-d-l02"
+    assert SolverConfig(mode="rarc-d", growth_c=2).solver_id() == "rarc-d-l02-C2"
+    every = SolverConfig(mode="rarc-d", l0=3, growth_c=2, redraw_policy="every-iteration")
+    assert every.solver_id() == "rarc-d-l03-C2-every-iteration"
+    fixed = SolverConfig(mode="rarc", l0=7, redraw_policy="every-iteration")
+    assert fixed.solver_id() == "rarc-l7-every-iteration"
+
+
+def test_validate_accepts_each_minimum():
+    SolverConfig(sigma0=1e-16, epsilon=math.ulp(0.0), max_iter=0, l0=1, growth_c=1, seed=0).validate()
+
+
 def test_trace_csv_header(tmp_path):
     path = tmp_path / "trace.csv"
     trace_to_csv([], path)

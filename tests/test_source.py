@@ -83,3 +83,10 @@ def test_every_solver_setting_is_read_outside_validate():
         )
     unread = [f.name for f in fields(SolverConfig) if f.name not in read]
     assert not unread, f"SolverConfig fields read nowhere outside validate: {unread}"
+
+
+def test_every_solver_setting_declares_what_validate_accepts():
+    # validate() checks each field against its metadata alone, with no per-field branch
+    loose = [f.name for f in fields(SolverConfig)
+             if f.metadata["choices"] is None and f.metadata["minimum"] is None]
+    assert not loose, f"SolverConfig fields with neither choices nor minimum: {loose}"

@@ -428,6 +428,16 @@ def test_a_failed_lapacke_call_raises_a_typed_error(monkeypatch, routine):
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
 
+def test_a_missing_lapacke_symbol_makes_the_binding_unavailable(monkeypatch):
+    monkeypatch.setitem(_lapack._BINDINGS, "dormtr", ("dormtr_nonexistent", []))
+    _lapack._routines.cache_clear()
+    try:
+        assert not _lapack.available()
+    finally:
+        monkeypatch.undo()
+        _lapack._routines.cache_clear()
+
+
 def test_a_consumed_h_hat_is_refused_by_the_oracles():
     m = build_model(0.0, np.ones(2), np.eye(2), 1.0)
     m = replace(m, h_hat=None)
