@@ -1,4 +1,4 @@
-"""Three LAPACK routines, bound with ctypes from the OpenBLAS that numpy loads.
+"""Three LAPACK routines and the BLAS thread count, bound with ctypes from numpy's OpenBLAS.
 
 numpy's wheels bundle ``libscipy_openblas64_``, whose LAPACKE interface
 exports ``scipy_LAPACKE_<routine>64_`` with 64-bit integers.  This module
@@ -18,6 +18,11 @@ skipping the plain wrapper's NaN scan of the reflectors and workspace query.
 The routines are looked up in numpy's bundled library directory on first use;
 ``available()`` is False when numpy's build lacks the library or a symbol.  A
 nonzero LAPACKE ``info`` raises InnerSolverError.
+
+The same library's ``scipy_openblas_{get,set}_num_threads64_`` read and set
+OpenBLAS's live thread count (``blas_threads``, ``set_blas_threads``); no
+other module of the package calls them.  ``blas_threads`` is None when they
+are not found.
 """
 
 from __future__ import annotations
@@ -47,21 +52,57 @@ _BINDINGS = {
 }
 
 
-@functools.cache
-def _routines() -> Optional[dict]:
-    """name -> bound LAPACKE routine, from the first library that has all three."""
+def _bind(symbols: dict) -> Optional[dict]:
+    """name -> function, from the first of numpy's OpenBLAS libraries that exports
+    every symbol of ``symbols`` (name -> (symbol, argument types, result type))."""
     libdirs = [Path(np.__file__).parent / ".libs", Path(np.__file__).parent.parent / "numpy.libs"]
     for lib in (p for d in libdirs for p in sorted(glob.glob(str(d / "*openblas*")))):
         try:
             handle = ctypes.CDLL(lib)
-            routines = {name: getattr(handle, f"scipy_LAPACKE_{symbol}64_")
-                        for name, (symbol, _) in _BINDINGS.items()}
+            bound = {name: getattr(handle, symbol) for name, (symbol, _, _) in symbols.items()}
         except (OSError, AttributeError):
             continue
-        for name, routine in routines.items():
-            routine.argtypes, routine.restype = _BINDINGS[name][1], _INT
-        return routines
+        for name, fn in bound.items():
+            fn.argtypes, fn.restype = symbols[name][1:]
+        return bound
     return None
+
+
+@functools.cache
+def _routines() -> Optional[dict]:
+    """name -> bound LAPACKE routine, from the first library that has all three."""
+    return _bind({name: (f"scipy_LAPACKE_{symbol}64_", argtypes, _INT)
+                  for name, (symbol, argtypes) in _BINDINGS.items()})
+
+
+@functools.cache
+def _thread_calls() -> Optional[dict]:
+    return _bind({"get": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+                  "set": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)})
+
+
+@functools.cache
+def _end_helpers() -> Optional[dict]:
+    return _bind({"end": ("blas_thread_shutdown_", [], ctypes.c_int)})
+
+
+def blas_threads() -> Optional[int]:
+    """OpenBLAS's live thread count, or None when numpy's OpenBLAS is not found."""
+    calls = _thread_calls()
+    return None if calls is None else int(calls["get"]())
+
+
+def set_blas_threads(n: int) -> None:
+    """Set OpenBLAS's thread count for the whole process (``blas_threads`` must not be None).
+
+    Idle helper threads busy-wait for about 2**28 cycles after their last job,
+    on a core that another thread could use, so at one thread they are ended
+    by ``blas_thread_shutdown_`` (which OpenBLAS itself calls before a fork);
+    OpenBLAS starts them again when the count is raised.
+    """
+    _thread_calls()["set"](n)
+    if n == 1 and _end_helpers() is not None:
+        _end_helpers()["end"]()
 
 
 def available() -> bool:

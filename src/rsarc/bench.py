@@ -247,7 +247,7 @@ def run_grid(
 def grid_threads(workers: int) -> dict:
     """The BLAS thread settings ``run_grid`` runs its jobs under: this process's,
     or one thread per worker when ``workers > 1``."""
-    return {**thread_settings(), **(ONE_BLAS_THREAD if workers > 1 else {})}
+    return {**thread_settings(), **({**ONE_BLAS_THREAD, "blas_threads": 1} if workers > 1 else {})}
 
 
 def file_stem(name: str) -> str:

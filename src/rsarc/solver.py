@@ -23,6 +23,19 @@ the step is s itself.  For the scaled-Gaussian sketches of ``rarc`` and
 ``rarc-d``, S H S^T is the problem's ``sketched_hessian``, so no d x d
 array is formed.
 
+Sketches come from the solve's own Generator (seeded by ``seed``) in
+stream order.  From the first sketch of at least ``sk._DRAW_AHEAD_MIN``
+entries l * d on, if OpenBLAS runs n >= 2 threads, ``run`` sets it to
+n - 1 (at one thread that also ends OpenBLAS's idle helper threads, see
+``_lapack.set_blas_threads``), and a one-thread worker draws the next
+sketch's rows (a ``sk.RowStream``) while the iteration projects, factors,
+solves and evaluates; ``run`` ends the worker and restores n when it
+returns or raises.  Each sketch is bit for bit the one an inline draw
+gives, so the one change in rounding is BLAS at n - 1 threads in the
+iterations above that gate.  ``arc``, sketches below the gate and a
+process at one BLAS thread (as ``run_grid``'s workers are) draw inline,
+with the same bits as before.
+
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
 eigenvalues.  From l = ``subproblem._FACTORED_MIN`` on, the model keeps
@@ -62,6 +75,7 @@ from typing import List, Optional, get_type_hints
 
 import numpy as np
 
+from . import _lapack
 from . import sketch as sk
 from . import subproblem as sp
 from .errors import (
@@ -213,11 +227,45 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     """
     config.validate()
     d = problem.dim
-    identity = config.mode == MODE_ARC  # S = I is never formed: s_mat stays None
-    if not identity and config.l0 > d:
+    if config.mode != MODE_ARC and config.l0 > d:
         raise InvalidDimensionError(f"l0={config.l0} exceeds problem dimension {d}")
+    sketches = _Sketches(np.random.default_rng(config.seed), d)
+    try:
+        return _iterate(problem, config, sketches)
+    finally:
+        sketches.close()
 
-    rng = np.random.default_rng(config.seed)
+
+class _Sketches:
+    """The scaled-Gaussian sketches of one solve, drawn from ``rng`` in order.
+
+    From the first sketch of at least ``sk._DRAW_AHEAD_MIN`` entries on, if
+    OpenBLAS runs n >= 2 threads, they come through a ``sk.RowStream`` whose
+    worker draws the next rows while the iteration runs on n - 1 BLAS
+    threads; ``close`` ends the worker and restores n.
+    """
+
+    def __init__(self, rng: np.random.Generator, d: int) -> None:
+        self.rng, self.d = rng, d
+        self.stream: Optional[sk.RowStream] = None
+        self.threads = _lapack.blas_threads()
+
+    def draw(self, l: int) -> sk.SketchMatrix:
+        if self.stream is None and (self.threads or 0) >= 2 and l * self.d >= sk._DRAW_AHEAD_MIN:
+            self.stream = sk.RowStream(self.rng, self.d)
+            _lapack.set_blas_threads(self.threads - 1)
+        return sk.draw(sk.SCALED_GAUSSIAN, l, self.d, self.stream or self.rng)
+
+    def close(self) -> None:
+        if self.stream is not None:
+            self.stream.close()
+            _lapack.set_blas_threads(self.threads)
+
+
+def _iterate(problem: ObjectiveProblem, config: SolverConfig, sketches: _Sketches) -> SolveResult:
+    """``run``'s loop, which draws every sketch from ``sketches``."""
+    d = problem.dim
+    identity = config.mode == MODE_ARC  # S = I is never formed: s_mat stays None
     x = np.array(problem.x0, dtype=float, copy=True)
     sigma = config.sigma0
     l = d if identity else config.l0
@@ -257,7 +305,7 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
                         g_hat = grad
                         h_hat = sk.symmetrize(problem.hessian(x))
                     else:
-                        s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rng)
+                        s_mat = sketches.draw(l)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
@@ -380,8 +428,13 @@ def trace_from_csv(path) -> List[IterationTrace]:
 
 
 def thread_settings() -> dict:
-    """The BLAS thread variables (None when unset), on which rounding depends, and the cores."""
-    return {**{name: os.environ.get(name) for name in ONE_BLAS_THREAD}, "cpu_count": os.cpu_count()}
+    """The BLAS thread variables (None when unset) and OpenBLAS's live thread count
+    (None when ``_lapack`` cannot read it), on which rounding depends, and the cores."""
+    return {
+        **{name: os.environ.get(name) for name in ONE_BLAS_THREAD},
+        "blas_threads": _lapack.blas_threads(),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:

@@ -25,6 +25,7 @@ def test_solve_success_exit_code(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary_QUADRANK_d10_rank10.json").read_text())
     assert summary["status"] == "GradientTolReached"
     assert summary["config"]["epsilon"] == 1e-8
+    assert summary["threads"]["blas_threads"] == _lapack.blas_threads()
 
 
 def test_solve_rarc_d_on_lowrank_problem(capsys):
@@ -294,6 +295,8 @@ def test_manifest_records_the_blas_thread_settings(tmp_path, monkeypatch, worker
     assert threads["cpu_count"] == os.cpu_count()
     # a parallel grid's workers run one BLAS thread each
     assert threads["OPENBLAS_NUM_THREADS"] == (None if workers == 1 else "1")
+    # OpenBLAS's live count, not the variable: rounding above the draw-ahead gate depends on it
+    assert threads["blas_threads"] == (_lapack.blas_threads() if workers == 1 else 1)
 
 
 def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsys):
@@ -308,6 +311,12 @@ def test_manifest_rerun_notes_other_thread_settings(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("rsarc: note:") and "'OPENBLAS_NUM_THREADS': None" in err
     assert "'OPENBLAS_NUM_THREADS': '1'" in err
+    # a manifest written before the live count was recorded gets the note too
+    manifest = json.loads(path.read_text())
+    del manifest["threads"]["blas_threads"]
+    path.write_text(json.dumps(manifest))
+    assert main(rerun) == 0
+    assert "rsarc: note:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rsarc import (
     sketch_hessian,
     spectrum_rank,
 )
-from rsarc.sketch import SketchMatrix
+from rsarc.sketch import RowStream, SketchMatrix
 
 
 def test_draw_errors():
@@ -30,6 +32,45 @@ def test_draw_deterministic():
     a = draw(SCALED_GAUSSIAN, 3, 5, seed=99)
     b = draw(SCALED_GAUSSIAN, 3, 5, seed=99)
     assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_a_row_stream_gives_the_inline_sketches_bit_for_bit():
+    # growth by one, a redraw at the same l after a singular Gram, a C = 2 jump
+    d, seed = 60, 11
+    stream = RowStream(np.random.default_rng(seed), d)
+    rng = np.random.default_rng(seed)
+    try:
+        for l in (2, 3, 3, 7, 15):
+            expected = rng.standard_normal((l, d)) / np.sqrt(l)
+            got = draw(SCALED_GAUSSIAN, l, d, stream).matrix
+            assert got.flags.c_contiguous and np.array_equal(got, expected), l
+    finally:
+        stream.close()
+
+
+def test_a_row_stream_keeps_stream_order_under_frequent_thread_switches():
+    # the worker and an inline draw share one Generator; a draw out of turn would
+    # change the bits.  Any l, growing, repeated or shrinking, one row to all d
+    d, seed = 40, 5
+    sizes = np.random.default_rng(1).integers(1, d + 1, size=300)
+    stream = RowStream(np.random.default_rng(seed), d)
+    rng = np.random.default_rng(seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for l in sizes:
+            ahead, inline = draw(SCALED_GAUSSIAN, l, d, stream), draw(SCALED_GAUSSIAN, l, d, rng)
+            assert np.array_equal(ahead.matrix, inline.matrix), l
+    finally:
+        sys.setswitchinterval(interval)
+        stream.close()
+
+
+def test_a_row_stream_draws_only_its_own_width():
+    stream = RowStream(np.random.default_rng(0), 6)
+    with pytest.raises(InvalidDimensionError, match="6 columns"):
+        draw(SCALED_GAUSSIAN, 2, 5, stream)
+    stream.close()
 
 
 def test_scaled_gaussian_norm_preservation_in_expectation():

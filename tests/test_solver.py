@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from rsarc import (
     trace_to_csv,
     update_sketch_size,
 )
+from rsarc import _lapack
 from rsarc import solver as solver_mod
 from rsarc.solver import (
     STATUS_DECREASE_UNRESOLVED,
@@ -303,8 +305,12 @@ def test_summary_records_the_blas_thread_settings(monkeypatch):
     cfg = SolverConfig(mode="arc")
     threads = summary_dict(p, cfg, run(p, cfg))["threads"]
     assert threads["OPENBLAS_NUM_THREADS"] == "3" and threads["MKL_NUM_THREADS"] is None
-    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"}
+    assert set(threads) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "blas_threads", "cpu_count"
+    }
     assert threads["cpu_count"] == os.cpu_count()
+    # the live count, which an unset or stale OPENBLAS_NUM_THREADS does not tell
+    assert threads["blas_threads"] == _lapack.blas_threads()
 
 
 def _unresolved_decrease_run():
@@ -583,6 +589,108 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
     assert failed and len(res.trace) == cfg.max_iter
     redrawn = [row.k for row in res.trace if row.gram_redraws]
     assert len(redrawn) == 1 and res.trace[redrawn[0] - 1].success is False
+
+
+@pytest.fixture
+def blas_threads_at_least_two():
+    """OpenBLAS's thread count, raised to two for the test if it is lower."""
+    before = _lapack.blas_threads()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS reports no thread count")
+    _lapack.set_blas_threads(max(before, 2))
+    try:
+        yield max(before, 2)
+    finally:
+        _lapack.set_blas_threads(before)
+
+
+def _recorded_draws(monkeypatch):
+    """Wrap sk.draw; each call records whether it drew from a row stream, the
+    BLAS thread count and the number of live Python threads."""
+    draws = []
+    draw = solver_mod.sk.draw
+
+    def recorded(distribution, l, d, seed):
+        draws.append((isinstance(seed, solver_mod.sk.RowStream), _lapack.blas_threads(),
+                      threading.active_count()))
+        return draw(distribution, l, d, seed)
+
+    monkeypatch.setattr(solver_mod.sk, "draw", recorded)
+    return draws
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda mp: test_every_iteration_redraws_leave_only_arc_a_model_to_reuse(mp, "rarc-d", 16, 5, 16, 16),
+        test_gram_redraws_are_traced_and_summed,
+        test_a_failed_reuse_redraws_the_sketch,
+    ],
+    ids=["every-iteration-redraws", "gram-redraws", "failed-reuse"],
+)
+def test_draw_counts_hold_when_every_sketch_is_drawn_ahead(monkeypatch, blas_threads_at_least_two, check):
+    monkeypatch.setattr(solver_mod.sk, "_DRAW_AHEAD_MIN", 1)
+    draws = _recorded_draws(monkeypatch)
+    check(monkeypatch)
+    assert draws and all(streamed for streamed, _, _ in draws)
+
+
+@pytest.mark.parametrize("selector", ["l-COSINE:N=10:d=40", "l-POWER:N=8:d=30"])
+def test_drawn_ahead_sketches_give_the_inline_iterates(monkeypatch, blas_threads_at_least_two, selector):
+    # at these sizes OpenBLAS runs one thread either way, so the bits must agree
+    p = get_problem(selector)
+    cfg = SolverConfig(mode="rarc-d", growth_c=2, seed=3, max_iter=60)
+    inline = run(p, cfg)
+    monkeypatch.setattr(solver_mod.sk, "_DRAW_AHEAD_MIN", 1)
+    ahead = run(p, cfg)
+    untimed = [dataclasses.replace(row, wall_time_s=0.0) for row in inline.trace]
+    assert untimed == [dataclasses.replace(row, wall_time_s=0.0) for row in ahead.trace]
+    assert np.array_equal(inline.x_final, ahead.x_final)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_a_drawn_ahead_run_restores_the_blas_threads_and_ends_its_worker(
+    monkeypatch, blas_threads_at_least_two, raises
+):
+    # l0 * d = 17 * 2000 entries is above the gate from the first sketch on;
+    # known_rank=2 makes rarc-d raise in the loop, once its worker is drawing
+    n, live = blas_threads_at_least_two, threading.active_count()
+    p = builtin_problem("QUADRANK", 2000)
+    assert 17 * p.dim >= solver_mod.sk._DRAW_AHEAD_MIN
+    draws = _recorded_draws(monkeypatch)
+    if raises:
+        with pytest.raises(InvalidProblemError):
+            run(dataclasses.replace(p, known_rank=2), SolverConfig(mode="rarc-d", l0=17, seed=0))
+    else:
+        res = run(p, SolverConfig(mode="rarc", l0=17, seed=0, max_iter=5))
+        assert res.status == STATUS_MAX_ITER and len(res.trace) == 5
+    assert draws and all(streamed and threads == n - 1 for streamed, threads, _ in draws)
+    assert (_lapack.blas_threads(), threading.active_count()) == (n, live)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's per-thread listing")
+def test_one_blas_thread_ends_the_idle_helpers_until_the_count_is_raised(blas_threads_at_least_two):
+    # idle helpers busy-wait on the core the draw-ahead worker needs
+    n = blas_threads_at_least_two
+    a = np.random.default_rng(0).standard_normal((300, 300))
+    product = a @ a  # wakes the helpers
+    tasks = len(os.listdir("/proc/self/task"))
+    _lapack.set_blas_threads(1)
+    assert len(os.listdir("/proc/self/task")) < tasks
+    assert np.array_equal(a @ a, a @ a)
+    _lapack.set_blas_threads(n)
+    assert _lapack.blas_threads() == n and np.array_equal(a @ a, product)
+    assert len(os.listdir("/proc/self/task")) == tasks
+
+
+def test_one_blas_thread_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(solver_mod._lapack, "blas_threads", lambda: 1)
+    monkeypatch.setattr(solver_mod.sk, "_DRAW_AHEAD_MIN", 1)
+    live = threading.active_count()
+    draws = _recorded_draws(monkeypatch)
+    res = run(get_problem("l-COSINE:N=10:d=40"), SolverConfig(mode="rarc-d", seed=0, max_iter=20))
+    assert draws and len(res.trace) == 20
+    assert all(not streamed and count == live for streamed, _, count in draws)
 
 
 def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):

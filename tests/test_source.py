@@ -61,6 +61,22 @@ def test_importing_the_package_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_package_starts_no_thread():
+    # the draw-ahead worker is created by a solve that needs it, never at import
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import threading, rsarc; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_only_the_lapack_binding_sets_the_blas_thread_count():
+    # a solve lowers OpenBLAS's thread count through _lapack and restores it there
+    controls = ("set_num_threads", "blas_thread_shutdown")
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "_lapack.py"
+             for name in controls if name in path.read_text()]
+    assert not found, f"OpenBLAS's thread controls named outside _lapack: {found}"
+
+
 def test_every_solver_setting_is_read_outside_validate():
     # a setting that nothing reads changes no run; validate() alone does not count
     read = set()
