@@ -1,23 +1,44 @@
-"""Three LAPACK routines and the BLAS thread count, bound with ctypes from numpy's OpenBLAS.
+"""LAPACK's tridiagonal reduction with an early stop, and the BLAS thread count, bound with ctypes from numpy's OpenBLAS.
 
-numpy's wheels bundle ``libscipy_openblas64_``, whose LAPACKE interface
-exports ``scipy_LAPACKE_<routine>64_`` with 64-bit integers.  This module
+numpy's wheels bundle ``libscipy_openblas64_``, which exports LAPACK's
+Fortran routines as ``scipy_<routine>_64_`` and its LAPACKE interface as
+``scipy_LAPACKE_<routine>64_``, both with 64-bit integers.  This module
 binds the routines of a factored symmetric eigendecomposition from it:
 
-  * ``dsytrd`` reduces A = Q T Q^T to a tridiagonal T, keeping Q as
-    Householder reflectors in A's own storage;
+  * ``tridiagonalize`` runs the blocked loop of LAPACK's ``dsytrd`` ('L')
+    itself: ``dlatrd`` reduces a panel of ``nb`` columns, ``dsyr2k`` updates
+    the trailing block, and ``dsytd2`` reduces the last block.  It leaves
+    A = Q T Q^T with Q as Householder reflectors in A's own storage, and it
+    stops early once what is left to reduce is rounding noise (below);
   * ``dstedc`` computes T = Z diag(lambda) Z^T by divide and conquer;
-  * ``dormtr`` applies Q or Q^T to a vector from the reflectors.
+  * ``dormqr`` applies Q or Q^T to a vector from the reflectors, on rows
+    2..n, which is what ``dormtr`` ('L') does.
 
-``np.linalg.eigh`` (LAPACK ``dsyevd``) runs the same ``dsytrd`` and
-``dstedc`` and then forms V = Q Z, an O(n^3) product, so the eigenvalues
-here are its own bit for bit on any matrix it does not first rescale.
-LAPACKE allocates the workspace of ``dsytrd`` and ``dstedc``; ``dormtr`` runs
-through ``LAPACKE_dormtr_work`` on the one-element minimum for one column,
+``nb`` and the crossover to ``dsytd2`` come from LAPACK's ``ilaenv``, as in
+``dsytrd``, so a reduction that runs to the end is ``LAPACKE_dsytrd`` bit for
+bit.  After each panel, which ends at column m, the loop stops when both the
+coupling |e[m-1]| and the Frobenius norm of the updated trailing block
+(``dlansy``) are at most tol = ``_DROP_TOL`` n ||A||_F.  Householder
+tridiagonalization is backward stable: the computed T is exactly similar to
+A + E with ||E||_F = O(n eps ||A||_F) (Golub & Van Loan, Matrix
+Computations, section 8.3), so replacing a trailing block that small by
+zero keeps that guarantee, with T = blockdiag(T_m, 0).  T_m's own reflectors
+then carry all of Q that matters: the m-th reflector and those after it act
+only on the zero block, so Q keeps the first m - 1, and applying it costs
+O(n m), not O(n^2).  A matrix of rank r stops at the first panel end at or
+past r + 1 (T's Krylov space from e_1 has dimension at most r + 1).
+
+``np.linalg.eigh`` (LAPACK ``dsyevd``) runs ``dsytrd`` and ``dstedc`` and
+then forms V = Q Z, an O(n^3) product, so when nothing is dropped the
+eigenvalues here are its own bit for bit on any matrix it does not first
+rescale.  LAPACKE allocates the workspace of ``dstedc``; ``dormqr`` runs
+through ``LAPACKE_dormqr_work`` on the one-element minimum for one column,
 skipping the plain wrapper's NaN scan of the reflectors and workspace query.
-The routines are looked up in numpy's bundled library directory on first use;
-``available()`` is False when numpy's build lacks the library or a symbol.  A
-nonzero LAPACKE ``info`` raises InnerSolverError.
+Every array is checked in Python before its pointer is passed, so LAPACK's
+argument checks (``xerbla``) are never reached.  The routines are looked up
+in numpy's bundled library directory on first use; ``available()`` is False
+unless one library exports every symbol.  A nonzero ``info`` raises
+InnerSolverError.
 
 The same library's ``scipy_openblas_{get,set}_num_threads64_`` read and set
 OpenBLAS's live thread count (``blas_threads``, ``set_blas_threads``); no
@@ -40,16 +61,32 @@ from .errors import InnerSolverError, InvalidDimensionError
 _COL_MAJOR = 102
 _INT = ctypes.c_int64
 _PTR = ctypes.c_void_p
-#: routine -> (its LAPACKE function, that function's argument types)
+_LEN = ctypes.c_size_t  # the hidden length of a Fortran CHARACTER argument
+#: routine -> (its symbol, its argument types).  The Fortran routines take
+#: every argument by reference, then one hidden length per CHARACTER argument;
+#: the ``LAPACKE_*`` functions return LAPACK's info.
 _BINDINGS = {
-    # layout, uplo, n, a, lda, d, e, tau
-    "dsytrd": ("dsytrd", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _INT, _PTR, _PTR, _PTR]),
+    # uplo, n, nb, a, lda, e, tau, w, ldw
+    "dlatrd": ("dlatrd", [_PTR] * 9 + [_LEN]),
+    # uplo, trans, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+    "dsyr2k": ("dsyr2k", [_PTR] * 12 + [_LEN] * 2),
+    # uplo, n, a, lda, d, e, tau, info
+    "dsytd2": ("dsytd2", [_PTR] * 8 + [_LEN]),
+    # norm, uplo, n, a, lda, work
+    "dlansy": ("dlansy", [_PTR] * 6 + [_LEN] * 2),
+    # ispec, name, opts, n1, n2, n3, n4
+    "ilaenv": ("ilaenv", [_PTR] * 7 + [_LEN] * 2),
     # layout, compz, n, d, e, z, ldz
-    "dstedc": ("dstedc", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT]),
-    # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
-    "dormtr": ("dormtr_work", [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-                               _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT]),
+    "dstedc": ("LAPACKE_dstedc", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT]),
+    # layout, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
+    "dormqr": ("LAPACKE_dormqr_work", [ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _INT, _INT,
+                                       _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT]),
 }
+#: the Fortran functions among them and their result types; the others are subroutines
+_FUNCTIONS = {"dlansy": ctypes.c_double, "ilaenv": _INT}
+#: the reduction stops once the coupling and the trailing block are at most
+#: _DROP_TOL n ||A||_F, the order of its own backward error (module docstring)
+_DROP_TOL = float(np.finfo(float).eps)
 
 
 def _bind(symbols: dict) -> Optional[dict]:
@@ -68,11 +105,16 @@ def _bind(symbols: dict) -> Optional[dict]:
     return None
 
 
+def _symbol(name: str, symbol: str, argtypes: list) -> tuple:
+    if symbol.startswith("LAPACKE_"):
+        return f"scipy_{symbol}64_", argtypes, _INT
+    return f"scipy_{symbol}_64_", argtypes, _FUNCTIONS.get(name)
+
+
 @functools.cache
 def _routines() -> Optional[dict]:
-    """name -> bound LAPACKE routine, from the first library that has all three."""
-    return _bind({name: (f"scipy_LAPACKE_{symbol}64_", argtypes, _INT)
-                  for name, (symbol, argtypes) in _BINDINGS.items()})
+    """name -> bound LAPACK routine, from the first library that has them all."""
+    return _bind({name: _symbol(name, *spec) for name, spec in _BINDINGS.items()})
 
 
 @functools.cache
@@ -109,31 +151,77 @@ def available() -> bool:
     return _routines() is not None
 
 
-def _call(name: str, *args) -> None:
-    info = _routines()[name](_COL_MAJOR, *args)
+def _raise_on(name: str, info: int) -> None:
     if info != 0:
-        raise InnerSolverError(f"LAPACKE {name} failed with info = {info}")
+        raise InnerSolverError(f"LAPACK {name} failed with info = {info}")
+
+
+def _call(name: str, *args) -> None:
+    """Call a LAPACKE function in column-major layout."""
+    _raise_on(name, _routines()[name](_COL_MAJOR, *args))
+
+
+def _fortran(name: str, *args):
+    """Call a Fortran routine: an array is passed as the address of its first
+    element, an int or a float by reference, and a CHARACTER (bytes) with its
+    hidden length appended."""
+    refs = [a.ctypes.data if isinstance(a, np.ndarray)
+            else ctypes.byref(_INT(a)) if isinstance(a, (int, np.integer))
+            else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
+            else a for a in args]
+    return _routines()[name](*refs, *(len(a) for a in args if isinstance(a, bytes)))
 
 
 def _check(a: np.ndarray, shape: Tuple[int, ...]) -> None:
     """The routines read and write float64 arrays in column-major order."""
     if a.dtype != np.float64 or a.shape != shape or not (a.flags.f_contiguous and a.flags.writeable):
         raise InvalidDimensionError(
-            f"LAPACKE needs a writeable F-ordered float64 array of shape {shape}, "
+            f"LAPACK needs a writeable F-ordered float64 array of shape {shape}, "
             f"got {a.dtype} {a.shape}"
         )
 
 
-def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce the symmetric ``a`` (lower triangle read) to Q^T a Q = T.
+def _block_sizes(n: int) -> Tuple[int, int]:
+    """``dsytrd``'s panel width nb and crossover nx; nb = 1 means unblocked."""
+    nb = int(_fortran("ilaenv", 1, b"DSYTRD", b"L", n, -1, -1, -1))
+    if not 1 < nb < n:
+        return 1, n
+    nx = max(nb, int(_fortran("ilaenv", 3, b"DSYTRD", b"L", n, -1, -1, -1)))
+    return (nb, nx) if nx < n else (1, n)
 
-    Overwrites ``a`` with the reflectors of Q and returns T's diagonal,
-    its subdiagonal and the reflectors' scalars tau.
+
+def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce the symmetric ``a`` (lower triangle read) to Q^T a Q = blockdiag(T_m, 0).
+
+    Overwrites ``a`` with the reflectors of Q and returns T_m's diagonal (m
+    entries), its subdiagonal and the scalars tau of the m - 1 reflectors that
+    make up Q.  m = n unless the reduction stopped early (module docstring).
     """
     n = a.shape[0]
     _check(a, (n, n))
+    if n < 1:
+        raise InvalidDimensionError("cannot reduce an empty matrix")
     diag, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    _call("dsytrd", b"L", n, a.ctypes.data, n, diag.ctypes.data, off.ctypes.data, tau.ctypes.data)
+    nb, nx = _block_sizes(n)
+    work = np.empty(n)  # dlansy's; not referenced for the Frobenius norm
+    tol = _DROP_TOL * n * _fortran("dlansy", b"F", b"L", n, a, n, work)
+    w = np.empty((n, nb), order="F")
+    step = n + 1  # from (j, j) to (j + 1, j + 1) in a's column-major storage
+    flat = a.reshape(-1, order="F")
+    i = 0
+    while nb > 1 and i < n - nx:
+        m = i + nb
+        _fortran("dlatrd", b"L", n - i, nb, a[i:, i:], n, off[i:], tau[i:], w, n)
+        _fortran("dsyr2k", b"L", b"N", n - m, nb, -1.0, a[m:, i:], n, w[nb:], n, 1.0, a[m:, m:], n)
+        # dlatrd leaves 1 in place of each subdiagonal entry
+        flat[1 + i * step:1 + m * step:step] = off[i:m]
+        diag[i:m] = flat[i * step:m * step:step]
+        if abs(off[m - 1]) <= tol and _fortran("dlansy", b"F", b"L", n - m, a[m:, m:], n, work) <= tol:
+            return diag[:m], off[:m - 1], tau[:m - 1]
+        i = m
+    info = np.zeros(1, dtype=np.int64)
+    _fortran("dsytd2", b"L", n - i, a[i:, i:], n, diag[i:], off[i:], tau[i:], info)
+    _raise_on("dsytd2", int(info[0]))
     return diag, off, tau
 
 
@@ -151,13 +239,17 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> Tuple[np.ndarray, np.
 
 
 def apply_q(reflectors: np.ndarray, tau: np.ndarray, v: np.ndarray, transpose: bool) -> np.ndarray:
-    """Q^T v (``transpose``) or Q v, for the Q that ``tridiagonalize`` left in ``reflectors``."""
-    n = reflectors.shape[0]
+    """Q^T v (``transpose``) or Q v, for the Q of ``tridiagonalize``: the first
+    ``len(tau)`` reflectors it left in ``reflectors``."""
+    n, k = reflectors.shape[0], tau.shape[0]
     out = np.array(v, dtype=float)  # a fresh contiguous copy, overwritten in place
-    for array, shape in ((reflectors, (n, n)), (tau, (n - 1,)), (out, (n,))):
+    for array, shape in ((reflectors, (n, n)), (tau, (k,)), (out, (n,))):
         _check(array, shape)
+    if k >= n:
+        raise InvalidDimensionError(f"{k} reflectors for order {n}: at most {n - 1}")
     trans = b"T" if transpose else b"N"
     work = np.empty(1)
-    _call("dormtr", b"L", b"L", trans, n, 1, reflectors.ctypes.data, n, tau.ctypes.data,
-          out.ctypes.data, n, work.ctypes.data, 1)
+    # reflector j has its unit entry in row j + 1: a QR-ordered Q on rows 2..n
+    _call("dormqr", b"L", trans, n - 1, 1, k, reflectors[1:].ctypes.data, n, tau.ctypes.data,
+          out[1:].ctypes.data, max(1, n - 1), work.ctypes.data, 1)
     return out

@@ -42,9 +42,14 @@ eigenvalues.  From l = ``subproblem._FACTORED_MIN`` on, the model keeps
 its eigenvectors factored (Householder reflectors of the tridiagonal
 reduction and the tridiagonal's eigenvectors, from numpy's LAPACK) and
 never forms the l x l eigenvector matrix; for ``arc`` the reduction
-overwrites the symmetrized Hessian, so an iteration holds two d x d
-arrays.  The eigenvalues, and so the ranks, are those of
-``np.linalg.eigh`` bit for bit on any matrix it does not rescale.
+overwrites the symmetrized Hessian, so the model holds one d x d array.
+The reduction stops once the block it has yet to reduce is below
+its own backward error, n eps ||H_tilde||_F (``_lapack.tridiagonalize``), so
+a Hessian of rank r costs a reduction of order about r + 1, not l.  When it
+drops nothing, the eigenvalues, and so the ranks, are those of
+``np.linalg.eigh`` bit for bit on any matrix it does not rescale; when it
+stops early, the dropped eigenvalues are exact zeros and the kept ones move
+by at most about that backward error.
 
 ``run`` keeps its sketch state in one variable: ``model`` is None when
 the next iteration must build a model at x_k, and a sketched mode draws

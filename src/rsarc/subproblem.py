@@ -24,16 +24,26 @@ carries the rho denominator f0 - q(s), evaluated in the eigenbasis.
 The solve needs the eigenvectors V only through two products, V^T g_tilde
 and V y.  Below order ``_FACTORED_MIN`` the model keeps V from
 ``np.linalg.eigh``.  From that order on, when numpy's OpenBLAS exports
-LAPACKE (``_lapack``), it keeps V = Q Z factored: the Householder
-reflectors of H_tilde = Q T Q^T (LAPACK ``dsytrd``) and the eigenvectors
-Z of the tridiagonal T (``dstedc``).  ``eigh`` runs the same two routines
-and then forms Q Z, an O(l^3) product; applying Q to a vector (``dormtr``)
-costs O(l^2).  The eigenvalues are therefore ``eigh``'s bit for bit, and
-only the eigenbasis products round differently.  (``eigh`` first rescales
-a matrix whose largest entry lies outside about [1e-146, 1e146]; on such a
-matrix the two spectra agree to rounding only.)  The reduction
-overwrites H_tilde, so a model whose Gram is None reduces the caller's
-h_hat in place and keeps ``h_hat = None``.
+LAPACK (``_lapack``), it keeps V factored: the Householder reflectors of
+H_tilde = Q blockdiag(T_m, 0) Q^T (``_lapack.tridiagonalize``, LAPACK
+``dsytrd``'s loop) and the eigenvectors Z_m of the tridiagonal T_m
+(``dstedc``), so V = Q blockdiag(Z_m, I).  The reduction stops once the
+block it has yet to reduce is below its own backward error, tol = n eps
+||H_tilde||_F; then m < l.  The spectrum is T_m's eigenvalues merged in
+ascending order with l - m exact zeros, and the model keeps that
+permutation.  Applying Q to a vector (``dormqr``, through the m - 1 kept
+reflectors) costs O(l m), and Z_m acts on the first m coordinates only.
+When nothing is dropped (m = l, as on any matrix of full numerical rank)
+the eigenvalues are ``eigh``'s bit for bit, since ``eigh`` runs the same
+reduction and ``dstedc`` and then forms Q Z, an O(l^3) product; only the
+eigenbasis products round differently.  (``eigh`` first rescales a matrix
+whose largest entry lies outside about [1e-146, 1e146]; on such a matrix
+the two spectra agree to rounding only.)  When the reduction stops early,
+the spectrum is that of a matrix within Frobenius distance about
+sqrt(3) tol of H_tilde: each eigenvalue moves by at most that much, and the
+l - m dropped ones are exact zeros.  The reduction overwrites H_tilde, so
+a model whose Gram is None reduces the caller's h_hat in place and keeps
+``h_hat = None``.
 """
 
 from __future__ import annotations
@@ -73,12 +83,14 @@ class SketchedCubicModel:
     gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
     linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
     eigenvalues: np.ndarray  # ascending spectrum of H_tilde = L^{-1} H L^{-T}
-    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue: V, or Z when factored
-    # V = Q Z with H_tilde = Q T Q^T (l >= _FACTORED_MIN and LAPACKE found): dsytrd's
-    # Householder reflectors below the diagonal of an F-ordered (l, l) array, and
-    # their scalars tau; None: the eigenvectors are V itself
+    eigenvectors: np.ndarray  # V (l, l), or Z_m (m, m) when factored
+    # V = Q blockdiag(Z_m, I) with H_tilde = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
+    # and LAPACK found): the Householder reflectors below the diagonal of an F-ordered
+    # (l, l) array and the scalars tau of the m - 1 kept ones, and the ascending order
+    # of [T_m's eigenvalues, l - m zeros]; None: the eigenvectors are V itself
     reflectors: Optional[np.ndarray] = None
     tau: Optional[np.ndarray] = None
+    order: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -146,23 +158,31 @@ def build_model(
     reflectors = np.require(h_t.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
     diag, off, tau = _lapack.tridiagonalize(reflectors)
     lam, z = _lapack.tridiagonal_eigh(diag, off)
+    lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
+    order = np.argsort(lam, kind="stable")
     h_kept = None if gram is None else h_hat
-    return SketchedCubicModel(float(f0), g_hat, h_kept, float(sigma), gram, linv, lam, z, reflectors, tau)
+    return SketchedCubicModel(float(f0), g_hat, h_kept, float(sigma), gram, linv, lam[order], z,
+                              reflectors, tau, order)
 
 
 def _to_eigenbasis(model: SketchedCubicModel, v: np.ndarray) -> np.ndarray:
     """V^T v for the model's eigenvectors V."""
-    if model.reflectors is not None:
-        v = _lapack.apply_q(model.reflectors, model.tau, v, transpose=True)
-    return model.eigenvectors.T @ v
+    if model.reflectors is None:
+        return model.eigenvectors.T @ v
+    u = _lapack.apply_q(model.reflectors, model.tau, v, transpose=True)
+    m = model.eigenvectors.shape[0]
+    return np.concatenate([model.eigenvectors.T @ u[:m], u[m:]])[model.order]
 
 
 def _from_eigenbasis(model: SketchedCubicModel, y: np.ndarray) -> np.ndarray:
     """V y for the model's eigenvectors V."""
-    u = model.eigenvectors @ y
-    if model.reflectors is not None:
-        u = _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
-    return u
+    if model.reflectors is None:
+        return model.eigenvectors @ y
+    u = np.empty_like(y)
+    u[model.order] = y
+    m = model.eigenvectors.shape[0]
+    u[:m] = model.eigenvectors @ u[:m]
+    return _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
 
 
 def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:

@@ -77,6 +77,22 @@ def test_only_the_lapack_binding_sets_the_blas_thread_count():
     assert not found, f"OpenBLAS's thread controls named outside _lapack: {found}"
 
 
+def test_importing_the_package_binds_no_library():
+    # numpy's OpenBLAS is opened by the first call that needs a routine, never at import
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import rsarc._lapack as l; "
+            "print([f.cache_info().currsize for f in (l._routines, l._thread_calls, l._end_helpers)])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0]"
+
+
+def test_only_the_lapack_binding_uses_ctypes():
+    # every pointer handed to native code is checked in one module
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "_lapack.py" and "ctypes" in path.read_text()]
+    assert not found, f"ctypes used outside _lapack: {found}"
+
+
 def test_every_solver_setting_is_read_outside_validate():
     # a setting that nothing reads changes no run; validate() alone does not count
     read = set()

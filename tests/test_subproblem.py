@@ -1,3 +1,4 @@
+import ctypes
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.optimize import minimize
 from rsarc import (
     STATUS_INNER_FAILURE,
     InnerSolverError,
+    InvalidDimensionError,
     InvalidInputError,
     SingularGramError,
     SolverConfig,
@@ -24,6 +26,7 @@ from rsarc import (
 )
 from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
 from rsarc import _lapack, subproblem
+from rsarc import solver as solver_mod
 from rsarc.subproblem import cubic_norm
 from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
@@ -357,7 +360,8 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
     assert not mismatches
 
 
-needs_lapacke = pytest.mark.skipif(not _lapack.available(), reason="numpy's OpenBLAS exports no LAPACKE")
+needs_lapacke = pytest.mark.skipif(not _lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
+EPS = np.finfo(float).eps
 
 
 def _large_instance(n, rank, gram, seed=66):
@@ -374,20 +378,32 @@ def _large_instance(n, rank, gram, seed=66):
 @pytest.mark.parametrize("rank", ["full", 50])
 @pytest.mark.parametrize("n", [subproblem._FACTORED_MIN, 300])
 def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
-    # from _FACTORED_MIN on the model keeps V = Q Z factored: the spectrum is
-    # eigh's bit for bit, and the eigenbasis products agree to rounding
+    # from _FACTORED_MIN on the model keeps V = Q blockdiag(Z_m, I) factored.
+    # At full rank nothing is dropped: the spectrum is eigh's bit for bit, and
+    # the eigenbasis products agree to rounding.  At rank 50 the reduction
+    # stops early: each eigenvalue moves by at most the dropped block, and the
+    # eigenbasis, arbitrary on the null space, is checked through the solve
+    # and a round trip
     g, h, gm, rng = _large_instance(n, rank, gram)
     consumed = h.copy()
     factored = build_model(0.0, g, consumed, 0.7, gm)
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
     explicit = build_model(0.0, g, h, 0.7, gm)
     assert factored.reflectors is not None and explicit.reflectors is None
-    assert np.array_equal(factored.eigenvalues, explicit.eigenvalues)
-    vecs = explicit.eigenvectors  # eigh's explicit V
-    g_t = g if gm is None else explicit.linv @ g
     y = rng.standard_normal(n)
-    assert rel_err(subproblem._to_eigenbasis(factored, g_t), vecs.T @ g_t) <= 1e-12
-    assert rel_err(subproblem._from_eigenbasis(factored, y), vecs @ y) <= 1e-12
+    if rank == "full":
+        assert np.array_equal(factored.eigenvalues, explicit.eigenvalues)
+        vecs = explicit.eigenvectors  # eigh's explicit V
+        g_t = g if gm is None else explicit.linv @ g
+        assert rel_err(subproblem._to_eigenbasis(factored, g_t), vecs.T @ g_t) <= 1e-12
+        assert rel_err(subproblem._from_eigenbasis(factored, y), vecs @ y) <= 1e-12
+    else:
+        h_t = h if gm is None else explicit.linv @ h @ explicit.linv.T
+        assert factored.eigenvectors.shape[0] < n
+        bound = 10 * n * EPS * np.linalg.norm(h_t)
+        assert np.max(np.abs(factored.eigenvalues - explicit.eigenvalues)) <= bound
+        round_trip = subproblem._from_eigenbasis(factored, subproblem._to_eigenbasis(factored, y))
+        assert rel_err(round_trip, y) <= 1e-12
     a, b = solve(factored), solve(explicit)
     assert rel_err(a.s_hat, b.s_hat) <= 1e-10
     assert a.mu == pytest.approx(b.mu, rel=1e-10)
@@ -417,14 +433,20 @@ def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
 
 
 @needs_lapacke
-@pytest.mark.parametrize("routine", ["dsytrd", "dstedc", "dormtr"])
+@pytest.mark.parametrize("routine", ["dsytd2", "dstedc", "dormqr"])
 def test_a_failed_lapacke_call_raises_a_typed_error(monkeypatch, routine):
-    # a nonzero info from the bound routine is an inner failure, not a crash
-    g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, 50, None)
-    monkeypatch.setitem(_lapack._routines(), routine, lambda *args: 7)
+    # a nonzero info from a bound routine is an inner failure, not a crash;
+    # a full-rank matrix runs the reduction to its last block, dsytd2
+    def failing(*args):
+        if routine == "dsytd2":  # a Fortran subroutine: info is its last pointer argument
+            ctypes.c_int64.from_address(args[7]).value = 7
+        return 7
+
+    g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, "full", None)
+    monkeypatch.setitem(_lapack._routines(), routine, failing)
     with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
         solve(build_model(0.0, g, h, 1.0))
-    res = run(get_problem("l-ARWHEAD:N=20:d=200"), SolverConfig(mode="arc"))
+    res = run(get_problem("ARWHEAD:N=200"), SolverConfig(mode="arc"))
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
 
@@ -436,6 +458,129 @@ def test_a_missing_lapacke_symbol_makes_the_binding_unavailable(monkeypatch):
     finally:
         monkeypatch.undo()
         _lapack._routines.cache_clear()
+
+
+@pytest.mark.parametrize("routine", sorted(_lapack._BINDINGS))
+def test_without_every_symbol_a_model_takes_eigh(monkeypatch, routine):
+    symbol, argtypes = _lapack._BINDINGS[routine]
+    monkeypatch.setitem(_lapack._BINDINGS, routine, (symbol + "_nonexistent", argtypes))
+    _lapack._routines.cache_clear()
+    try:
+        g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, 50, None)
+        model = build_model(0.0, g, h, 1.0)
+        assert not _lapack.available() and model.reflectors is None
+    finally:
+        monkeypatch.undo()
+        _lapack._routines.cache_clear()
+
+
+def _lapacke_dsytrd(a):
+    """LAPACKE's own dsytrd ('L') on a copy of ``a``: reflectors, d, e, tau."""
+    # layout, uplo, n, a, lda, d, e, tau
+    args = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+    fn = _lapack._bind({"dsytrd": ("scipy_LAPACKE_dsytrd64_", args, ctypes.c_int64)})["dsytrd"]
+    n = a.shape[0]
+    a = np.array(a, order="F")
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    assert fn(102, b"L", n, a.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data) == 0
+    return a, d, e, tau
+
+
+@needs_lapacke
+@pytest.mark.parametrize("n", [31, 32, 33, 200, 300])
+def test_a_full_reduction_is_lapackes_dsytrd_bit_for_bit(n):
+    # below the first panel width the loop is dsytd2 alone, above it dsytrd's blocks
+    _, h, _, _ = _large_instance(n, "full", None)
+    want = _lapacke_dsytrd(h)
+    a = np.array(h, order="F")
+    d, e, tau = _lapack.tridiagonalize(a)
+    for got, expected in zip((a, d, e, tau), want):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@needs_lapacke
+@pytest.mark.parametrize("call", [
+    lambda: _lapack.tridiagonalize(np.eye(4)),  # C-ordered
+    lambda: _lapack.tridiagonalize(np.ones((3, 4), order="F")),
+    lambda: _lapack.tridiagonalize(np.eye(4, dtype=np.float32, order="F")),
+    lambda: _lapack.tridiagonalize(np.empty((0, 0), order="F")),
+    lambda: _lapack.tridiagonal_eigh(np.ones(4), np.ones(4)),
+    lambda: _lapack.apply_q(np.eye(4, order="F"), np.zeros(4), np.ones(4), transpose=True),
+    lambda: _lapack.apply_q(np.eye(4, order="F"), np.zeros(3), np.ones(5), transpose=True),
+], ids=["c-order", "not-square", "float32", "empty", "off-length", "too-many-reflectors", "vector-length"])
+def test_the_binding_refuses_an_array_lapack_would_reject(call):
+    # arrays are checked in Python, so LAPACK's own argument checks are never reached
+    with pytest.raises(InvalidDimensionError):
+        call()
+
+
+def _explicit_q(reflectors, tau):
+    n = reflectors.shape[0]
+    return np.column_stack([_lapack.apply_q(reflectors, tau, col, transpose=False) for col in np.eye(n)])
+
+
+@needs_lapacke
+@pytest.mark.parametrize("rank", [10, 50])
+def test_a_low_rank_reduction_stops_at_the_first_panel_past_the_rank(rank):
+    # H's Krylov space from e_1 has dimension rank + 1, so the coupling and the
+    # trailing block fall to rounding noise at the first panel end past it
+    n = 300
+    _, h, _, _ = _large_instance(n, rank, None)
+    a = np.array(h, order="F")
+    d, e, tau = _lapack.tridiagonalize(a)
+    nb = _lapack._block_sizes(n)[0]
+    m = nb * -(-(rank + 1) // nb)
+    assert (d.shape, e.shape, tau.shape) == ((m,), (m - 1,), (m - 1,))
+    t = np.zeros((n, n))
+    t[:m, :m] = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    q = _explicit_q(a, tau)
+    assert np.linalg.norm(q @ t @ q.T - h) <= 10 * n * EPS * np.linalg.norm(h)
+    assert np.linalg.norm(q.T @ q - np.eye(n)) <= 10 * n * EPS
+
+
+@needs_lapacke
+def test_a_truncated_model_keeps_the_hard_case(monkeypatch):
+    # rank 20 with one negative eigenvalue and no gradient along its eigenvector:
+    # the merged spectrum's null space keeps the hard case of the explicit solve
+    n, r = 300, 20
+    rng = np.random.default_rng(68)
+    q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    lam = np.concatenate([[-2.0], rng.uniform(1.0, 3.0, r - 1)])
+    h = symmetrize((q * lam) @ q.T)
+    g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, r - 1) + 1e-4 * (np.eye(n) - q @ q.T) @ rng.standard_normal(n)
+    model = build_model(0.0, g, h.copy(), 0.5)
+    assert model.eigenvectors.shape[0] < n and np.count_nonzero(model.eigenvalues == 0.0) > 0
+    factored = solve(model)
+    monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
+    explicit = solve(build_model(0.0, g, h, 0.5))
+    assert factored.hard_case and explicit.hard_case
+    assert factored.mu == pytest.approx(explicit.mu, rel=1e-10)
+    assert rel_err(factored.s_hat, explicit.s_hat) <= 1e-10
+    assert factored.predicted_decrease == pytest.approx(explicit.predicted_decrease, rel=1e-10)
+
+
+@needs_lapacke
+def test_a_sketched_model_keeps_only_the_reduced_order(monkeypatch):
+    # rarc at l = 150 on a rank-20 function: every model stops below l, and the
+    # run takes the path of one whose reduction drops nothing but exact zeros
+    p = get_problem("l-QUADRANK:N=20:d=400")
+    cfg = SolverConfig(mode="rarc", l0=150, seed=3)
+    orders = []
+    build = subproblem.build_model
+
+    def recorded(*args, **kwargs):
+        model = build(*args, **kwargs)
+        orders.append(model.eigenvectors.shape[0])
+        return model
+
+    monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
+    truncated = run(p, cfg)
+    assert orders and max(orders) < 150
+    orders.clear()
+    monkeypatch.setattr(_lapack, "_DROP_TOL", 0.0)
+    full = run(p, cfg)
+    assert orders and min(orders) == 150
+    assert (truncated.status, len(truncated.trace)) == (full.status, len(full.trace))
 
 
 def test_a_consumed_h_hat_is_refused_by_the_oracles():
