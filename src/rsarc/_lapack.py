@@ -15,18 +15,25 @@ binds the routines of a factored symmetric eigendecomposition from it:
     2..n, which is what ``dormtr`` ('L') does.
 
 ``nb`` and the crossover to ``dsytd2`` come from LAPACK's ``ilaenv``, as in
-``dsytrd``, so a reduction that runs to the end is ``LAPACKE_dsytrd`` bit for
-bit.  After each panel, which ends at column m, the loop stops when both the
-coupling |e[m-1]| and the Frobenius norm of the updated trailing block
-(``dlansy``) are at most tol = ``_DROP_TOL`` n ||A||_F.  Householder
-tridiagonalization is backward stable: the computed T is exactly similar to
-A + E with ||E||_F = O(n eps ||A||_F) (Golub & Van Loan, Matrix
-Computations, section 8.3), so replacing a trailing block that small by
-zero keeps that guarantee, with T = blockdiag(T_m, 0).  T_m's own reflectors
-then carry all of Q that matters: the m-th reflector and those after it act
-only on the zero block, so Q keeps the first m - 1, and applying it costs
-O(n m), not O(n^2).  A matrix of rank r stops at the first panel end at or
-past r + 1 (T's Krylov space from e_1 has dimension at most r + 1).
+``dsytrd`` (once per order), so a reduction that runs to the end is
+``LAPACKE_dsytrd`` bit for bit.  After each panel, which ends at column m,
+the loop stops when both the coupling e = |e[m-1]| and the Frobenius norm b
+of the updated trailing block B (``dlansy``) are at most tol = ``_DROP_TOL``
+n ||A||_F.  ||A||_F is read off the reduction, not computed up front: the
+similarity keeps it, so ||A||_F^2 = t^2 + 2 e^2 + b^2 with t = ||T_m||_F
+(``dlanst``).  B's norm is computed only once e <= ``_DROP_TOL`` n t, a
+gate no weaker than e <= tol since t <= ||A||_F.  Householder tridiagonalization is backward
+stable: the computed T is exactly similar to A + E with ||E||_F =
+O(n eps ||A||_F) (Golub & Van Loan, Matrix Computations, section 8.3), so
+replacing a trailing block that small by zero keeps that guarantee, with
+T = blockdiag(T_m, 0).  Only A's lower triangle is read: a computed product
+whose triangles differ by rounding is reduced as the symmetric matrix with
+that lower triangle, which lies within rounding of its symmetric part.
+T_m's own reflectors then carry all of Q that matters: the m-th reflector
+and those after it act only on the zero block, so Q keeps the first m - 1,
+and applying it costs O(n m), not O(n^2).  A matrix of rank r stops at the
+first panel end at or past r + 1 (T's Krylov space from e_1 has dimension
+at most r + 1).
 
 ``np.linalg.eigh`` (LAPACK ``dsyevd``) runs ``dsytrd`` and ``dstedc`` and
 then forms V = Q Z, an O(n^3) product, so when nothing is dropped the
@@ -51,6 +58,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -74,6 +82,8 @@ _BINDINGS = {
     "dsytd2": ("dsytd2", [_PTR] * 8 + [_LEN]),
     # norm, uplo, n, a, lda, work
     "dlansy": ("dlansy", [_PTR] * 6 + [_LEN] * 2),
+    # norm, n, d, e
+    "dlanst": ("dlanst", [_PTR] * 4 + [_LEN]),
     # ispec, name, opts, n1, n2, n3, n4
     "ilaenv": ("ilaenv", [_PTR] * 7 + [_LEN] * 2),
     # layout, compz, n, d, e, z, ldz
@@ -83,7 +93,7 @@ _BINDINGS = {
                                        _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT]),
 }
 #: the Fortran functions among them and their result types; the others are subroutines
-_FUNCTIONS = {"dlansy": ctypes.c_double, "ilaenv": _INT}
+_FUNCTIONS = {"dlansy": ctypes.c_double, "dlanst": ctypes.c_double, "ilaenv": _INT}
 #: the reduction stops once the coupling and the trailing block are at most
 #: _DROP_TOL n ||A||_F, the order of its own backward error (module docstring)
 _DROP_TOL = float(np.finfo(float).eps)
@@ -181,6 +191,7 @@ def _check(a: np.ndarray, shape: Tuple[int, ...]) -> None:
         )
 
 
+@functools.cache
 def _block_sizes(n: int) -> Tuple[int, int]:
     """``dsytrd``'s panel width nb and crossover nx; nb = 1 means unblocked."""
     nb = int(_fortran("ilaenv", 1, b"DSYTRD", b"L", n, -1, -1, -1))
@@ -204,8 +215,8 @@ def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     diag, off, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     nb, nx = _block_sizes(n)
     work = np.empty(n)  # dlansy's; not referenced for the Frobenius norm
-    tol = _DROP_TOL * n * _fortran("dlansy", b"F", b"L", n, a, n, work)
     w = np.empty((n, nb), order="F")
+    drop = _DROP_TOL * n  # tol / ||A||_F
     step = n + 1  # from (j, j) to (j + 1, j + 1) in a's column-major storage
     flat = a.reshape(-1, order="F")
     i = 0
@@ -216,8 +227,11 @@ def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         # dlatrd leaves 1 in place of each subdiagonal entry
         flat[1 + i * step:1 + m * step:step] = off[i:m]
         diag[i:m] = flat[i * step:m * step:step]
-        if abs(off[m - 1]) <= tol and _fortran("dlansy", b"F", b"L", n - m, a[m:, m:], n, work) <= tol:
-            return diag[:m], off[:m - 1], tau[:m - 1]
+        e, t = abs(off[m - 1]), _fortran("dlanst", b"F", m, diag, off)
+        if e <= drop * t:
+            b = _fortran("dlansy", b"F", b"L", n - m, a[m:, m:], n, work)
+            if b <= drop * math.hypot(t, math.sqrt(2.0) * e, b):
+                return diag[:m], off[:m - 1], tau[:m - 1]
         i = m
     info = np.zeros(1, dtype=np.int64)
     _fortran("dsytd2", b"L", n - i, a[i:, i:], n, diag[i:], off[i:], tau[i:], info)

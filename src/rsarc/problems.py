@@ -13,7 +13,7 @@ Householder QR.
 
 Every problem provides second-order information twice.  The dense d x d
 ``hessian`` serves ``arc`` (the identity sketch, never formed: the model
-takes the symmetric part of H itself) and output checks;
+reads one triangle of H itself, in place) and output checks;
 ``sketched_hessian(x, S)`` returns S H(x) S^T for an l x d sketch array S
 without forming H, and the sketched modes use only it.  Built-ins build it
 from the columns of S in O(l^2 d) flops.  Lifted problems compute it as
@@ -54,7 +54,11 @@ class ObjectiveProblem:
         known_rank: upper bound on rank(hess f(x)) valid at every x, or None.
         value / gradient / hessian: evaluators; pure functions of x.  The
             dense ``hessian`` serves ``arc`` (the identity sketch) and
-            output checks.
+            output checks.  It returns a new array on every call, which
+            ``arc`` may overwrite: its model reduces the Hessian in place
+            and reads one triangle, so the result need not be exactly
+            symmetric.  ``arc`` copies a read-only result, or a view of
+            other storage, before it reduces it.
         sketched_hessian: ``(x, S) -> S hess f(x) S^T`` for an l x d sketch
             array S, computed without the d x d Hessian; the sketched
             modes call it and never ``hessian``.  The result need not be

@@ -17,10 +17,13 @@ ones of adaptive cubic regularization (module constants).  Per-iteration
 cost is charged as (l_k/d)^2 "relative Hessians seen", the budget metric
 used by the benchmark layer.
 
-The identity sketch is never formed as a matrix: g and the symmetric part
-of the dense Hessian enter the model as they are, its Gram is None and
-the step is s itself.  For the scaled-Gaussian sketches of ``rarc`` and
-``rarc-d``, S H S^T is the problem's ``sketched_hessian``, so no d x d
+The identity sketch is never formed as a matrix: g and the array that the
+problem's ``hessian`` returns enter the model as they are, its Gram is
+None and the step is s itself.  The model reads one triangle of H and
+overwrites it from order ``subproblem._FACTORED_MIN`` on; an array that is
+read-only or a view of other storage is copied first.  For the
+scaled-Gaussian sketches of ``rarc`` and ``rarc-d``, the symmetric part of
+the problem's ``sketched_hessian`` S H S^T is the model's, so no d x d
 array is formed.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
@@ -42,7 +45,8 @@ eigenvalues.  From l = ``subproblem._FACTORED_MIN`` on, the model keeps
 its eigenvectors factored (Householder reflectors of the tridiagonal
 reduction and the tridiagonal's eigenvectors, from numpy's LAPACK) and
 never forms the l x l eigenvector matrix; for ``arc`` the reduction
-overwrites the symmetrized Hessian, so the model holds one d x d array.
+overwrites the problem's Hessian, so the model holds one d x d array and
+an iteration allocates no other.
 The reduction stops once the block it has yet to reduce is below
 its own backward error, n eps ||H_tilde||_F (``_lapack.tridiagonalize``), so
 a Hessian of rank r costs a reduction of order about r + 1, not l.  When it
@@ -267,6 +271,14 @@ class _Sketches:
             _lapack.set_blas_threads(self.threads)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No entry of ``a`` is NaN or infinite.  One dot product decides unless
+    the sum of squares is not finite, which also happens when it overflows."""
+    v = a.ravel(order="K")
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(v @ v) or np.all(np.isfinite(v)))
+
+
 def _iterate(problem: ObjectiveProblem, config: SolverConfig, sketches: _Sketches) -> SolveResult:
     """``run``'s loop, which draws every sketch from ``sketches``."""
     d = problem.dim
@@ -308,12 +320,14 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, sketches: _Sketche
                 if model is None:
                     if identity:
                         g_hat = grad
-                        h_hat = sk.symmetrize(problem.hessian(x))
+                        h_hat = problem.hessian(x)
+                        if not (h_hat.flags.writeable and h_hat.flags.owndata):
+                            h_hat = np.array(h_hat)  # the model may overwrite it
                     else:
                         s_mat = sketches.draw(l)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
-                    finite = bool(np.all(np.isfinite(g_hat)) and np.all(np.isfinite(h_hat)))
+                    finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
                     if not finite:
                         break
                     model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())

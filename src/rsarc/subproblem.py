@@ -41,9 +41,12 @@ whose largest entry lies outside about [1e-146, 1e146]; on such a matrix
 the two spectra agree to rounding only.)  When the reduction stops early,
 the spectrum is that of a matrix within Frobenius distance about
 sqrt(3) tol of H_tilde: each eigenvalue moves by at most that much, and the
-l - m dropped ones are exact zeros.  The reduction overwrites H_tilde, so
-a model whose Gram is None reduces the caller's h_hat in place and keeps
-``h_hat = None``.
+l - m dropped ones are exact zeros.  Both paths read one triangle of
+H_tilde, the lower triangle of its F-ordered view H_tilde^T (the upper one
+of a C-ordered array), so a matrix whose triangles differ by rounding is
+decomposed without first being symmetrized.  The reduction overwrites
+H_tilde, so a model whose Gram is None reduces the caller's h_hat in place
+and keeps ``h_hat = None``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class SketchedCubicModel:
 
     f0: float
     g_hat: np.ndarray  # (l,)
-    h_hat: Optional[np.ndarray]  # (l, l), symmetric; None: reduced in place (gram None, factored)
+    h_hat: Optional[np.ndarray]  # (l, l), symmetric to rounding; None: reduced in place (gram None, factored)
     sigma: float
     gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
     linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
@@ -122,9 +125,10 @@ def build_model(
     ``_FACTORED_MIN`` on (see the module docstring).  ``gram=None`` means
     the identity, the Gram of an identity sketch; the factorization and the
     whitening are then skipped and the eigenpairs are those of H itself.
-    A factored model with ``gram=None`` overwrites ``h_hat``, which must
-    then be exactly symmetric (a C-ordered one is reduced in place), and
-    keeps ``h_hat = None``.
+    The eigenpairs are those of the symmetric matrix with the upper triangle
+    of a C-ordered H_tilde (the lower one of an F-ordered one); the other
+    triangle is not read.  A factored model with ``gram=None`` overwrites
+    ``h_hat`` (a C-ordered one is reduced in place) and keeps ``h_hat = None``.
 
     Raises SingularGramError when G = S S^T is numerically singular, which
     the outer loop treats as a signal to redraw the sketch, and
@@ -150,11 +154,11 @@ def build_model(
         linv = np.linalg.inv(chol)
         h_t = linv @ h_hat @ linv.T
         h_t = 0.5 * (h_t + h_t.T)
+    # eigh and dsytrd read the lower triangle of h_t.T, an F-ordered view of a
+    # C-ordered h_t, which dsytrd overwrites with the reflectors
     if l < _FACTORED_MIN or not _lapack.available():
-        lam, vecs = np.linalg.eigh(h_t)
+        lam, vecs = np.linalg.eigh(h_t.T)
         return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv, lam, vecs)
-    # h_t.T is an F-ordered view of the symmetric h_t, whose lower triangle
-    # is eigh's: dsytrd overwrites it with the reflectors
     reflectors = np.require(h_t.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
     diag, off, tau = _lapack.tridiagonalize(reflectors)
     lam, z = _lapack.tridiagonal_eigh(diag, off)

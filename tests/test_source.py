@@ -80,10 +80,10 @@ def test_only_the_lapack_binding_sets_the_blas_thread_count():
 def test_importing_the_package_binds_no_library():
     # numpy's OpenBLAS is opened by the first call that needs a routine, never at import
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = ("import rsarc._lapack as l; "
-            "print([f.cache_info().currsize for f in (l._routines, l._thread_calls, l._end_helpers)])")
+    cached = "l._routines, l._thread_calls, l._end_helpers, l._block_sizes"
+    code = f"import rsarc._lapack as l; print([f.cache_info().currsize for f in ({cached})])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_only_the_lapack_binding_uses_ctypes():

@@ -451,7 +451,7 @@ def test_a_failed_lapacke_call_raises_a_typed_error(monkeypatch, routine):
 
 
 def test_a_missing_lapacke_symbol_makes_the_binding_unavailable(monkeypatch):
-    monkeypatch.setitem(_lapack._BINDINGS, "dormtr", ("dormtr_nonexistent", []))
+    monkeypatch.setitem(_lapack._BINDINGS, "dormqr", ("dormqr_nonexistent", []))
     _lapack._routines.cache_clear()
     try:
         assert not _lapack.available()
@@ -520,10 +520,11 @@ def _explicit_q(reflectors, tau):
 
 
 @needs_lapacke
-@pytest.mark.parametrize("rank", [10, 50])
+@pytest.mark.parametrize("rank", [0, 10, 50])
 def test_a_low_rank_reduction_stops_at_the_first_panel_past_the_rank(rank):
     # H's Krylov space from e_1 has dimension rank + 1, so the coupling and the
-    # trailing block fall to rounding noise at the first panel end past it
+    # trailing block fall to rounding noise at the first panel end past it; the
+    # zero matrix (rank 0) stops at the first panel end, where ||H||_F = 0
     n = 300
     _, h, _, _ = _large_instance(n, rank, None)
     a = np.array(h, order="F")
@@ -536,6 +537,29 @@ def test_a_low_rank_reduction_stops_at_the_first_panel_past_the_rank(rank):
     q = _explicit_q(a, tau)
     assert np.linalg.norm(q @ t @ q.T - h) <= 10 * n * EPS * np.linalg.norm(h)
     assert np.linalg.norm(q.T @ q - np.eye(n)) <= 10 * n * EPS
+
+
+@needs_lapacke
+def test_a_matrix_whose_squares_overflow_is_reduced_to_the_end():
+    # ||H||_F^2 overflows at entries of about 1e160; the stop rule's norm does
+    # not, so a full-rank matrix drops nothing and T scales with H
+    n = 200
+    _, h, _, _ = _large_instance(n, "full", None)
+    scale = 2.0**530
+    d, e, _ = _lapack.tridiagonalize(np.array(scale * h, order="F"))
+    want_d, want_e, _ = _lapack.tridiagonalize(np.array(h, order="F"))
+    assert (d.shape, e.shape) == ((n,), (n - 1,))
+    assert rel_err(d / scale, want_d) <= 1e-12 and rel_err(e / scale, want_e) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [40, subproblem._FACTORED_MIN])
+def test_the_model_reads_one_triangle_of_h(n):
+    # eigh (n < _FACTORED_MIN) and the reduction both read the upper triangle
+    # of a C-ordered H, so large noise below its diagonal changes no eigenvalue
+    g, h, _, rng = _large_instance(n, "full", None)
+    noisy = h + np.tril(1e6 * rng.standard_normal((n, n)), -1)
+    a, b = build_model(0.0, g, noisy, 1.0), build_model(0.0, g, h.copy(), 1.0)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
 @needs_lapacke
