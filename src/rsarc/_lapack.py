@@ -1,9 +1,12 @@
 """LAPACK's tridiagonal reduction with an early stop, and the BLAS thread count, bound with ctypes from numpy's OpenBLAS.
 
 numpy's wheels bundle ``libscipy_openblas64_``, which exports LAPACK's
-Fortran routines as ``scipy_<routine>_64_`` and its LAPACKE interface as
-``scipy_LAPACKE_<routine>64_``, both with 64-bit integers.  This module
-binds the routines of a factored symmetric eigendecomposition from it:
+Fortran routines as ``scipy_<routine>_64_`` with 64-bit integers.  This
+module binds the routines of a factored symmetric eigendecomposition from
+it, each through its Fortran symbol: every argument by reference, then the
+hidden length of each CHARACTER argument.  A subroutine's ``info`` is its
+last argument, checked in one place (``_subroutine``), where a nonzero
+value raises InnerSolverError:
 
   * ``tridiagonalize`` runs the blocked loop of LAPACK's ``dsytrd`` ('L')
     itself: ``dlatrd`` reduces a panel of ``nb`` columns, ``dsyr2k`` updates
@@ -16,7 +19,7 @@ binds the routines of a factored symmetric eigendecomposition from it:
 
 ``nb`` and the crossover to ``dsytd2`` come from LAPACK's ``ilaenv``, as in
 ``dsytrd`` (once per order), so a reduction that runs to the end is
-``LAPACKE_dsytrd`` bit for bit.  After each panel, which ends at column m,
+LAPACK's ``dsytrd`` bit for bit.  After each panel, which ends at column m,
 the loop stops when both the coupling e = |e[m-1]| and the Frobenius norm b
 of the updated trailing block B (``dlansy``) are at most tol = ``_DROP_TOL``
 n ||A||_F.  ||A||_F is read off the reduction, not computed up front: the
@@ -38,19 +41,19 @@ at most r + 1).
 ``np.linalg.eigh`` (LAPACK ``dsyevd``) runs ``dsytrd`` and ``dstedc`` and
 then forms V = Q Z, an O(n^3) product, so when nothing is dropped the
 eigenvalues here are its own bit for bit on any matrix it does not first
-rescale.  LAPACKE allocates the workspace of ``dstedc``; ``dormqr`` runs
-through ``LAPACKE_dormqr_work`` on the one-element minimum for one column,
-skipping the plain wrapper's NaN scan of the reflectors and workspace query.
-Every array is checked in Python before its pointer is passed, so LAPACK's
-argument checks (``xerbla``) are never reached.  The routines are looked up
-in numpy's bundled library directory on first use; ``available()`` is False
-unless one library exports every symbol.  A nonzero ``info`` raises
-InnerSolverError.
+rescale.  No workspace is queried: ``dstedc`` ('I') gets its documented
+minimum, 1 + 4n + n^2 doubles and 3 + 5n integers (1 and 1 when n <= 1),
+and ``dormqr`` the one-element minimum for one column.  Every array is
+checked in Python before its pointer is passed, so LAPACK's argument checks
+(``xerbla``) are never reached.  The routines are looked up in numpy's
+bundled library directory on first use; ``available()`` is False unless one
+library exports every symbol.
 
 The same library's ``scipy_openblas_{get,set}_num_threads64_`` read and set
 OpenBLAS's live thread count (``blas_threads``, ``set_blas_threads``); no
-other module of the package calls them.  ``blas_threads`` is None when they
-are not found.
+other module of the package calls them.  They are C functions with no
+Fortran form, so they take their arguments by value.  ``blas_threads`` is
+None when they are not found.
 """
 
 from __future__ import annotations
@@ -66,13 +69,11 @@ import numpy as np
 
 from .errors import InnerSolverError, InvalidDimensionError
 
-_COL_MAJOR = 102
 _INT = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _LEN = ctypes.c_size_t  # the hidden length of a Fortran CHARACTER argument
-#: routine -> (its symbol, its argument types).  The Fortran routines take
-#: every argument by reference, then one hidden length per CHARACTER argument;
-#: the ``LAPACKE_*`` functions return LAPACK's info.
+#: routine -> (its symbol, its argument types): every argument by reference,
+#: then one hidden length per CHARACTER argument
 _BINDINGS = {
     # uplo, n, nb, a, lda, e, tau, w, ldw
     "dlatrd": ("dlatrd", [_PTR] * 9 + [_LEN]),
@@ -86,11 +87,10 @@ _BINDINGS = {
     "dlanst": ("dlanst", [_PTR] * 4 + [_LEN]),
     # ispec, name, opts, n1, n2, n3, n4
     "ilaenv": ("ilaenv", [_PTR] * 7 + [_LEN] * 2),
-    # layout, compz, n, d, e, z, ldz
-    "dstedc": ("LAPACKE_dstedc", [ctypes.c_int, ctypes.c_char, _INT, _PTR, _PTR, _PTR, _INT]),
-    # layout, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
-    "dormqr": ("LAPACKE_dormqr_work", [ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _INT, _INT,
-                                       _PTR, _INT, _PTR, _PTR, _INT, _PTR, _INT]),
+    # compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+    "dstedc": ("dstedc", [_PTR] * 11 + [_LEN]),
+    # side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork, info
+    "dormqr": ("dormqr", [_PTR] * 13 + [_LEN] * 2),
 }
 #: the Fortran functions among them and their result types; the others are subroutines
 _FUNCTIONS = {"dlansy": ctypes.c_double, "dlanst": ctypes.c_double, "ilaenv": _INT}
@@ -115,16 +115,11 @@ def _bind(symbols: dict) -> Optional[dict]:
     return None
 
 
-def _symbol(name: str, symbol: str, argtypes: list) -> tuple:
-    if symbol.startswith("LAPACKE_"):
-        return f"scipy_{symbol}64_", argtypes, _INT
-    return f"scipy_{symbol}_64_", argtypes, _FUNCTIONS.get(name)
-
-
 @functools.cache
 def _routines() -> Optional[dict]:
     """name -> bound LAPACK routine, from the first library that has them all."""
-    return _bind({name: _symbol(name, *spec) for name, spec in _BINDINGS.items()})
+    return _bind({name: (f"scipy_{symbol}_64_", argtypes, _FUNCTIONS.get(name))
+                  for name, (symbol, argtypes) in _BINDINGS.items()})
 
 
 @functools.cache
@@ -161,16 +156,6 @@ def available() -> bool:
     return _routines() is not None
 
 
-def _raise_on(name: str, info: int) -> None:
-    if info != 0:
-        raise InnerSolverError(f"LAPACK {name} failed with info = {info}")
-
-
-def _call(name: str, *args) -> None:
-    """Call a LAPACKE function in column-major layout."""
-    _raise_on(name, _routines()[name](_COL_MAJOR, *args))
-
-
 def _fortran(name: str, *args):
     """Call a Fortran routine: an array is passed as the address of its first
     element, an int or a float by reference, and a CHARACTER (bytes) with its
@@ -180,6 +165,14 @@ def _fortran(name: str, *args):
             else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
             else a for a in args]
     return _routines()[name](*refs, *(len(a) for a in args if isinstance(a, bytes)))
+
+
+def _subroutine(name: str, *args) -> None:
+    """Call a Fortran subroutine with ``info`` appended; a nonzero info raises InnerSolverError."""
+    info = np.zeros(1, dtype=np.int64)
+    _fortran(name, *args, info)
+    if info[0] != 0:
+        raise InnerSolverError(f"LAPACK {name} failed with info = {int(info[0])}")
 
 
 def _check(a: np.ndarray, shape: Tuple[int, ...]) -> None:
@@ -233,22 +226,24 @@ def tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             if b <= drop * math.hypot(t, math.sqrt(2.0) * e, b):
                 return diag[:m], off[:m - 1], tau[:m - 1]
         i = m
-    info = np.zeros(1, dtype=np.int64)
-    _fortran("dsytd2", b"L", n - i, a[i:, i:], n, diag[i:], off[i:], tau[i:], info)
-    _raise_on("dsytd2", int(info[0]))
+    _subroutine("dsytd2", b"L", n - i, a[i:, i:], n, diag[i:], off[i:], tau[i:])
     return diag, off, tau
 
 
 def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and F-ordered eigenvectors Z of the tridiagonal T.
 
-    ``diag`` is overwritten with the eigenvalues and returned; ``off`` is destroyed.
+    ``diag`` is overwritten with the eigenvalues and returned; ``off`` is
+    destroyed.  The workspace is allocated here, at ``dstedc``'s documented
+    minimum for compz = 'I', so no workspace query runs.
     """
     n = diag.shape[0]
     _check(diag, (n,))
     _check(off, (n - 1,))
     z = np.empty((n, n), order="F")
-    _call("dstedc", b"I", n, diag.ctypes.data, off.ctypes.data, z.ctypes.data, n)
+    lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if n > 1 else (1, 1)
+    _subroutine("dstedc", b"I", n, diag, off, z, n, np.empty(lwork), lwork,
+                np.empty(liwork, dtype=np.int64), liwork)
     return diag, z
 
 
@@ -262,8 +257,7 @@ def apply_q(reflectors: np.ndarray, tau: np.ndarray, v: np.ndarray, transpose: b
     if k >= n:
         raise InvalidDimensionError(f"{k} reflectors for order {n}: at most {n - 1}")
     trans = b"T" if transpose else b"N"
-    work = np.empty(1)
     # reflector j has its unit entry in row j + 1: a QR-ordered Q on rows 2..n
-    _call("dormqr", b"L", trans, n - 1, 1, k, reflectors[1:].ctypes.data, n, tau.ctypes.data,
-          out[1:].ctypes.data, max(1, n - 1), work.ctypes.data, 1)
+    _subroutine("dormqr", b"L", trans, n - 1, 1, k, reflectors[1:], n, tau, out[1:], max(1, n - 1),
+                np.empty(1), 1)
     return out

@@ -382,17 +382,21 @@ def solve(model: SketchedCubicModel) -> SubproblemSolution:
 
     u = _from_eigenbasis(model, y)
     s_hat = u if linv is None else linv.T @ u
-    step_norm = float(np.linalg.norm(y))
+    step_norm = np.linalg.norm(y)
 
     # model decrease evaluated in the eigenbasis: adding it to f0 cannot
-    # round above f0 when it is nonpositive
-    quad = w @ y + 0.5 * np.sum(lam * y**2)
-    value = model.f0 + float(quad + (sigma / 3.0) * step_norm**3)
+    # round above f0 when it is nonpositive.  In float64, so that a step too
+    # long for its cube gives a non-finite value, not an OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = w @ y + 0.5 * np.sum(lam * y**2)
+        value = model.f0 + float(quad + (sigma / 3.0) * step_norm**3)
+    if not np.isfinite(value):
+        raise InnerSolverError(f"the model value at a step of norm {step_norm:.3g} is not finite")
     return SubproblemSolution(
         s_hat=s_hat,
         model_value=value,
         predicted_decrease=-float(quad),
-        cubic_norm=step_norm,
+        cubic_norm=float(step_norm),
         inner_iterations=iterations,
         mu=float(mu),
         hard_case=hard_case,

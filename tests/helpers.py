@@ -2,10 +2,15 @@
 
 These stay independent of the code under test: plain central differences
 of the callables, and the model written out from its definition, nothing
-shared with the analytic formulas or the solver.
+shared with the analytic formulas or the solver.  ``failing_lapack`` is
+the one fake of a failed LAPACK subroutine that the error-path tests share.
 """
 
+import ctypes
+
 import numpy as np
+
+from rsarc import _lapack
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -58,3 +63,14 @@ def householder_q(a):
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
+
+
+def failing_lapack(routine, info):
+    """A fake of the bound ``routine`` that writes ``info`` through its last
+    by-reference argument, where a failed LAPACK subroutine returns it."""
+    last = _lapack._BINDINGS[routine][1].count(_lapack._PTR) - 1
+
+    def failing(*args):
+        ctypes.c_int64.from_address(args[last]).value = info
+
+    return failing

@@ -11,6 +11,7 @@ import pytest
 from rsarc import _lapack, cli, write_runs_csv
 from rsarc.bench import BenchmarkRun
 from rsarc.cli import main
+from helpers import failing_lapack
 
 
 def test_solve_success_exit_code(tmp_path, capsys):
@@ -348,11 +349,11 @@ def test_manifest_rerun_refuses_the_grid_flags_it_would_ignore(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_solve_exits_3_when_lapacke_fails(monkeypatch, capsys):
-    # a nonzero LAPACKE info ends the run as an inner failure, without a traceback
+def test_solve_exits_3_when_lapack_fails(monkeypatch, capsys):
+    # a nonzero LAPACK info ends the run as an inner failure, without a traceback
     if not _lapack.available():
-        pytest.skip("numpy's OpenBLAS exports no LAPACKE")
-    monkeypatch.setitem(_lapack._routines(), "dstedc", lambda *args: 1)
+        pytest.skip("numpy's OpenBLAS exports no LAPACK")
+    monkeypatch.setitem(_lapack._routines(), "dstedc", failing_lapack("dstedc", 1))
     assert main(["solve", "--problem", "l-ARWHEAD:N=20:d=200", "--mode", "arc"]) == 3
     captured = capsys.readouterr()
     assert "status=InnerFailure" in captured.out and "Traceback" not in captured.err

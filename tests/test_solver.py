@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,21 @@ def test_a_finite_hessian_whose_squares_overflow_is_finite(d):
     assert res.status == STATUS_MAX_ITER and len(res.trace) == 2
 
 
+def test_a_step_whose_cube_overflows_is_an_inner_failure():
+    # the rounding noise of H's null space, scaled by 1e160, gives eigenvalues
+    # near -2e146, so the step norm is about 1e146 and its cube overflows: arc
+    # ends InnerFailure, and rarc-d redraws as after any inner failure; no
+    # OverflowError or RuntimeWarning escapes
+    p = get_problem("l-ARWHEAD:N=10:d=40")
+    scaled = dataclasses.replace(p, hessian=lambda x: 1e160 * p.hessian(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arc = run(scaled, SolverConfig(mode="arc", max_iter=2))
+        sketched = run(scaled, SolverConfig(mode="rarc-d", max_iter=2))
+    assert arc.status == STATUS_INNER_FAILURE and arc.trace == []
+    assert sketched.status == STATUS_MAX_ITER and len(sketched.trace) == 2
+
+
 def test_arc_leaves_a_read_only_or_viewed_hessian_intact():
     # the reduction overwrites a new Hessian (d >= 128) but copies one that
     # the problem keeps: a read-only array, or a view into its storage
@@ -506,10 +522,10 @@ def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
     assert (len(eigh), len(eigvalsh)) == (len(res.trace), 0)
 
 
-@pytest.mark.skipif(not solver_mod.sp._lapack.available(), reason="numpy's OpenBLAS exports no LAPACKE")
-def test_without_lapacke_arc_falls_back_to_eigh(monkeypatch):
+@pytest.mark.skipif(not solver_mod.sp._lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
+def test_without_lapack_arc_falls_back_to_eigh(monkeypatch):
     # a d x d model keeps its eigenvectors factored when numpy's OpenBLAS
-    # exports LAPACKE, and takes np.linalg.eigh's explicit ones otherwise
+    # exports LAPACK, and takes np.linalg.eigh's explicit ones otherwise
     p = get_problem("l-ARWHEAD:N=20:d=200")
     cfg = SolverConfig(mode="arc")
     eigh = _counting(monkeypatch, np.linalg, "eigh")

@@ -8,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from rsarc import SolverConfig
+from rsarc._lapack import _BINDINGS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsarc"
 
@@ -91,6 +92,28 @@ def test_only_the_lapack_binding_uses_ctypes():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "_lapack.py" and "ctypes" in path.read_text()]
     assert not found, f"ctypes used outside _lapack: {found}"
+
+
+def test_no_source_names_lapacke():
+    # LAPACK is called one way, through its Fortran symbols; LAPACKE is a test reference only
+    found = [path.name for path in sorted(PACKAGE.rglob("*.py")) if "LAPACKE" in path.read_text()]
+    assert not found, f"LAPACKE named in {found}"
+
+
+def test_every_bound_routine_is_called_and_every_called_routine_is_bound():
+    # the routine names _lapack passes to _fortran or _subroutine are the keys of _BINDINGS
+    path = PACKAGE / "_lapack.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # _subroutine forwards its own name to _fortran
+    forwarding = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_subroutine"
+                  for node in ast.walk(fn)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("_fortran", "_subroutine") and id(node) not in forwarding]
+    names = [call.args[0].value for call in calls
+             if call.args and isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str)]
+    assert calls and len(names) == len(calls), "a LAPACK routine is called by a name that is not a literal"
+    assert set(names) == set(_BINDINGS)
 
 
 def test_every_solver_setting_is_read_outside_validate():

@@ -28,7 +28,7 @@ from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
 from rsarc.subproblem import cubic_norm
-from helpers import fd_gradient, fd_jacobian, model_value_oracle, rel_err
+from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
 def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
@@ -360,7 +360,7 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
     assert not mismatches
 
 
-needs_lapacke = pytest.mark.skipif(not _lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
+needs_lapack = pytest.mark.skipif(not _lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
 EPS = np.finfo(float).eps
 
 
@@ -373,7 +373,7 @@ def _large_instance(n, rank, gram, seed=66):
     return rng.standard_normal(n), h, gm, rng
 
 
-@needs_lapacke
+@needs_lapack
 @pytest.mark.parametrize("gram", [None, "gaussian"])
 @pytest.mark.parametrize("rank", ["full", 50])
 @pytest.mark.parametrize("n", [subproblem._FACTORED_MIN, 300])
@@ -416,7 +416,7 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
         assert factored.h_hat is consumed and np.array_equal(consumed, h)
 
 
-@needs_lapacke
+@needs_lapack
 def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
     n = subproblem._FACTORED_MIN
     rng = np.random.default_rng(67)
@@ -432,25 +432,20 @@ def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
     assert rel_err(factored.s_hat, explicit.s_hat) <= 1e-10
 
 
-@needs_lapacke
+@needs_lapack
 @pytest.mark.parametrize("routine", ["dsytd2", "dstedc", "dormqr"])
-def test_a_failed_lapacke_call_raises_a_typed_error(monkeypatch, routine):
+def test_a_failed_lapack_call_raises_a_typed_error(monkeypatch, routine):
     # a nonzero info from a bound routine is an inner failure, not a crash;
     # a full-rank matrix runs the reduction to its last block, dsytd2
-    def failing(*args):
-        if routine == "dsytd2":  # a Fortran subroutine: info is its last pointer argument
-            ctypes.c_int64.from_address(args[7]).value = 7
-        return 7
-
     g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, "full", None)
-    monkeypatch.setitem(_lapack._routines(), routine, failing)
+    monkeypatch.setitem(_lapack._routines(), routine, failing_lapack(routine, 7))
     with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
         solve(build_model(0.0, g, h, 1.0))
     res = run(get_problem("ARWHEAD:N=200"), SolverConfig(mode="arc"))
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
 
-def test_a_missing_lapacke_symbol_makes_the_binding_unavailable(monkeypatch):
+def test_a_missing_lapack_symbol_makes_the_binding_unavailable(monkeypatch):
     monkeypatch.setitem(_lapack._BINDINGS, "dormqr", ("dormqr_nonexistent", []))
     _lapack._routines.cache_clear()
     try:
@@ -474,19 +469,26 @@ def test_without_every_symbol_a_model_takes_eigh(monkeypatch, routine):
         _lapack._routines.cache_clear()
 
 
+_COL_MAJOR, _INT, _PTR, _CHAR = 102, ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+
+
+def _lapacke(routine, argtypes):
+    """numpy's OpenBLAS's ``LAPACKE_<routine>``, the reference the Fortran calls are checked against."""
+    return _lapack._bind({routine: (f"scipy_LAPACKE_{routine}64_", argtypes, _INT)})[routine]
+
+
 def _lapacke_dsytrd(a):
     """LAPACKE's own dsytrd ('L') on a copy of ``a``: reflectors, d, e, tau."""
     # layout, uplo, n, a, lda, d, e, tau
-    args = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
-    fn = _lapack._bind({"dsytrd": ("scipy_LAPACKE_dsytrd64_", args, ctypes.c_int64)})["dsytrd"]
+    fn = _lapacke("dsytrd", [ctypes.c_int, _CHAR, _INT, _PTR, _INT] + [_PTR] * 3)
     n = a.shape[0]
     a = np.array(a, order="F")
     d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-    assert fn(102, b"L", n, a.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data) == 0
+    assert fn(_COL_MAJOR, b"L", n, a.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data) == 0
     return a, d, e, tau
 
 
-@needs_lapacke
+@needs_lapack
 @pytest.mark.parametrize("n", [31, 32, 33, 200, 300])
 def test_a_full_reduction_is_lapackes_dsytrd_bit_for_bit(n):
     # below the first panel width the loop is dsytd2 alone, above it dsytrd's blocks
@@ -498,7 +500,48 @@ def test_a_full_reduction_is_lapackes_dsytrd_bit_for_bit(n):
         assert got.shape == expected.shape and np.array_equal(got, expected)
 
 
-@needs_lapacke
+#: orders on both sides of dstedc's switch from dsteqr to divide and conquer
+#: (SMLSIZ = 25), and n = 1, whose workspace is its own case
+_EIGH_ORDERS = [1, 2, 25, 26, 128, 224]
+
+
+@needs_lapack
+@pytest.mark.parametrize("n, split", [(n, None) for n in _EIGH_ORDERS] + [(128, 20)],
+                         ids=[str(n) for n in _EIGH_ORDERS] + ["128-split"])
+def test_tridiagonal_eigh_is_lapackes_dstedc_bit_for_bit(n, split):
+    # LAPACKE queries dstedc's workspace; tridiagonal_eigh passes the documented
+    # minimum.  A zero coupling splits T into blocks of 21 and 107, which
+    # dstedc solves apart, one by dsteqr and one by divide and conquer
+    rng = np.random.default_rng(70 + n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if split is not None:
+        e[split] = 0.0
+    # layout, compz, n, d, e, z, ldz
+    fn = _lapacke("dstedc", [ctypes.c_int, _CHAR, _INT, _PTR, _PTR, _PTR, _INT])
+    want_d, want_e, want_z = d.copy(), e.copy(), np.empty((n, n), order="F")
+    assert fn(_COL_MAJOR, b"I", n, want_d.ctypes.data, want_e.ctypes.data, want_z.ctypes.data, n) == 0
+    got_d, got_z = _lapack.tridiagonal_eigh(d, e)
+    assert np.array_equal(got_d, want_d) and np.array_equal(got_z, want_z)
+
+
+@needs_lapack
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("n", _EIGH_ORDERS)
+def test_apply_q_is_lapackes_dormqr_bit_for_bit(n, transpose):
+    _, h, _, rng = _large_instance(n, "full", None)
+    a = np.array(h, order="F")
+    tau = _lapack.tridiagonalize(a)[2]
+    v = rng.standard_normal(n)
+    # layout, side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork
+    fn = _lapacke("dormqr_work", [ctypes.c_int, _CHAR, _CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT,
+                                  _PTR, _INT])
+    want, work = v.copy(), np.empty(1)
+    assert fn(_COL_MAJOR, b"L", b"T" if transpose else b"N", n - 1, 1, n - 1, a[1:].ctypes.data, n,
+              tau.ctypes.data, want[1:].ctypes.data, max(1, n - 1), work.ctypes.data, 1) == 0
+    assert np.array_equal(_lapack.apply_q(a, tau, v, transpose), want)
+
+
+@needs_lapack
 @pytest.mark.parametrize("call", [
     lambda: _lapack.tridiagonalize(np.eye(4)),  # C-ordered
     lambda: _lapack.tridiagonalize(np.ones((3, 4), order="F")),
@@ -519,7 +562,7 @@ def _explicit_q(reflectors, tau):
     return np.column_stack([_lapack.apply_q(reflectors, tau, col, transpose=False) for col in np.eye(n)])
 
 
-@needs_lapacke
+@needs_lapack
 @pytest.mark.parametrize("rank", [0, 10, 50])
 def test_a_low_rank_reduction_stops_at_the_first_panel_past_the_rank(rank):
     # H's Krylov space from e_1 has dimension rank + 1, so the coupling and the
@@ -539,7 +582,7 @@ def test_a_low_rank_reduction_stops_at_the_first_panel_past_the_rank(rank):
     assert np.linalg.norm(q.T @ q - np.eye(n)) <= 10 * n * EPS
 
 
-@needs_lapacke
+@needs_lapack
 def test_a_matrix_whose_squares_overflow_is_reduced_to_the_end():
     # ||H||_F^2 overflows at entries of about 1e160; the stop rule's norm does
     # not, so a full-rank matrix drops nothing and T scales with H
@@ -562,7 +605,7 @@ def test_the_model_reads_one_triangle_of_h(n):
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
-@needs_lapacke
+@needs_lapack
 def test_a_truncated_model_keeps_the_hard_case(monkeypatch):
     # rank 20 with one negative eigenvalue and no gradient along its eigenvector:
     # the merged spectrum's null space keeps the hard case of the explicit solve
@@ -583,7 +626,7 @@ def test_a_truncated_model_keeps_the_hard_case(monkeypatch):
     assert factored.predicted_decrease == pytest.approx(explicit.predicted_decrease, rel=1e-10)
 
 
-@needs_lapacke
+@needs_lapack
 def test_a_sketched_model_keeps_only_the_reduced_order(monkeypatch):
     # rarc at l = 150 on a rank-20 function: every model stops below l, and the
     # run takes the path of one whose reduction drops nothing but exact zeros
