@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidProblemError
-from .problems import get_problem
+from .problems import ObjectiveProblem, get_problem
 from .solver import ONE_BLAS_THREAD, IterationTrace, SolverConfig, run, thread_settings, trace_to_csv
 
 METRIC_REL_HESSIANS = "rel-hessians"
@@ -121,34 +121,48 @@ def data_profile(
     return DataProfile(solver_id, tau, DEFAULT_ALPHA_GRID, pi)
 
 
+def _run_instance(
+    instance: str, repeat: int, jobs: Sequence[tuple], taus: Sequence[float], metric: str
+) -> List[BenchmarkRun]:
+    """Worker: build one instance from its selector and run each of its
+    ``(config, trace_path)`` jobs on it.  When ``get_problem`` raises, every
+    job is recorded as unsolved with status ``Error:<type>``."""
+    try:
+        problem = get_problem(instance)
+    except Exception as exc:  # noqa: BLE001 - isolate per-instance failures
+        status = f"Error:{type(exc).__name__}"
+        return [BenchmarkRun(instance, c.solver_id(), repeat, c.seed, dict.fromkeys(taus, math.inf), status)
+                for c, _ in jobs]
+    return [_run_one(instance, problem, config, repeat, taus, metric, path) for config, path in jobs]
+
+
 def _run_one(
-    problem_id: str,
+    instance: str,
+    problem: ObjectiveProblem,
     config: SolverConfig,
     repeat: int,
     taus: Sequence[float],
     metric: str,
     trace_path: Optional[str],
 ) -> BenchmarkRun:
-    """Worker: build the problem from its selector, run, score all taus.
-
-    Any per-run failure (unknown optimum, solver error) is recorded as an
-    unsolved run instead of propagating, so a grid never aborts.
-    """
-    budgets = {tau: math.inf for tau in taus}
+    """Run, write the trace, score all taus.  A run that raises is recorded as
+    unsolved with status ``Error:<type>``; one that cannot be scored (no f*
+    below f(x0)) keeps its trace and status, with every budget at inf."""
+    budgets = dict.fromkeys(taus, math.inf)
     try:
-        problem = get_problem(problem_id)
         result = run(problem, config)
-        f0 = problem.value(problem.x0)
-        for tau in taus:
-            budgets[tau] = solved_budget(
-                result.trace, f0, problem.f_star, tau, metric, final_f=result.f_final
-            )
-        status = result.status
-        if trace_path:
-            trace_to_csv(result.trace, trace_path)
     except Exception as exc:  # noqa: BLE001 - isolate per-run failures
-        status = f"Error:{type(exc).__name__}"
-    return BenchmarkRun(problem_id, config.solver_id(), repeat, config.seed, budgets, status)
+        return BenchmarkRun(instance, config.solver_id(), repeat, config.seed, budgets,
+                            f"Error:{type(exc).__name__}")
+    if trace_path:
+        trace_to_csv(result.trace, trace_path)
+    f0 = problem.value(problem.x0)
+    try:
+        budgets = {tau: solved_budget(result.trace, f0, problem.f_star, tau, metric, final_f=result.f_final)
+                   for tau in taus}
+    except InvalidProblemError:
+        pass  # no f* to score against: the run stays unsolved
+    return BenchmarkRun(instance, config.solver_id(), repeat, config.seed, budgets, result.status)
 
 
 def _instance_selector(selector: str, instance_seed: int) -> str:
@@ -201,47 +215,53 @@ def run_grid(
 
     ``problems`` are registry selectors without an instance seed; each
     repeat augments low-rank problems with a fresh embedding seeded by
-    seed_base + repeat, and gets its own solver seed.  Failed runs are
-    recorded as unsolved rather than aborting the grid.  ``workers > 1``
-    runs the jobs in spawned processes with one BLAS thread each, as a serial
+    seed_base + repeat, and gets its own solver seed.  Each (selector,
+    repeat) instance is built once and runs every config; the runs come back
+    in (selector, config, repeat) order.  Failed runs are recorded as
+    unsolved rather than aborting the grid.  ``workers > 1`` runs the
+    instances in spawned processes with one BLAS thread each, as a serial
     run under ``ONE_BLAS_THREAD`` would; scripts need a ``__main__`` guard.
     """
     check_grid(problems, solver_configs, repeats, seed_base, taus, metric, workers)
-    jobs = []
-    for selector in problems:
-        for config in solver_configs:
-            for rep in range(repeats):
-                instance = _instance_selector(selector, seed_base + rep)
-                cfg = replace(config, seed=solver_seed(seed_base, len(jobs)))
+    tasks = []  # one per (selector, repeat): its instance and its jobs, seeded in job order
+    for i, selector in enumerate(problems):
+        for rep in range(repeats):
+            instance = _instance_selector(selector, seed_base + rep)
+            jobs = []
+            for j, config in enumerate(solver_configs):
+                cfg = replace(config, seed=solver_seed(seed_base, (i * len(solver_configs) + j) * repeats + rep))
                 trace_path = None
                 if out_dir is not None:
-                    fname = "trace_{}_{}_rep{}.csv".format(
-                        file_stem(instance), file_stem(cfg.solver_id()), rep
-                    )
+                    fname = f"trace_{file_stem(instance)}_{file_stem(cfg.solver_id())}_rep{rep}.csv"
                     trace_path = os.path.join(out_dir, fname)
-                jobs.append((instance, cfg, rep, tuple(taus), metric, trace_path))
+                jobs.append((cfg, trace_path))
+            tasks.append((instance, rep, jobs, tuple(taus), metric))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    columns = list(zip(*jobs))
+    columns = list(zip(*tasks))
     if workers == 1:
-        return list(map(_run_one, *columns))
-    # imported here: multiprocessing adds about 2 MB to every ``import rsarc``
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        done = list(map(_run_instance, *columns))
+    else:
+        # imported here: multiprocessing adds about 2 MB to every ``import rsarc``
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    # spawned, not forked (which keeps this process's BLAS): workers load it anew
-    saved = {name: os.environ.pop(name, None) for name in ONE_BLAS_THREAD}
-    os.environ.update(ONE_BLAS_THREAD)
-    try:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            return list(pool.map(_run_one, *columns))
-    finally:
-        for name in ONE_BLAS_THREAD:
-            del os.environ[name]
-        os.environ.update({name: value for name, value in saved.items() if value is not None})
+        # spawned, not forked (which keeps this process's BLAS): workers load it anew
+        saved = {name: os.environ.pop(name, None) for name in ONE_BLAS_THREAD}
+        os.environ.update(ONE_BLAS_THREAD)
+        try:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+                done = list(pool.map(_run_instance, *columns))
+        finally:
+            for name in ONE_BLAS_THREAD:
+                del os.environ[name]
+            os.environ.update({name: value for name, value in saved.items() if value is not None})
+    # done[i * repeats + rep][j] is job (i, j, rep)
+    return [done[i * repeats + rep][j] for i in range(len(problems))
+            for j in range(len(solver_configs)) for rep in range(repeats)]
 
 
 def grid_threads(workers: int) -> dict:

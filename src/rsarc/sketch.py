@@ -12,14 +12,15 @@ for that sketch, which perfbench's tracer reads when it counts the flops
 of ``sketch_hessian``.  The rank helpers return the rank as an int.
 
 ``draw`` takes its normals from a Generator, or from a ``RowStream`` over
-one.  The stream hands out the Generator's rows of d standard normals in
-stream order, and a worker thread draws the next ones while the caller
-computes: after each ``take(l)`` it keeps l + 1 rows ready.  Since numpy's
+one, as the solver does.  The stream hands out the Generator's rows of d
+standard normals in stream order.  From its first ``take(l)`` with l * d
+at least ``_DRAW_AHEAD_MIN`` on, if OpenBLAS runs n >= 2 threads, it sets
+OpenBLAS to n - 1 and a worker thread draws the next rows while the caller
+computes; ``close`` ends the worker and restores n.  Since numpy's
 Generator fills l rows of d normals exactly as it fills those rows one
 block after another, ``draw(SCALED_GAUSSIAN, l, d, RowStream(rng, d))``
 gives bit for bit the sketches ``draw(SCALED_GAUSSIAN, l, d, rng)`` gives,
-for any sequence of l.  The solver draws ahead only for sketches of at least
-``_DRAW_AHEAD_MIN`` entries (see ``solver``).
+for any sequence of l.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import _lapack
 from .errors import InvalidDimensionError
 
 SCALED_GAUSSIAN = "scaled_gaussian"
 IDENTITY = "identity"
 
-#: the fewest entries l * d of a sketch that the solver draws ahead on a worker thread
+#: the fewest entries l * d of a sketch that a RowStream draws ahead on a worker thread
 #: (about 0.5 ms of drawing, against about 0.1 ms for each hand-off to the worker)
 _DRAW_AHEAD_MIN = 2**15
 
@@ -44,14 +46,19 @@ class RowStream:
     """The rows of d standard normals of ``rng``, in stream order, drawn ahead.
 
     ``take(l)`` returns the next l rows as a fresh l x d array (or the first
-    l rows of one) and has a one-thread worker, created on first use, draw
-    on until l + 1 rows are ready.  Only the stream may draw from ``rng``
-    until ``close``, which waits for the worker and ends it.
+    l rows of one), drawn inline until the first take of l * d >=
+    ``_DRAW_AHEAD_MIN`` entries at n >= 2 OpenBLAS threads (n is read once,
+    here).  That take sets OpenBLAS to n - 1 threads (at one thread that also
+    ends its idle helpers, see ``_lapack.set_blas_threads``) and creates a
+    one-thread worker, which from then on draws after each ``take(l)`` until
+    l + 1 rows are ready.  Only the stream may draw from ``rng`` until
+    ``close``, which ends the worker and restores n.
     """
 
     def __init__(self, rng: np.random.Generator, d: int) -> None:
         self.d = d
         self._rng = rng
+        self._threads = _lapack.blas_threads()
         self._pending: Optional[Future] = None  # the worker's next ready rows
         self._worker: Optional[ThreadPoolExecutor] = None
 
@@ -63,11 +70,14 @@ class RowStream:
         return out
 
     def take(self, l: int) -> np.ndarray:
+        if self._worker is None:
+            if (self._threads or 0) < 2 or l * self.d < _DRAW_AHEAD_MIN:
+                return self._rng.standard_normal((l, self.d))
+            _lapack.set_blas_threads(self._threads - 1)
+            self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rsarc-draw")
         ready = np.empty((0, self.d)) if self._pending is None else self._pending.result()
         if len(ready) < l:
             ready = self._rows(ready, l)
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rsarc-draw")
         # the worker copies the rows after the first l, which the caller never sees
         self._pending = self._worker.submit(self._rows, ready[l:], l + 1)
         return ready[:l]
@@ -76,6 +86,7 @@ class RowStream:
         # the rows drawn ahead of the last take are dropped unread
         if self._worker is not None:
             self._worker.shutdown(wait=True, cancel_futures=True)
+            _lapack.set_blas_threads(self._threads)
         self._worker = self._pending = None
 
 

@@ -27,17 +27,8 @@ the problem's ``sketched_hessian`` S H S^T is the model's, so no d x d
 array is formed.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
-stream order.  From the first sketch of at least ``sk._DRAW_AHEAD_MIN``
-entries l * d on, if OpenBLAS runs n >= 2 threads, ``run`` sets it to
-n - 1 (at one thread that also ends OpenBLAS's idle helper threads, see
-``_lapack.set_blas_threads``), and a one-thread worker draws the next
-sketch's rows (a ``sk.RowStream``) while the iteration projects, factors,
-solves and evaluates; ``run`` ends the worker and restores n when it
-returns or raises.  Each sketch is bit for bit the one an inline draw
-gives, so the one change in rounding is BLAS at n - 1 threads in the
-iterations above that gate.  ``arc``, sketches below the gate and a
-process at one BLAS thread (as ``run_grid``'s workers are) draw inline,
-with the same bits as before.
+stream order, through a ``sk.RowStream``, which decides when to draw the
+next sketch ahead on a worker thread and at what BLAS thread count.
 
 An iteration makes one l x l eigendecomposition, in
 ``subproblem.build_model``, and takes the observed rank from the model's
@@ -238,37 +229,11 @@ def run(problem: ObjectiveProblem, config: SolverConfig) -> SolveResult:
     d = problem.dim
     if config.mode != MODE_ARC and config.l0 > d:
         raise InvalidDimensionError(f"l0={config.l0} exceeds problem dimension {d}")
-    sketches = _Sketches(np.random.default_rng(config.seed), d)
+    rows = sk.RowStream(np.random.default_rng(config.seed), d)
     try:
-        return _iterate(problem, config, sketches)
+        return _iterate(problem, config, rows)
     finally:
-        sketches.close()
-
-
-class _Sketches:
-    """The scaled-Gaussian sketches of one solve, drawn from ``rng`` in order.
-
-    From the first sketch of at least ``sk._DRAW_AHEAD_MIN`` entries on, if
-    OpenBLAS runs n >= 2 threads, they come through a ``sk.RowStream`` whose
-    worker draws the next rows while the iteration runs on n - 1 BLAS
-    threads; ``close`` ends the worker and restores n.
-    """
-
-    def __init__(self, rng: np.random.Generator, d: int) -> None:
-        self.rng, self.d = rng, d
-        self.stream: Optional[sk.RowStream] = None
-        self.threads = _lapack.blas_threads()
-
-    def draw(self, l: int) -> sk.SketchMatrix:
-        if self.stream is None and (self.threads or 0) >= 2 and l * self.d >= sk._DRAW_AHEAD_MIN:
-            self.stream = sk.RowStream(self.rng, self.d)
-            _lapack.set_blas_threads(self.threads - 1)
-        return sk.draw(sk.SCALED_GAUSSIAN, l, self.d, self.stream or self.rng)
-
-    def close(self) -> None:
-        if self.stream is not None:
-            self.stream.close()
-            _lapack.set_blas_threads(self.threads)
+        rows.close()
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -279,8 +244,8 @@ def _all_finite(a: np.ndarray) -> bool:
         return bool(np.isfinite(v @ v) or np.all(np.isfinite(v)))
 
 
-def _iterate(problem: ObjectiveProblem, config: SolverConfig, sketches: _Sketches) -> SolveResult:
-    """``run``'s loop, which draws every sketch from ``sketches``."""
+def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream) -> SolveResult:
+    """``run``'s loop, which draws every sketch from ``rows``."""
     d = problem.dim
     identity = config.mode == MODE_ARC  # S = I is never formed: s_mat stays None
     x = np.array(problem.x0, dtype=float, copy=True)
@@ -324,7 +289,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, sketches: _Sketche
                         if not (h_hat.flags.writeable and h_hat.flags.owndata):
                             h_hat = np.array(h_hat)  # the model may overwrite it
                     else:
-                        s_mat = sketches.draw(l)
+                        s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rows)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
                     finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -8,18 +10,22 @@ import numpy as np
 import pytest
 
 from rsarc import (
+    InnerSolverError,
     InvalidInputError,
     InvalidProblemError,
     SolverConfig,
     builtin_problem,
     data_profile,
+    get_problem,
     read_runs_csv,
     run,
     run_grid,
     solved_budget,
+    trace_from_csv,
     write_runs_csv,
 )
-from rsarc.bench import METRIC_REL_HESSIANS, METRIC_RUNTIME, BenchmarkRun
+from rsarc import bench
+from rsarc.bench import DEFAULT_TAUS, METRIC_REL_HESSIANS, METRIC_RUNTIME, BenchmarkRun, solver_seed
 from rsarc.solver import ONE_BLAS_THREAD, IterationTrace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,16 +203,55 @@ def test_grid_seed_base_changes_instances():
     assert a[0].problem_id != b[0].problem_id
 
 
-def test_grid_records_failures_without_aborting():
-    # ENGVAL1 at this size has no catalogued optimum, so scoring fails per-run
-    problems = ["ENGVAL1:N=7", "QUADRANK:d=6:rank=6"]
-    configs = [SolverConfig(mode="arc", epsilon=1e-7)]
-    runs = run_grid(problems, configs, repeats=1, seed_base=0, taus=(1e-2,))
-    by_problem = {r.problem_id: r for r in runs}
-    bad = by_problem["ENGVAL1:N=7"]
-    assert bad.n_p[1e-2] == math.inf
-    assert bad.status.startswith("Error")
-    assert math.isfinite(by_problem["QUADRANK:d=6:rank=6"].n_p[1e-2])
+def test_grid_records_failures_without_aborting(monkeypatch):
+    # an instance that cannot be built fails each of its jobs, and a run that
+    # raises fails only itself; the grid goes on
+    solve = bench.run
+
+    def refuse_rarc_d(problem, config):
+        if config.mode == "rarc-d":
+            raise InnerSolverError("refused")
+        return solve(problem, config)
+
+    monkeypatch.setattr(bench, "run", refuse_rarc_d)
+    configs = [SolverConfig(mode="arc", epsilon=1e-7), SolverConfig(mode="rarc-d", epsilon=1e-7)]
+    runs = run_grid(["NOSUCH:N=7", "QUADRANK:d=6:rank=6"], configs, repeats=1, seed_base=0, taus=(1e-2,))
+    assert [r.status for r in runs] == ["Error:UnsupportedProblemError"] * 2 + [
+        "GradientTolReached", "Error:InnerSolverError"]
+    assert [math.isfinite(r.n_p[1e-2]) for r in runs] == [False, False, True, False]
+
+
+def test_a_run_that_cannot_be_scored_keeps_its_trace_and_status(tmp_path):
+    # ENGVAL1's optimum is catalogued only for N in {50, 100}
+    config = SolverConfig(mode="rarc-d")
+    runs = run_grid(["ENGVAL1:N=30", "ARWHEAD:N=30"], [config], repeats=1, seed_base=0, out_dir=str(tmp_path))
+    unscored = runs[0]
+    alone = run(get_problem("ENGVAL1:N=30"), dataclasses.replace(config, seed=unscored.seed))
+    assert alone.status == unscored.status == "GradientTolReached"
+    assert unscored.n_p == {tau: math.inf for tau in DEFAULT_TAUS}
+    traced = trace_from_csv(tmp_path / "trace_ENGVAL1_N30_rarc-d-l02_rep0.csv")
+    assert [dataclasses.replace(row, wall_time_s=0.0) for row in traced] == [
+        dataclasses.replace(row, wall_time_s=0.0) for row in alone.trace]
+    assert runs[1].status == "GradientTolReached" and all(map(math.isfinite, runs[1].n_p.values()))
+
+
+def test_grid_builds_each_instance_once_and_keeps_the_job_order(monkeypatch):
+    built = []
+    build = bench.get_problem
+
+    def counted(selector):
+        built.append(selector)
+        return build(selector)
+
+    monkeypatch.setattr(bench, "get_problem", counted)
+    problems = ["l-ARWHEAD:N=10:d=40", "l-POWER:N=10:d=40"]
+    configs = [SolverConfig(mode=mode, epsilon=1e-6) for mode in ("arc", "rarc-d")]
+    runs = run_grid(problems, configs, repeats=3, seed_base=4, taus=(1e-2,))
+    assert sorted(built) == [f"{p}:seed={seed}" for p in problems for seed in (4, 5, 6)]
+    jobs = itertools.product(problems, configs, range(3))
+    assert [(r.problem_id, r.solver_id, r.repeat, r.seed) for r in runs] == [
+        (f"{p}:seed={4 + rep}", c.solver_id(), rep, solver_seed(4, index))
+        for index, (p, c, rep) in enumerate(jobs)]
 
 
 def test_grid_worker_pool_matches_serial():

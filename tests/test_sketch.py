@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rsarc import (
     sketch_hessian,
     spectrum_rank,
 )
+from rsarc import _lapack, sketch
 from rsarc.sketch import RowStream, SketchMatrix
 
 
@@ -34,8 +36,10 @@ def test_draw_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_a_row_stream_gives_the_inline_sketches_bit_for_bit():
-    # growth by one, a redraw at the same l after a singular Gram, a C = 2 jump
+def test_a_row_stream_gives_the_inline_sketches_bit_for_bit(monkeypatch, blas_threads_at_least_two):
+    # growth by one, a redraw at the same l after a singular Gram, a C = 2 jump;
+    # every take is above the patched gate, so the worker draws
+    monkeypatch.setattr(sketch, "_DRAW_AHEAD_MIN", 1)
     d, seed = 60, 11
     stream = RowStream(np.random.default_rng(seed), d)
     rng = np.random.default_rng(seed)
@@ -48,9 +52,10 @@ def test_a_row_stream_gives_the_inline_sketches_bit_for_bit():
         stream.close()
 
 
-def test_a_row_stream_keeps_stream_order_under_frequent_thread_switches():
+def test_a_row_stream_keeps_stream_order_under_frequent_thread_switches(monkeypatch, blas_threads_at_least_two):
     # the worker and an inline draw share one Generator; a draw out of turn would
     # change the bits.  Any l, growing, repeated or shrinking, one row to all d
+    monkeypatch.setattr(sketch, "_DRAW_AHEAD_MIN", 1)
     d, seed = 40, 5
     sizes = np.random.default_rng(1).integers(1, d + 1, size=300)
     stream = RowStream(np.random.default_rng(seed), d)
@@ -66,11 +71,41 @@ def test_a_row_stream_keeps_stream_order_under_frequent_thread_switches():
         stream.close()
 
 
-def test_a_row_stream_draws_only_its_own_width():
+def test_a_row_stream_draws_only_its_own_width(monkeypatch, blas_threads_at_least_two):
+    monkeypatch.setattr(sketch, "_DRAW_AHEAD_MIN", 1)
     stream = RowStream(np.random.default_rng(0), 6)
-    with pytest.raises(InvalidDimensionError, match="6 columns"):
-        draw(SCALED_GAUSSIAN, 2, 5, stream)
+    try:
+        draw(SCALED_GAUSSIAN, 2, 6, stream)  # the worker is drawing ahead
+        with pytest.raises(InvalidDimensionError, match="6 columns"):
+            draw(SCALED_GAUSSIAN, 2, 5, stream)
+    finally:
+        stream.close()
+
+
+@pytest.mark.parametrize("one_blas_thread", [False, True], ids=["below-the-gate", "one-blas-thread"])
+def test_a_row_stream_draws_inline_below_the_gate_or_at_one_blas_thread(
+    monkeypatch, blas_threads_at_least_two, one_blas_thread
+):
+    if one_blas_thread:
+        monkeypatch.setattr(sketch, "_DRAW_AHEAD_MIN", 1)
+        _lapack.set_blas_threads(1)
+    live, threads, d = threading.active_count(), _lapack.blas_threads(), 50
+    stream, rng = RowStream(np.random.default_rng(0), d), np.random.default_rng(0)
+    for l in (2, 5, d):  # at most 2,500 entries, below the default gate
+        assert np.array_equal(stream.take(l), rng.standard_normal((l, d)))
+        assert (threading.active_count(), _lapack.blas_threads()) == (live, threads)
     stream.close()
+    assert _lapack.blas_threads() == threads
+
+
+def test_closing_a_row_stream_restores_the_blas_threads(monkeypatch, blas_threads_at_least_two):
+    monkeypatch.setattr(sketch, "_DRAW_AHEAD_MIN", 1)
+    n, live = blas_threads_at_least_two, threading.active_count()
+    stream = RowStream(np.random.default_rng(0), 50)
+    stream.take(2)
+    assert (threading.active_count(), _lapack.blas_threads()) == (live + 1, n - 1)
+    stream.close()
+    assert (threading.active_count(), _lapack.blas_threads()) == (live, n)
 
 
 def test_scaled_gaussian_norm_preservation_in_expectation():

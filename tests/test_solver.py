@@ -659,29 +659,17 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
     assert len(redrawn) == 1 and res.trace[redrawn[0] - 1].success is False
 
 
-@pytest.fixture
-def blas_threads_at_least_two():
-    """OpenBLAS's thread count, raised to two for the test if it is lower."""
-    before = _lapack.blas_threads()
-    if before is None:
-        pytest.skip("numpy's OpenBLAS reports no thread count")
-    _lapack.set_blas_threads(max(before, 2))
-    try:
-        yield max(before, 2)
-    finally:
-        _lapack.set_blas_threads(before)
-
-
 def _recorded_draws(monkeypatch):
-    """Wrap sk.draw; each call records whether it drew from a row stream, the
-    BLAS thread count and the number of live Python threads."""
+    """Wrap sk.draw; each call records, right after the draw, whether its row
+    stream's worker exists (it drew ahead), the BLAS thread count and the
+    number of live Python threads."""
     draws = []
     draw = solver_mod.sk.draw
 
     def recorded(distribution, l, d, seed):
-        draws.append((isinstance(seed, solver_mod.sk.RowStream), _lapack.blas_threads(),
-                      threading.active_count()))
-        return draw(distribution, l, d, seed)
+        s = draw(distribution, l, d, seed)
+        draws.append((seed._worker is not None, _lapack.blas_threads(), threading.active_count()))
+        return s
 
     monkeypatch.setattr(solver_mod.sk, "draw", recorded)
     return draws

@@ -78,6 +78,16 @@ def test_only_the_lapack_binding_sets_the_blas_thread_count():
     assert not found, f"OpenBLAS's thread controls named outside _lapack: {found}"
 
 
+def test_only_the_row_stream_decides_the_draw_ahead():
+    # sketch.RowStream owns the gate, the worker and the BLAS thread switch of a solve
+    names = ("_DRAW_AHEAD_MIN", "ThreadPoolExecutor")
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "sketch.py"
+             for name in names if name in path.read_text()]
+    if "set_blas_threads" in (PACKAGE / "solver.py").read_text():
+        found.append("solver.py: set_blas_threads")
+    assert not found, f"the draw-ahead decided outside sketch.py: {found}"
+
+
 def test_importing_the_package_binds_no_library():
     # numpy's OpenBLAS is opened by the first call that needs a routine, never at import
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
