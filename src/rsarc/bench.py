@@ -193,6 +193,8 @@ def check_grid(problems, solver_configs, repeats, seed_base, taus=DEFAULT_TAUS,
         raise InvalidInputError(f"need workers >= 1, got {workers}")
     if not all(0.0 < tau < 1.0 for tau in taus):
         raise InvalidInputError(f"need every tau in (0,1), got {list(taus)}")
+    if len(set(taus)) != len(taus):
+        raise InvalidInputError(f"repeated tau in {list(taus)}; each run keeps one budget per tau")
     ids = [config.solver_id() for config in solver_configs]
     shared = sorted({i for i in ids if ids.count(i) > 1})
     if shared:

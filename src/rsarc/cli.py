@@ -36,6 +36,7 @@ from . import sketch as sk
 from .errors import RsarcError
 from .problems import get_problem
 from .solver import (
+    MODE_ARC,
     MODES,
     STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
@@ -172,7 +173,10 @@ def cmd_solve(args) -> int:
         stem = bn.file_stem(args.problem)
         trace_to_csv(result.trace, os.path.join(args.out, f"trace_{stem}.csv"))
         write_summary(problem, config, result, os.path.join(args.out, f"summary_{stem}.json"))
-    final_l = result.trace[-1].l_k if result.trace else config.l0
+    if result.trace:
+        final_l = result.trace[-1].l_k
+    else:  # no iteration ran: arc's sketch is the identity, l0 is unused
+        final_l = problem.dim if config.mode == MODE_ARC else config.l0
     print(
         f"{problem.name}: status={result.status} iters={len(result.trace)} "
         f"f={result.f_final:.6e} ||g||={result.grad_norm_final:.3e} l_final={final_l}"

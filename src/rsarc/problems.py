@@ -477,6 +477,8 @@ def get_problem(selector: str) -> ObjectiveProblem:
         if "=" not in part:
             raise UnsupportedProblemError(f"malformed selector component {part!r}")
         k, v = part.split("=", 1)
+        if k.strip() in params:
+            raise UnsupportedProblemError(f"repeated selector key {k.strip()!r} in {selector!r}")
         try:
             params[k.strip()] = int(v)
         except ValueError as exc:

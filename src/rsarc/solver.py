@@ -17,40 +17,24 @@ ones of adaptive cubic regularization (module constants).  Per-iteration
 cost is charged as (l_k/d)^2 "relative Hessians seen", the budget metric
 used by the benchmark layer.
 
-The identity sketch is never formed as a matrix: g and the array that the
-problem's ``hessian`` returns enter the model as they are, its Gram is
-None and the step is s itself.  The model reads one triangle of H and
-overwrites it from order ``subproblem._FACTORED_MIN`` on; an array that is
-read-only or a view of other storage is copied first.  For the
-scaled-Gaussian sketches of ``rarc`` and ``rarc-d``, the symmetric part of
-the problem's ``sketched_hessian`` S H S^T is the model's, so no d x d
-array is formed.
+The identity sketch is never formed as a matrix: g and the problem's
+``hessian`` enter the model as they are (an array that is read-only or a
+view of other storage is copied first, as the model may overwrite it), and
+the step is the model's minimizer.  A scaled-Gaussian sketch's S g and
+S H S^T (the problem's ``sketched_hessian``, symmetrized; no d x d array is
+formed) are whitened by ``subproblem.whiten``, and the model's minimizer u
+gives the step S^T L^{-T} u.  Each model is one l x l eigendecomposition
+(``subproblem.build_model``), whose eigenvalues give the observed rank.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
 stream order, through a ``sk.RowStream``, which decides when to draw the
 next sketch ahead on a worker thread and at what BLAS thread count.
 
-An iteration makes one l x l eigendecomposition, in
-``subproblem.build_model``, and takes the observed rank from the model's
-eigenvalues.  From l = ``subproblem._FACTORED_MIN`` on, the model keeps
-its eigenvectors factored (Householder reflectors of the tridiagonal
-reduction and the tridiagonal's eigenvectors, from numpy's LAPACK) and
-never forms the l x l eigenvector matrix; for ``arc`` the reduction
-overwrites the problem's Hessian, so the model holds one d x d array and
-an iteration allocates no other.
-The reduction stops once the block it has yet to reduce is below
-its own backward error, n eps ||H_tilde||_F (``_lapack.tridiagonalize``), so
-a Hessian of rank r costs a reduction of order about r + 1, not l.  When it
-drops nothing, the eigenvalues, and so the ranks, are those of
-``np.linalg.eigh`` bit for bit on any matrix it does not rescale; when it
-stops early, the dropped eigenvalues are exact zeros and the kept ones move
-by at most about that backward error.
-
 ``run`` keeps its sketch state in one variable: ``model`` is None when
 the next iteration must build a model at x_k, and a sketched mode draws
 a fresh sketch for every model it builds.  A success, a change of l or
-the ``every-iteration`` policy drops the model, together with its sketch
-and the last Hessian, before the next Hessian is formed.  A model
+the ``every-iteration`` policy drops the model, together with its sketch,
+its L^{-1} and the last Hessian, before the next Hessian is formed.  A model
 that survives a rejected step is reused with the new sigma: that
 iteration draws nothing, evaluates no Hessian and decomposes nothing, and
 its iterate is bit for bit the one a recomputation would give.
@@ -82,6 +66,7 @@ from .errors import (
     ConfigError,
     InnerSolverError,
     InvalidDimensionError,
+    InvalidInputError,
     InvalidProblemError,
     SingularGramError,
 )
@@ -253,6 +238,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
     l = d if identity else config.l0
     r_hat_running = 0
     s_mat: Optional[sk.SketchMatrix] = None  # the sketch of model
+    linv: Optional[np.ndarray] = None  # L^{-1} of s_mat's Gram L L^T
     model: Optional[sp.SketchedCubicModel] = None  # None: draw and build a model at x
     trace: List[IterationTrace] = []
     cum_rel = 0.0
@@ -277,7 +263,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
         t0 = time.perf_counter()
         solution = None
         if model is not None:
-            # only sigma moved: keep g_hat, H_hat, the Gram factor and the eigenpairs
+            # only sigma moved: keep g_hat, H_hat, L^{-1} and the eigenpairs
             model = replace(model, sigma=sigma)
         finite = True
         for redraws in range(_MAX_GRAM_REDRAWS + 1):
@@ -295,11 +281,13 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
                     finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
                     if not finite:
                         break
-                    model = sp.build_model(f, g_hat, h_hat, sigma, None if identity else s_mat.gram())
+                    if not identity:
+                        g_hat, h_hat, linv = sp.whiten(s_mat.gram(), g_hat, h_hat)
+                    model = sp.build_model(f, g_hat, h_hat, sigma)
                 solution = sp.solve(model)
                 break
             except (SingularGramError, InnerSolverError):
-                model = s_mat = None
+                model = s_mat = linv = None
                 if identity or redraws == _MAX_GRAM_REDRAWS:
                     break
         if solution is None:
@@ -307,18 +295,17 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
             cum_time += time.perf_counter() - t0
             break
 
-        # build_model decomposed L^{-1} S H S^T L^{-T}, which is congruent to
-        # S H S^T and so has its rank (Sylvester's law of inertia).  By
+        # a sketched model decomposed L^{-1} S H S^T L^{-T}, which is congruent
+        # to S H S^T and so has its rank (Sylvester's law of inertia).  By
         # Ostrowski's theorem each eigenvalue is scaled by a factor between
         # the extreme eigenvalues of (S S^T)^{-1}, so the relative threshold
         # can rank the two spectra differently only for eigenvalues within
-        # cond(S S^T) of it.  With an identity Gram (None) the spectrum is
-        # that of S H S^T itself.
+        # cond(S S^T) of it.  arc's spectrum is that of H itself.
         r_hat = sk.spectrum_rank(model.eigenvalues)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
-        step = solution.s_hat if identity else s_mat.matrix.T @ solution.s_hat
+        step = solution.s_hat if identity else s_mat.matrix.T @ (linv.T @ solution.s_hat)
         q_dec = solution.predicted_decrease
         f_trial = problem.value(x + step)
         guard = 1e-16 * (1.0 + abs(f))
@@ -375,7 +362,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
         l = l_next
         if success or (not identity and redraw):
             # free the last sketch and d x d arrays before the next H is formed
-            model = h_hat = s_mat = None
+            model = h_hat = s_mat = linv = None
 
         if unresolved == _MAX_UNRESOLVED_DECREASES:
             status = STATUS_DECREASE_UNRESOLVED
@@ -401,14 +388,26 @@ def trace_to_csv(trace: List[IterationTrace], path) -> None:
 
 
 def trace_from_csv(path) -> List[IterationTrace]:
+    """The rows of a trace CSV written by ``trace_to_csv``; InvalidInputError
+    names the file, line and column of a missing column or a bad value."""
     types = get_type_hints(IterationTrace)
-    parse = {k: (lambda raw: raw == "True") if t is bool else t for k, t in types.items()}
-    columns = [(f.name, col) for f, col in zip(fields(IterationTrace), TRACE_COLUMNS)]
+    parse = {k: {"True": True, "False": False}.__getitem__ if t is bool else t for k, t in types.items()}
     with open(path, newline="") as fh:
-        return [
-            IterationTrace(**{name: parse[name](rec[col]) for name, col in columns})
-            for rec in csv.DictReader(fh)
-        ]
+        reader = csv.DictReader(fh)
+        missing = [col for col in TRACE_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInputError(f"{path}:1: not a trace CSV, missing column(s) {missing}")
+        trace = []
+        for rec in reader:
+            row = {}
+            for f, col in zip(fields(IterationTrace), TRACE_COLUMNS):
+                try:
+                    row[f.name] = parse[f.name](rec[col])
+                except (KeyError, TypeError, ValueError):
+                    bad = f"{path}:{reader.line_num}: column {col}: cannot parse {rec[col]!r}"
+                    raise InvalidInputError(bad) from None
+            trace.append(IterationTrace(**row))
+    return trace
 
 
 def thread_settings() -> dict:
@@ -422,9 +421,10 @@ def thread_settings() -> dict:
 
 
 def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveResult) -> dict:
-    """JSON-serializable run summary: config echo, status, final values,
-    step, Gram-redraw and hard-case counts, the range of sigma_k (null
-    for an empty trace) and the BLAS thread settings of this process."""
+    """JSON-serializable run summary: config echo, status, final values
+    (null when not finite, so strict JSON holds every summary), step,
+    Gram-redraw and hard-case counts, the range of sigma_k (null for an
+    empty trace) and the BLAS thread settings of this process."""
     accepted = sum(row.success for row in result.trace)
     sigmas = [row.sigma_k for row in result.trace]
     return {
@@ -434,8 +434,8 @@ def summary_dict(problem: ObjectiveProblem, config: SolverConfig, result: SolveR
         "config": asdict(config),
         "status": result.status,
         "iterations": len(result.trace),
-        "f_final": result.f_final,
-        "grad_norm_final": result.grad_norm_final,
+        "f_final": result.f_final if math.isfinite(result.f_final) else None,
+        "grad_norm_final": result.grad_norm_final if math.isfinite(result.grad_norm_final) else None,
         "cum_rel_hessians": result.trace[-1].cum_rel_hessians if result.trace else 0.0,
         "accepted_steps": accepted,
         "rejected_steps": len(result.trace) - accepted,

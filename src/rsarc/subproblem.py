@@ -1,36 +1,30 @@
-"""Sketched cubic-regularization subproblem: model calculus and exact solve.
+"""Cubic-regularization subproblem: model calculus and exact solve.
 
-The model in the sketched variables s (dimension l) is
+The model in the variables u (dimension l) is the classical Euclidean one
 
-    m(s) = f0 + g.s + 0.5 s.H s + (sigma/3) ||S^T s||^3,
+    m(u) = f0 + g.u + 0.5 u.H u + (sigma/3) ||u||^3;
 
-where the cubic term couples s through the Gram matrix G = S S^T via
-||S^T s||^2 = s.G s, and G = None stands for the identity.  The change
-of variables u = L^T s with G = L L^T reduces this to the classical
-cubic-regularized model with a Euclidean norm, which is minimized globally
-by eigendecomposition plus scalar root-finding on the secular equation
-sigma * ||u(mu)|| = mu with
-u(mu) = -(H_tilde + mu I)^{-1} g_tilde and mu >= max(0, -lambda_min),
-including explicit hard-case handling; its tolerance and evaluation cap
-are the module constants ``_SECULAR_TOL`` and ``_MAX_INNER``.
-``build_model`` factors G once, keeps the inverse factor L^{-1}, whitens
-H_tilde = L^{-1} H L^{-T} and eigendecomposes it, so a model carries its
-own eigenpairs and a model that differs only in sigma
+a sketched model takes this form through ``whiten`` (see there), the one
+function that factors a sketch's Gram matrix.  m is minimized globally by
+eigendecomposition plus scalar root-finding on the secular equation
+sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g and
+mu >= max(0, -lambda_min), including explicit hard-case handling; its
+tolerance and evaluation cap are ``_SECULAR_TOL`` and ``_MAX_INNER``.
+``build_model`` eigendecomposes H, so a model that differs only in sigma
 (``dataclasses.replace(model, sigma=...)``) is solved without a second
-eigendecomposition.  ``solve`` does the rest: g_tilde = L^{-1} g, the
-secular solve and the back-substitution s = L^{-T} u.  The solution
-carries the rho denominator f0 - q(s), evaluated in the eigenbasis.
+eigendecomposition.  ``solve`` does the rest; its solution carries the
+rho denominator f0 - q(u), evaluated in the eigenbasis.
 
-The solve needs the eigenvectors V only through two products, V^T g_tilde
-and V y.  Below order ``_FACTORED_MIN`` the model keeps V from
+The solve needs the eigenvectors V only through two products, V^T g and
+V y.  Below order ``_FACTORED_MIN`` the model keeps V from
 ``np.linalg.eigh``.  From that order on, when numpy's OpenBLAS exports
 LAPACK (``_lapack``), it keeps V factored: the Householder reflectors of
-H_tilde = Q blockdiag(T_m, 0) Q^T (``_lapack.tridiagonalize``, LAPACK
+H = Q blockdiag(T_m, 0) Q^T (``_lapack.tridiagonalize``, LAPACK
 ``dsytrd``'s loop) and the eigenvectors Z_m of the tridiagonal T_m
 (``dstedc``), so V = Q blockdiag(Z_m, I).  The reduction stops once the
-block it has yet to reduce is below its own backward error, tol = n eps
-||H_tilde||_F; then m < l.  The spectrum is T_m's eigenvalues merged in
-ascending order with l - m exact zeros, and the model keeps that
+block it has yet to reduce is below its own backward error,
+tol = n eps ||H||_F; then m < l.  The spectrum is T_m's eigenvalues merged
+in ascending order with l - m exact zeros, and the model keeps that
 permutation.  Applying Q to a vector (``dormqr``, through the m - 1 kept
 reflectors) costs O(l m), and Z_m acts on the first m coordinates only.
 When nothing is dropped (m = l, as on any matrix of full numerical rank)
@@ -40,13 +34,13 @@ eigenbasis products round differently.  (``eigh`` first rescales a matrix
 whose largest entry lies outside about [1e-146, 1e146]; on such a matrix
 the two spectra agree to rounding only.)  When the reduction stops early,
 the spectrum is that of a matrix within Frobenius distance about
-sqrt(3) tol of H_tilde: each eigenvalue moves by at most that much, and the
-l - m dropped ones are exact zeros.  Both paths read one triangle of
-H_tilde, the lower triangle of its F-ordered view H_tilde^T (the upper one
-of a C-ordered array), so a matrix whose triangles differ by rounding is
-decomposed without first being symmetrized.  The reduction overwrites
-H_tilde, so a model whose Gram is None reduces the caller's h_hat in place
-and keeps ``h_hat = None``.
+sqrt(3) tol of H: each eigenvalue moves by at most that much, and the
+l - m dropped ones are exact zeros.  Both paths read one triangle of H,
+the lower triangle of its F-ordered view H^T (the upper one of a C-ordered
+array), so a matrix whose triangles differ by rounding is decomposed
+without first being symmetrized.  The reduction overwrites H, so a
+factored model reduces the caller's h_hat in place and keeps
+``h_hat = None``.
 """
 
 from __future__ import annotations
@@ -61,8 +55,8 @@ from .errors import InnerSolverError, InvalidDimensionError, InvalidInputError, 
 
 #: multiplicity tolerance when grouping eigenvalues with the smallest one
 _EIG_GROUP_TOL = 1e-12
-#: hard case: component of the transformed gradient along the minimal
-#: eigenspace below this fraction of its norm
+#: hard case: component of the gradient along the minimal eigenspace below
+#: this fraction of its norm
 _HARD_CASE_TOL = 1e-12
 #: absolute roundoff slack in the second/third termination conditions
 _TERMINATION_SLACK = 1e-12
@@ -77,17 +71,15 @@ _FACTORED_MIN = 128
 
 @dataclass
 class SketchedCubicModel:
-    """Data of the sketched cubic model (all in the l-dimensional space)."""
+    """Data of the Euclidean cubic model (all in the l-dimensional space)."""
 
     f0: float
     g_hat: np.ndarray  # (l,)
-    h_hat: Optional[np.ndarray]  # (l, l), symmetric to rounding; None: reduced in place (gram None, factored)
+    h_hat: Optional[np.ndarray]  # (l, l), symmetric to rounding; None: reduced in place (factored)
     sigma: float
-    gram: Optional[np.ndarray]  # (l, l), symmetric positive definite; None: I
-    linv: Optional[np.ndarray]  # L^{-1} for the Cholesky factor gram = L L^T; None: I
-    eigenvalues: np.ndarray  # ascending spectrum of H_tilde = L^{-1} H L^{-T}
+    eigenvalues: np.ndarray  # ascending spectrum of h_hat
     eigenvectors: np.ndarray  # V (l, l), or Z_m (m, m) when factored
-    # V = Q blockdiag(Z_m, I) with H_tilde = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
+    # V = Q blockdiag(Z_m, I) with h_hat = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
     # and LAPACK found): the Householder reflectors below the diagonal of an F-ordered
     # (l, l) array and the scalars tau of the m - 1 kept ones, and the ascending order
     # of [T_m's eigenvalues, l - m zeros]; None: the eigenvectors are V itself
@@ -102,71 +94,79 @@ class SketchedCubicModel:
 
 @dataclass
 class SubproblemSolution:
-    s_hat: np.ndarray
+    s_hat: np.ndarray  # the minimizer u, in the model's coordinates
     model_value: float
-    predicted_decrease: float  # f0 - q(s_hat), the rho denominator
-    cubic_norm: float  # ||S^T s_hat|| = sqrt(s.G s)
+    predicted_decrease: float  # f0 - q(u), the rho denominator
+    cubic_norm: float  # ||u||, which is ||S^T s|| for a whitened sketched model
     inner_iterations: int
-    mu: float  # secular multiplier: (H_tilde + mu I) u = -g_tilde
+    mu: float  # secular multiplier: (H + mu I) u = -g
     hard_case: bool  # the step was padded along the minimal eigenvector
 
 
-def build_model(
-    f0: float,
-    g_hat: np.ndarray,
-    h_hat: np.ndarray,
-    sigma: float,
-    gram: Optional[np.ndarray] = None,
-) -> SketchedCubicModel:
-    """Assemble a model: factorize its Gram matrix and decompose H_tilde.
+def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Euclidean form of a sketched model: (L^{-1} g, L^{-1} H L^{-T}, L^{-1}).
 
-    The model keeps L^{-1} for the Cholesky factor G = L L^T and the
-    eigenpairs of H_tilde = L^{-1} H L^{-T}, factored from order
-    ``_FACTORED_MIN`` on (see the module docstring).  ``gram=None`` means
-    the identity, the Gram of an identity sketch; the factorization and the
-    whitening are then skipped and the eigenpairs are those of H itself.
+    A sketch S (l x d) restricts the step to S^T s, and the sketched model
+
+        m(s) = f0 + g.s + 0.5 s.H s + (sigma/3) ||S^T s||^3
+
+    couples s through the Gram matrix G = S S^T, since
+    ||S^T s||^2 = s.G s.  With the Cholesky factor G = L L^T and u = L^T s,
+    ||S^T s|| = ||u|| and m(s) is the Euclidean model of ``build_model``
+    with gradient L^{-1} g and Hessian L^{-1} H L^{-T} (symmetrized, so
+    exactly symmetric), the classical subproblem of adaptive cubic
+    regularization (Cartis, Gould & Toint 2011).  Its minimizer u maps back
+    to s = L^{-T} u, and H and L^{-1} H L^{-T} are congruent, so they have
+    the same rank (Sylvester's law of inertia).  No input is written.
+
+    Raises InvalidDimensionError on inconsistent shapes and
+    SingularGramError when G is numerically singular, which the outer loop
+    treats as a signal to redraw the sketch.
+    """
+    l = g_hat.shape[0]
+    if gram.shape != (l, l) or h_hat.shape != (l, l):
+        raise InvalidDimensionError(
+            f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}, G {gram.shape}"
+        )
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError("gram matrix S S^T is not positive definite") from exc
+    if not np.all(np.isfinite(chol)):
+        raise SingularGramError("gram factorization produced non-finite entries")
+    linv = np.linalg.inv(chol)
+    g_t = linv @ g_hat
+    h_t = linv @ h_hat @ linv.T
+    return g_t, 0.5 * (h_t + h_t.T), linv
+
+
+def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float) -> SketchedCubicModel:
+    """Assemble a model: decompose H, factored from order ``_FACTORED_MIN`` on.
+
     The eigenpairs are those of the symmetric matrix with the upper triangle
-    of a C-ordered H_tilde (the lower one of an F-ordered one); the other
-    triangle is not read.  A factored model with ``gram=None`` overwrites
-    ``h_hat`` (a C-ordered one is reduced in place) and keeps ``h_hat = None``.
+    of a C-ordered H (the lower one of an F-ordered one); the other
+    triangle is not read.  A factored model overwrites ``h_hat`` (a
+    C-ordered one is reduced in place) and keeps ``h_hat = None``.
 
-    Raises SingularGramError when G = S S^T is numerically singular, which
-    the outer loop treats as a signal to redraw the sketch, and
+    Raises InvalidDimensionError on inconsistent shapes and
     InvalidInputError unless sigma > 0.
     """
     l = g_hat.shape[0]
-    if h_hat.shape != (l, l) or (gram is not None and gram.shape != (l, l)):
-        raise InvalidDimensionError(
-            f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}, "
-            f"G {getattr(gram, 'shape', None)}"
-        )
+    if h_hat.shape != (l, l):
+        raise InvalidDimensionError(f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}")
     if not sigma > 0.0:
         raise InvalidInputError(f"need sigma > 0, got {sigma}")
-    linv = None
-    h_t = h_hat
-    if gram is not None:
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGramError("gram matrix S S^T is not positive definite") from exc
-        if not np.all(np.isfinite(chol)):
-            raise SingularGramError("gram factorization produced non-finite entries")
-        linv = np.linalg.inv(chol)
-        h_t = linv @ h_hat @ linv.T
-        h_t = 0.5 * (h_t + h_t.T)
-    # eigh and dsytrd read the lower triangle of h_t.T, an F-ordered view of a
-    # C-ordered h_t, which dsytrd overwrites with the reflectors
+    # eigh and dsytrd read the lower triangle of h_hat.T, an F-ordered view of a
+    # C-ordered h_hat, which dsytrd overwrites with the reflectors
     if l < _FACTORED_MIN or not _lapack.available():
-        lam, vecs = np.linalg.eigh(h_t.T)
-        return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), gram, linv, lam, vecs)
-    reflectors = np.require(h_t.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+        lam, vecs = np.linalg.eigh(h_hat.T)
+        return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), lam, vecs)
+    reflectors = np.require(h_hat.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
     diag, off, tau = _lapack.tridiagonalize(reflectors)
     lam, z = _lapack.tridiagonal_eigh(diag, off)
     lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
     order = np.argsort(lam, kind="stable")
-    h_kept = None if gram is None else h_hat
-    return SketchedCubicModel(float(f0), g_hat, h_kept, float(sigma), gram, linv, lam[order], z,
-                              reflectors, tau, order)
+    return SketchedCubicModel(float(f0), g_hat, None, float(sigma), lam[order], z, reflectors, tau, order)
 
 
 def _to_eigenbasis(model: SketchedCubicModel, v: np.ndarray) -> np.ndarray:
@@ -189,14 +189,9 @@ def _from_eigenbasis(model: SketchedCubicModel, y: np.ndarray) -> np.ndarray:
     return _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
 
 
-def _gram_times(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
-    """G s, with G = I when the model's Gram is None."""
-    return s_hat if model.gram is None else model.gram @ s_hat
-
-
 def cubic_norm(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
-    """||S^T s|| = sqrt(s.G s)."""
-    return float(np.sqrt(max(s_hat @ _gram_times(model, s_hat), 0.0)))
+    """||u||, the norm of the cubic term."""
+    return float(np.linalg.norm(s_hat))
 
 
 def _h_hat(model: SketchedCubicModel) -> np.ndarray:
@@ -211,21 +206,18 @@ def model_value(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
 
 
 def model_gradient(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
-    # grad m = g + H s + sigma ||S^T s|| G s
-    gs = _gram_times(model, s_hat)
-    return model.g_hat + _h_hat(model) @ s_hat + model.sigma * cubic_norm(model, s_hat) * gs
+    # grad m = g + H u + sigma ||u|| u
+    return model.g_hat + _h_hat(model) @ s_hat + model.sigma * cubic_norm(model, s_hat) * s_hat
 
 
 def model_hessian(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
-    # hess m = H + sigma (||S^T s|| G + (G s)(G s)^T / ||S^T s||); H at s with
-    # ||S^T s|| = 0 (the cubic term is twice differentiable away from 0 only)
+    # hess m = H + sigma (||u|| I + u u^T / ||u||); H at u = 0 (the cubic
+    # term is twice differentiable away from 0 only)
     h_hat = _h_hat(model)
     nrm = cubic_norm(model, s_hat)
     if nrm == 0.0:
         return h_hat.copy()
-    gram = np.eye(model.dim) if model.gram is None else model.gram
-    gs = gram @ s_hat
-    return h_hat + model.sigma * (nrm * gram + np.outer(gs, gs) / nrm)
+    return h_hat + model.sigma * (nrm * np.eye(model.dim) + np.outer(s_hat, s_hat) / nrm)
 
 
 def check_termination(
@@ -236,9 +228,9 @@ def check_termination(
 ) -> Tuple[bool, bool, bool]:
     """The three step-acceptance conditions on an approximate minimizer.
 
-    Returns (m(s) <= m(0),
-             ||grad m(s)|| <= kappa_t ||S^T s||^2,
-             lambda_min(hess m(s)) >= -kappa_s ||S^T s||),
+    Returns (m(u) <= m(0),
+             ||grad m(u)|| <= kappa_t ||u||^2,
+             lambda_min(hess m(u)) >= -kappa_s ||u||),
     the last two with a 1e-12 absolute slack for roundoff.  ``solve``
     does not call this; it is the oracle its tests check solutions with.
     """
@@ -327,20 +319,17 @@ def _solve_secular(lam: np.ndarray, w: np.ndarray, wnorm: float, sigma: float) -
 
 
 def solve(model: SketchedCubicModel) -> SubproblemSolution:
-    """Global minimizer of the sketched cubic model.
+    """Global minimizer of the cubic model, in the model's own coordinates.
 
-    Works in the whitened variables u = L^T s (u = s when the Gram is
-    None, the identity), in the eigenbasis of H_tilde that ``build_model``
-    computed: it solves the secular equation exactly (to ``_SECULAR_TOL``),
-    with an eigenvector correction in the hard case.  A global minimizer meets
-    the conditions of ``check_termination`` in exact arithmetic, so they
-    are not evaluated here.  The solution carries the predicted decrease
-    f0 - q(s), evaluated in the eigenbasis.
+    Works in the eigenbasis of H that ``build_model`` computed: it solves
+    the secular equation exactly (to ``_SECULAR_TOL``), with an eigenvector
+    correction in the hard case.  A global minimizer meets the conditions of
+    ``check_termination`` in exact arithmetic, so they are not evaluated
+    here.  The solution carries the predicted decrease f0 - q(u),
+    evaluated in the eigenbasis.
     """
-    linv = model.linv
-    g_t = model.g_hat if linv is None else linv @ model.g_hat
     lam = model.eigenvalues
-    w = _to_eigenbasis(model, g_t)
+    w = _to_eigenbasis(model, model.g_hat)
     sigma = model.sigma
 
     gnorm = float(np.linalg.norm(w))
@@ -380,8 +369,7 @@ def solve(model: SketchedCubicModel) -> SubproblemSolution:
             if not np.all(np.isfinite(y)):
                 raise InnerSolverError("secular solution has non-finite components")
 
-    u = _from_eigenbasis(model, y)
-    s_hat = u if linv is None else linv.T @ u
+    s_hat = _from_eigenbasis(model, y)
     step_norm = np.linalg.norm(y)
 
     # model decrease evaluated in the eigenbasis: adding it to f0 cannot

@@ -45,16 +45,16 @@ def rel_err(approx, exact):
     return np.linalg.norm(np.asarray(approx, dtype=float) - exact) / scale
 
 
-def model_value_oracle(model, s):
+def model_value_oracle(f0, g, h, sigma, gram, s):
     """f0 + g.s + s.H s / 2 + sigma/3 (s.G s)^(3/2) at s, or at each row of s.
 
-    A model whose Gram is None has the identity Gram.
+    ``gram=None`` stands for the identity.
     """
     s = np.asarray(s, dtype=float)
-    gram = np.eye(model.dim) if model.gram is None else model.gram
-    quad = s @ model.g_hat + 0.5 * np.einsum("...i,ij,...j->...", s, model.h_hat, s)
-    cube = model.sigma / 3.0 * np.einsum("...i,ij,...j->...", s, gram, s) ** 1.5
-    return model.f0 + quad + cube
+    gram = np.eye(g.shape[0]) if gram is None else gram
+    quad = s @ g + 0.5 * np.einsum("...i,ij,...j->...", s, h, s)
+    cube = sigma / 3.0 * np.einsum("...i,ij,...j->...", s, gram, s) ** 1.5
+    return f0 + quad + cube
 
 
 def householder_q(a):

@@ -30,6 +30,7 @@ from rsarc import (
     solve,
 )
 from rsarc.sketch import SCALED_GAUSSIAN
+from rsarc.subproblem import whiten
 from helpers import fd_gradient, model_value_oracle, rel_err
 
 
@@ -105,6 +106,7 @@ def test_criterion_3_sketch_growth_on_rank10_problem():
 
 
 def _random_instance(rng, l):
+    """The data (f0, g, H, sigma, G) of a random Gram-coupled model and its whitened model."""
     g = rng.standard_normal(l)
     h = rng.standard_normal((l, l))
     h = 0.5 * (h + h.T)
@@ -114,7 +116,9 @@ def _random_instance(rng, l):
         a = rng.standard_normal((l, l + 3)) / np.sqrt(l)
         gram = a @ a.T
         gram = 0.5 * (gram + gram.T)
-    return build_model(0.0, g, h, float(rng.uniform(0.5, 2.0)), gram)
+    data = (0.0, g, h, float(rng.uniform(0.5, 2.0)), gram)
+    g_t, h_t, _ = whiten(gram, g, h)
+    return data, build_model(0.0, g_t, h_t, data[3])
 
 
 def test_criterion_4_subproblem_optimality():
@@ -127,23 +131,23 @@ def test_criterion_4_subproblem_optimality():
     for l, n_inst, oracle in ((1, 20, "grid"), (2, 30, "grid"),
                               (3, 20, "descent"), (4, 10, "descent"), (5, 20, "descent")):
         for _ in range(n_inst):
-            m = _random_instance(rng, l)
+            data, m = _random_instance(rng, l)
             sol = solve(m)
             if oracle == "grid":
                 pts = xs[:, None] if l == 1 else pts2
-                ref = float(np.min(model_value_oracle(m, pts)))
+                ref = float(np.min(model_value_oracle(*data, pts)))
                 tol = 1e-6
             else:
                 ref = np.inf
                 for _ in range(10):
-                    res = minimize(lambda s: model_value_oracle(m, s), 2.0 * rng.standard_normal(l),
+                    res = minimize(lambda s: model_value_oracle(*data, s), 2.0 * rng.standard_normal(l),
                                    method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
                     ref = min(ref, res.fun)
                 tol = 1e-6
             worst_gap = max(worst_gap, sol.model_value - ref)
             assert sol.model_value <= ref + tol
             count += 1
-    m1 = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0, np.array([[1.0]]))
+    m1 = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0)
     closed_form = (1.0 - np.sqrt(5.0)) / 2.0
     one_d_err = abs(solve(m1).s_hat[0] - closed_form)
     ok = count == 100 and one_d_err <= 1e-10
@@ -290,7 +294,7 @@ def test_criterion_7_derivative_checks():
     rng = np.random.default_rng(62)
     worst_model = 0.0
     for _ in range(10):
-        m = _random_instance(rng, int(rng.integers(1, 5)))
+        _, m = _random_instance(rng, int(rng.integers(1, 5)))
         s = rng.standard_normal(m.dim)
         err = rel_err(fd_gradient(lambda v: model_value(m, v), s), model_gradient(m, s))
         worst_model = max(worst_model, err)

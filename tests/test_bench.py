@@ -324,6 +324,14 @@ def test_grid_refuses_a_tau_outside_the_unit_interval(tau):
         run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, taus=(1e-2, tau))
 
 
+def test_grid_refuses_a_repeated_tau(tmp_path):
+    # each run keeps one budget per tau, so a repeat would halve the runs.csv rows the taus imply
+    configs = [SolverConfig(mode="arc")]
+    with pytest.raises(InvalidInputError, match="repeated tau"):
+        run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, taus=(0.01, 0.01), out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())  # refused before any run
+
+
 def test_lifted_selector_gets_instance_seeds_in_either_case():
     configs = [SolverConfig(mode="arc", epsilon=1e-6)]
     runs = run_grid(["L-ARWHEAD:N=10:d=40"], configs, repeats=2, seed_base=0, taus=(1e-2,))

@@ -38,6 +38,14 @@ def test_solve_rarc_d_on_lowrank_problem(capsys):
     assert "l_final=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode, l_final", [("arc", 6), ("rarc-d", 2)])
+def test_solve_with_an_empty_trace_prints_the_unused_sketch_size(capsys, mode, l_final):
+    # x0 already meets the tolerance: arc's sketch is the identity (l = d), rarc-d's is l0
+    code = main(["solve", "--problem", "QUADRANK:d=6:rank=6", "--mode", mode, "--eps", "1e9"])
+    assert code == 0
+    assert re.search(r"iters=0 .* l_final=(\d+)$", capsys.readouterr().out.strip()).group(1) == str(l_final)
+
+
 def test_solve_unknown_problem_exits_1(capsys):
     assert main(["solve", "--problem", "NOPE"]) == 1
     assert "error" in capsys.readouterr().err

@@ -249,7 +249,7 @@ def test_selector_parsing():
     "selector",
     [
         "NOPE", "NOPE:N=5", "ARWHEAD", "ARWHEAD:N=x", "l-ARWHEAD", "ARWHEAD:bogus=3", "ARWHEAD:N",
-        "l-ARWHEAD:N=10:d=40:seed=-1", "QUADRANK:N=5:d=7",
+        "l-ARWHEAD:N=10:d=40:seed=-1", "QUADRANK:N=5:d=7", "l-ARWHEAD:N=10:d=40:d=50", "ARWHEAD:N=5:N=6",
     ],
 )
 def test_selector_errors(selector):

@@ -13,6 +13,7 @@ from rsarc import (
     ConfigError,
     InnerSolverError,
     InvalidDimensionError,
+    InvalidInputError,
     InvalidProblemError,
     SolverConfig,
     augment,
@@ -33,6 +34,7 @@ from rsarc.solver import (
     STATUS_INNER_FAILURE,
     STATUS_MAX_ITER,
     STATUS_NON_FINITE,
+    TRACE_COLUMNS,
     summary_dict,
 )
 
@@ -288,6 +290,23 @@ def test_trace_csv_roundtrip(tmp_path):
     assert back == res.trace
 
 
+def test_a_malformed_trace_csv_names_the_file_line_and_column(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,f\n0,1.0\n")
+    with pytest.raises(InvalidInputError, match=r"trace\.csv:1: not a trace CSV, missing column\(s\) \['grad_norm'"):
+        trace_from_csv(path)
+    res = run(builtin_problem("QUADRANK", 6), SolverConfig(mode="arc", epsilon=1e-9))
+    trace_to_csv(res.trace, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) >= 3
+    for column, bad in (("mu", "abc"), ("success", "maybe"), ("k", "")):
+        cells = lines[2].split(",")
+        cells[TRACE_COLUMNS.index(column)] = bad
+        path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        with pytest.raises(InvalidInputError, match=rf"trace\.csv:3: column {column}: cannot parse '{bad}'"):
+            trace_from_csv(path)
+
+
 def test_summary_dict_contents():
     p = builtin_problem("QUADRANK", 6)
     cfg = SolverConfig(mode="arc", epsilon=1e-9)
@@ -331,6 +350,17 @@ def test_unresolved_decrease_ends_the_run():
         assert math.isnan(row.rho_k) and not row.success
         assert row.predicted_decrease <= 1e-16 * (1.0 + abs(row.f))
     assert max(row.sigma_k for row in res.trace) < 1e6
+
+
+@pytest.mark.parametrize("bad", ["value", "gradient"])
+def test_a_non_finite_summary_is_strict_json(bad):
+    # a NonFiniteDerivative run ends at a NaN f or gradient; the summary writes null
+    p = builtin_problem("QUADRANK", 6)
+    p = dataclasses.replace(p, **{bad: lambda x: np.full(6, math.nan) if bad == "gradient" else math.nan})
+    res = run(p, SolverConfig(mode="arc"))
+    assert res.status == STATUS_NON_FINITE
+    s = json.loads(json.dumps(summary_dict(p, SolverConfig(mode="arc"), res), allow_nan=False))
+    assert (s["f_final"] is None, s["grad_norm_final"] is None) == (bad == "value", bad == "gradient")
 
 
 def test_summary_counts_rejected_steps_and_the_sigma_range():
@@ -759,7 +789,7 @@ def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):
 
     def rebuild(m, sigma):
         rebuilt.append(sigma)
-        return solver_mod.sp.build_model(m.f0, m.g_hat, m.h_hat, sigma, m.gram)
+        return solver_mod.sp.build_model(m.f0, m.g_hat, m.h_hat, sigma)
 
     monkeypatch.setattr(solver_mod, "replace", rebuild)
     again = run(p, cfg)

@@ -155,3 +155,20 @@ def test_every_solver_setting_declares_what_validate_accepts():
     loose = [f.name for f in fields(SolverConfig)
              if f.metadata["choices"] is None and f.metadata["minimum"] is None]
     assert not loose, f"SolverConfig fields with neither choices nor minimum: {loose}"
+
+
+def test_only_whiten_raises_a_singular_gram_error():
+    # subproblem.whiten is the one function that factors a sketch's Gram; every
+    # other layer handles the Euclidean model only
+    raisers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(exc, ast.Name) and exc.id == "SingularGramError":
+                    raisers.add(f"{path.stem}.{fn.name}")
+    assert raisers == {"subproblem.whiten"}

@@ -27,11 +27,12 @@ from rsarc import (
 from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
-from rsarc.subproblem import cubic_norm
+from rsarc.subproblem import cubic_norm, whiten
 from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
-def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
+def random_data(rng, l, f0=0.0, sigma=None, gram="random"):
+    """The data (f0, g, H, sigma, G) of a random sketched model; G is None for the identity."""
     g = rng.standard_normal(l)
     h = rng.standard_normal((l, l))
     h = 0.5 * (h + h.T)
@@ -42,11 +43,23 @@ def random_model(rng, l, f0=0.0, sigma=None, gram="random"):
         gm = a @ a.T
         gm = 0.5 * (gm + gm.T)
     sigma = sigma if sigma is not None else float(rng.uniform(0.5, 2.0))
-    return build_model(f0, g, h, sigma, gm)
+    return f0, g, h, sigma, gm
+
+
+def whitened(f0, g, h, sigma, gram):
+    """The Euclidean model of a sketched model's data and L^{-1} (None for the identity Gram)."""
+    if gram is None:
+        return build_model(f0, g, h, sigma), None
+    g_t, h_t, linv = whiten(gram, g, h)
+    return build_model(f0, g_t, h_t, sigma), linv
+
+
+def random_model(rng, l, **kwargs):
+    return whitened(*random_data(rng, l, **kwargs))[0]
 
 
 def test_value_and_gradient_at_origin():
-    m = build_model(3.5, np.array([1.0, -2.0]), np.eye(2), 1.0, np.eye(2))
+    m = build_model(3.5, np.array([1.0, -2.0]), np.eye(2), 1.0)
     z = np.zeros(2)
     assert model_value(m, z) == 3.5
     assert np.array_equal(model_gradient(m, z), m.g_hat)
@@ -55,7 +68,7 @@ def test_value_and_gradient_at_origin():
 
 def test_scalar_example():
     # f0 - 1 + 1/2 + 1/3 = f0 - 1/6 at s = -1; gradient 1 - 1 - 1 = -1
-    m = build_model(5.0, np.array([1.0]), np.array([[1.0]]), 1.0, np.array([[1.0]]))
+    m = build_model(5.0, np.array([1.0]), np.array([[1.0]]), 1.0)
     s = np.array([-1.0])
     assert model_value(m, s) == pytest.approx(5.0 - 1.0 / 6.0, abs=1e-15)
     assert model_gradient(m, s) == pytest.approx([-1.0], abs=1e-15)
@@ -80,14 +93,14 @@ def test_model_hessian_matches_finite_differences():
 
 
 def test_solve_one_dimensional_closed_form():
-    m = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0, np.array([[1.0]]))
+    m = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0)
     sol = solve(m)
     assert sol.s_hat[0] == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0, abs=1e-10)
     assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_zero_gradient_psd():
-    m = build_model(2.0, np.zeros(3), np.diag([1.0, 2.0, 3.0]), 1.0, np.eye(3))
+    m = build_model(2.0, np.zeros(3), np.diag([1.0, 2.0, 3.0]), 1.0)
     sol = solve(m)
     assert np.array_equal(sol.s_hat, np.zeros(3))
     assert sol.model_value == 2.0
@@ -100,8 +113,9 @@ def test_solve_matches_grid_oracle_2d():
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([xg.ravel(), yg.ravel()], axis=1)
     for _ in range(20):
-        m = random_model(rng, 2)
-        oracle = float(np.min(model_value_oracle(m, pts)))
+        data = random_data(rng, 2)
+        m, _ = whitened(*data)
+        oracle = float(np.min(model_value_oracle(*data, pts)))
         sol = solve(m)
         assert sol.model_value <= oracle + 1e-6
 
@@ -110,10 +124,11 @@ def test_solve_matches_descent_oracle():
     rng = np.random.default_rng(53)
     for l in (1, 2, 3, 5):
         for _ in range(5):
-            m = random_model(rng, l)
+            data = random_data(rng, l)
+            m, _ = whitened(*data)
             best = np.inf
             for _ in range(10):
-                res = minimize(lambda s: model_value_oracle(m, s), rng.standard_normal(l) * 2.0,
+                res = minimize(lambda s: model_value_oracle(*data, s), rng.standard_normal(l) * 2.0,
                                method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
                 best = min(best, res.fun)
             sol = solve(m)
@@ -126,7 +141,7 @@ def test_newton_limit_small_sigma():
     a = rng.standard_normal((4, 4))
     h = a @ a.T + np.eye(4)  # safely positive definite
     g = rng.standard_normal(4)
-    m = build_model(0.0, g, h, 1e-8, np.eye(4))
+    m = build_model(0.0, g, h, 1e-8)
     sol = solve(m)
     newton = -np.linalg.solve(h, g)
     assert rel_err(sol.s_hat, newton) < 1e-4
@@ -170,32 +185,20 @@ def test_the_evaluation_cap_ends_the_secular_solve(monkeypatch):
 
 @pytest.mark.parametrize("gram", ["random", "identity"])
 def test_predicted_decrease_matches_the_quadratic_oracle(gram):
-    # solve evaluates f0 - q(s) in its eigenbasis; compare with the s basis
+    # solve evaluates f0 - q(u) in its eigenbasis; compare with the sketched
+    # model's q(s) at s = L^{-T} u
     rng = np.random.default_rng(60)
     for l in (1, 2, 4, 7, 12):
         for _ in range(5):
-            m = random_model(rng, l, gram=gram)
+            _, g, h, _, gm = data = random_data(rng, l, gram=gram)
+            m, linv = whitened(*data)
             sol = solve(m)
-            s = sol.s_hat
-            gs, shs = float(m.g_hat @ s), float(s @ m.h_hat @ s)
+            s = sol.s_hat if linv is None else linv.T @ sol.s_hat
+            gs, shs = float(g @ s), float(s @ h @ s)
             scale = abs(gs) + abs(shs) + 1e-300
             assert abs(sol.predicted_decrease + (gs + 0.5 * shs)) <= 1e-10 * scale
-            grad_norm = np.linalg.norm(model_gradient(m, s))
+            grad_norm = np.linalg.norm(model_gradient(m, sol.s_hat))
             assert grad_norm <= 1e-9 * (1.0 + np.linalg.norm(m.g_hat))
-
-
-def test_gram_none_is_the_identity_in_every_oracle():
-    rng = np.random.default_rng(63)
-    for l in (1, 3, 6):
-        m = random_model(rng, l, gram="identity")
-        explicit = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
-        assert m.gram is None and m.linv is None
-        s = rng.standard_normal(l)
-        assert cubic_norm(m, s) == cubic_norm(explicit, s)
-        assert model_value(m, s) == model_value(explicit, s)
-        np.testing.assert_array_equal(model_gradient(m, s), model_gradient(explicit, s))
-        np.testing.assert_array_equal(model_hessian(m, s), model_hessian(explicit, s))
-        assert model_value(m, s) == pytest.approx(model_value_oracle(m, s), rel=1e-12)
 
 
 def test_cubic_norm_consistent():
@@ -211,7 +214,7 @@ def test_hard_case_eigenvector_correction():
     lam = np.array([-2.0, 1.0, 3.0])
     g = np.array([0.0, 0.3, -0.4])
     sigma = 0.1
-    m = build_model(0.0, g, np.diag(lam), sigma, np.eye(3))
+    m = build_model(0.0, g, np.diag(lam), sigma)
     sol = solve(m)
     assert sol.hard_case and sol.mu == 2.0
     # at the hard-case solution sigma*||s|| equals -lambda_min exactly
@@ -220,14 +223,15 @@ def test_hard_case_eigenvector_correction():
     rng = np.random.default_rng(58)
     best = np.inf
     for _ in range(20):
-        res = minimize(lambda s: model_value_oracle(m, s), rng.standard_normal(3) * 10.0,
+        res = minimize(lambda s: model_value_oracle(0.0, g, np.diag(lam), sigma, None, s),
+                       rng.standard_normal(3) * 10.0,
                        method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
         best = min(best, res.fun)
     assert sol.model_value <= best + 1e-8
 
 
 def test_hard_case_zero_gradient_negative_curvature():
-    m = build_model(1.0, np.zeros(2), np.diag([-3.0, 1.0]), 1.5, np.eye(2))
+    m = build_model(1.0, np.zeros(2), np.diag([-3.0, 1.0]), 1.5)
     sol = solve(m)
     assert sol.cubic_norm == pytest.approx(2.0, rel=1e-12)  # ||s|| = -lam1/sigma
     assert sol.model_value < 1.0
@@ -242,44 +246,67 @@ def test_check_termination_cases():
     flags = check_termination(m, np.zeros(3), 0.1, 0.1)
     assert flags[0] is True and flags[1] is False  # zero step, nonzero gradient
 
-    m0 = build_model(0.0, np.zeros(2), np.eye(2), 1.0, np.eye(2))
+    m0 = build_model(0.0, np.zeros(2), np.eye(2), 1.0)
     assert check_termination(m0, np.zeros(2), 0.1, 0.1) == (True, True, True)
 
 
 def test_singular_gram_rejected():
     with pytest.raises(SingularGramError):
-        build_model(0.0, np.ones(2), np.eye(2), 1.0, np.ones((2, 2)))
+        whiten(np.ones((2, 2)), np.ones(2), np.eye(2))
 
 
 def test_nonpositive_sigma_rejected():
     for sigma in (0.0, -1.0, float("nan")):
         with pytest.raises(InvalidInputError, match="sigma"):
-            build_model(0.0, np.ones(2), np.eye(2), sigma, np.eye(2))
+            build_model(0.0, np.ones(2), np.eye(2), sigma)
 
 
 def test_gram_shape_mismatch():
-    from rsarc import InvalidDimensionError
+    for call in (
+        lambda: whiten(np.eye(2), np.ones(2), np.eye(3)),
+        lambda: whiten(np.eye(3), np.ones(2), np.eye(2)),
+        lambda: build_model(0.0, np.ones(2), np.eye(3), 1.0),
+    ):
+        with pytest.raises(InvalidDimensionError):
+            call()
 
-    with pytest.raises(InvalidDimensionError):
-        build_model(0.0, np.ones(2), np.eye(3), 1.0, np.eye(2))
 
-
-def test_identity_gram_none_matches_the_cholesky_path():
-    # gram=None skips the factorization and the whitening; with G = I the
-    # Cholesky path must give the same step, model value and decrease
+def test_whitening_by_the_identity_gram_changes_nothing():
+    # arc's model, which is never whitened, is the one the identity Gram gives:
+    # L = L^{-1} = I, so g and a symmetric H come back bit for bit
     rng = np.random.default_rng(61)
     for l in (1, 2, 4, 7, 12):
+        _, g, h, _, _ = random_data(rng, l, gram="identity")
+        g_t, h_t, linv = whiten(np.eye(l), g, h)
+        assert np.array_equal(linv, np.eye(l))
+        assert np.array_equal(g_t, g) and np.array_equal(h_t, h)
+
+
+def test_a_whitened_solve_reaches_the_minimum_of_the_sketched_model():
+    # whiten, build_model, solve and s = L^{-T} u minimize the Gram-coupled
+    # m(s) = f0 + g.s + s.H s / 2 + sigma/3 (s.G s)^(3/2), checked with the
+    # brute-force oracles of criterion 4: a grid for l <= 2, BFGS from ten
+    # starts above
+    rng = np.random.default_rng(69)
+    xs = np.linspace(-10.0, 10.0, 401)
+    xg, yg = np.meshgrid(xs, xs, indexing="ij")
+    grid = {1: xs[:, None], 2: np.stack([xg.ravel(), yg.ravel()], axis=1)}
+    for l in (1, 2, 3, 4, 5):
         for _ in range(5):
-            m = random_model(rng, l, gram="identity")
-            factored = build_model(m.f0, m.g_hat, m.h_hat, m.sigma, np.eye(l))
-            assert m.linv is None and factored.linv is not None
-            a, b = solve(m), solve(factored)
-            np.testing.assert_allclose(a.s_hat, b.s_hat, rtol=1e-12, atol=1e-14)
-            assert a.model_value == pytest.approx(b.model_value, rel=1e-12, abs=1e-14)
-            assert a.predicted_decrease == pytest.approx(b.predicted_decrease,
-                                                         rel=1e-12, abs=1e-14)
-            np.testing.assert_allclose(m.eigenvalues, np.linalg.eigvalsh(m.h_hat),
-                                       rtol=1e-12, atol=1e-12)
+            data = random_data(rng, l)
+            m, linv = whitened(*data)
+            sol = solve(m)
+            s = linv.T @ sol.s_hat
+            value = float(model_value_oracle(*data, s))
+            assert value == pytest.approx(sol.model_value, rel=1e-10, abs=1e-12)
+            assert np.sqrt(s @ data[4] @ s) == pytest.approx(sol.cubic_norm, rel=1e-10)
+            if l in grid:
+                ref = float(np.min(model_value_oracle(*data, grid[l])))
+            else:
+                ref = min(minimize(lambda v: model_value_oracle(*data, v), 2.0 * rng.standard_normal(l),
+                                   method="BFGS", options={"gtol": 1e-12, "maxiter": 500}).fun
+                          for _ in range(10))
+            assert value <= ref + 1e-6
 
 
 def test_rank_of_the_solve_spectrum_with_identity_gram():
@@ -309,7 +336,7 @@ def _assert_same_solution(a, b):
 
 def _rebuilt(m, sigma):
     """The model ``build_model`` gives for m's data with another sigma."""
-    return build_model(m.f0, m.g_hat, m.h_hat, sigma, m.gram)
+    return build_model(m.f0, m.g_hat, m.h_hat, sigma)
 
 
 @pytest.mark.parametrize("gram", ["random", "identity"])
@@ -352,7 +379,7 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         x = rng.standard_normal(p.dim)
         s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
         h = symmetrize(p.sketched_hessian(x, s.matrix))
-        m = build_model(0.0, s.matrix @ p.gradient(x), h, 1.0, s.gram())
+        m = build_model(0.0, *whiten(s.gram(), s.matrix @ p.gradient(x), h)[:2], 1.0)
         got = spectrum_rank(m.eigenvalues, 1e-10)
         want = numerical_rank(h, 1e-10)
         if got != want:
@@ -383,24 +410,24 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
     # the eigenbasis products agree to rounding.  At rank 50 the reduction
     # stops early: each eigenvalue moves by at most the dropped block, and the
     # eigenbasis, arbitrary on the null space, is checked through the solve
-    # and a round trip
+    # and a round trip.  A Gram whitens the model first
     g, h, gm, rng = _large_instance(n, rank, gram)
+    if gm is not None:
+        g, h, _ = whiten(gm, g, h)
     consumed = h.copy()
-    factored = build_model(0.0, g, consumed, 0.7, gm)
+    factored = build_model(0.0, g, consumed, 0.7)
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
-    explicit = build_model(0.0, g, h, 0.7, gm)
+    explicit = build_model(0.0, g, h, 0.7)
     assert factored.reflectors is not None and explicit.reflectors is None
     y = rng.standard_normal(n)
     if rank == "full":
         assert np.array_equal(factored.eigenvalues, explicit.eigenvalues)
         vecs = explicit.eigenvectors  # eigh's explicit V
-        g_t = g if gm is None else explicit.linv @ g
-        assert rel_err(subproblem._to_eigenbasis(factored, g_t), vecs.T @ g_t) <= 1e-12
+        assert rel_err(subproblem._to_eigenbasis(factored, g), vecs.T @ g) <= 1e-12
         assert rel_err(subproblem._from_eigenbasis(factored, y), vecs @ y) <= 1e-12
     else:
-        h_t = h if gm is None else explicit.linv @ h @ explicit.linv.T
         assert factored.eigenvectors.shape[0] < n
-        bound = 10 * n * EPS * np.linalg.norm(h_t)
+        bound = 10 * n * EPS * np.linalg.norm(h)
         assert np.max(np.abs(factored.eigenvalues - explicit.eigenvalues)) <= bound
         round_trip = subproblem._from_eigenbasis(factored, subproblem._to_eigenbasis(factored, y))
         assert rel_err(round_trip, y) <= 1e-12
@@ -409,11 +436,8 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
     assert a.mu == pytest.approx(b.mu, rel=1e-10)
     assert a.predicted_decrease == pytest.approx(b.predicted_decrease, rel=1e-10)
     assert a.hard_case == b.hard_case
-    if gm is None:
-        # the identity Gram's H_hat is reduced in place and not kept
-        assert factored.h_hat is None and np.shares_memory(factored.reflectors, consumed)
-    else:
-        assert factored.h_hat is consumed and np.array_equal(consumed, h)
+    # H_hat is reduced in place and not kept
+    assert factored.h_hat is None and np.shares_memory(factored.reflectors, consumed)
 
 
 @needs_lapack
