@@ -2,10 +2,11 @@
 
 A problem instance counts as solved at tolerance tau once
 f(x_k) <= f* + tau (f(x0) - f*); the budget charged is the cumulative
-metric (relative Hessians, or solver CPU seconds) at the first iterate
-meeting that bar, and infinity when the bar is never met within the
-2000-iteration cap.  Data profiles report the fraction of instances
-solved as a function of the budget.
+metric (relative Hessians, or the solver loop's ``time.perf_counter``
+seconds, ``wall_time_s``) at the first iterate meeting that bar, and
+infinity when the bar is never met within the 2000-iteration cap.  Data
+profiles report the fraction of instances solved as a function of the
+budget.
 """
 
 from __future__ import annotations
@@ -294,8 +295,10 @@ def write_runs_csv(runs: Sequence[BenchmarkRun], path) -> None:
 
 
 def read_runs_csv(path) -> List[BenchmarkRun]:
-    """Runs from a CSV written by ``write_runs_csv``; InvalidInputError on
-    missing columns or a row whose numbers do not parse."""
+    """Runs from a CSV written by ``write_runs_csv``; InvalidInputError names
+    the missing columns, or the line, column and value of a number that does
+    not parse."""
+    numbers = {"repeat": int, "seed": int, "tau": float, "N_p": float}
     by_key: Dict[tuple, BenchmarkRun] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -303,24 +306,25 @@ def read_runs_csv(path) -> List[BenchmarkRun]:
         if missing:
             raise InvalidInputError(f"{path}: not a runs CSV, missing column(s) {missing}")
         for rec in reader:
-            try:
-                repeat, seed = int(rec["repeat"]), int(rec["seed"])
-                tau, n_p = float(rec["tau"]), float(rec["N_p"])
-            except (TypeError, ValueError):
-                raise InvalidInputError(f"{path}:{reader.line_num}: malformed runs row") from None
-            key = (rec["problem_id"], rec["solver_id"], repeat)
+            for col, kind in numbers.items():
+                try:
+                    rec[col] = kind(rec[col])
+                except (TypeError, ValueError):
+                    bad = f"{path}:{reader.line_num}: column {col}: cannot parse {rec[col]!r}"
+                    raise InvalidInputError(bad) from None
+            key = (rec["problem_id"], rec["solver_id"], rec["repeat"])
             run_rec = by_key.get(key)
             if run_rec is None:
                 run_rec = BenchmarkRun(
                     problem_id=rec["problem_id"],
                     solver_id=rec["solver_id"],
-                    repeat=repeat,
-                    seed=seed,
+                    repeat=rec["repeat"],
+                    seed=rec["seed"],
                     n_p={},
                     status=rec["status"],
                 )
                 by_key[key] = run_rec
-            run_rec.n_p[tau] = n_p
+            run_rec.n_p[rec["tau"]] = rec["N_p"]
     return list(by_key.values())
 
 

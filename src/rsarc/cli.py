@@ -86,20 +86,23 @@ def _typed(where: str, key: str, value, kind: type, parse: bool = False):
     return typed
 
 
-def _typed_setting(where: str, key: str, value) -> Tuple[str, object]:
-    """Field name and typed value of one solver setting read from a file.
+def _add_setting(settings: dict, where: str, key: str, value) -> None:
+    """Add one solver setting read from a file to ``settings``, under its field name.
 
     Text (config-file values) is parsed to the field's type; other values
-    (from JSON manifests) must already equal their parsed form.
+    (from JSON manifests) must already equal their parsed form.  A field
+    already set, by its name or an alias, is an RsarcError.
     """
     name = _FIELD_ALIASES.get(key, key)
     if name not in _SETTINGS:
         raise RsarcError(f"{where}: unknown config key {key!r}")
-    return name, _typed(where, key, value, _SETTINGS[name], parse=isinstance(value, str))
+    if name in settings:
+        raise RsarcError(f"{where}: {key!r} sets {name} again")
+    settings[name] = _typed(where, key, value, _SETTINGS[name], parse=isinstance(value, str))
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value file of SolverConfig field names (or their aliases)."""
+    """Flat key = value file of SolverConfig field names (or their aliases), each set once."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -109,8 +112,7 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise RsarcError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            name, value = _typed_setting(f"{path}:{lineno}", key, raw)
-            values[name] = value
+            _add_setting(values, f"{path}:{lineno}", key, raw)
     return values
 
 
@@ -133,8 +135,10 @@ def read_manifest(path: str) -> Tuple[dict, dict]:
         else:
             grid[key] = _typed(path, key, manifest[key], kind)
     for i, raw in enumerate(grid["solver_configs"]):
-        settings = (_typed_setting(f"{path}: solver_configs[{i}]", *kv) for kv in raw.items())
-        grid["solver_configs"][i] = SolverConfig(**dict(settings))
+        settings = {}
+        for key, value in raw.items():
+            _add_setting(settings, f"{path}: solver_configs[{i}]", key, value)
+        grid["solver_configs"][i] = SolverConfig(**settings)
     return grid, _typed(path, "threads", manifest["threads"], dict)
 
 
@@ -196,17 +200,16 @@ def _suite_selectors(args) -> List[str]:
 
 
 def _parse_solver_spec(spec: str, base: SolverConfig) -> SolverConfig:
-    """'arc', 'rarc:l=10' or 'rarc-d:l0=2:C=2': a mode, then config-file settings (l = l0)."""
+    """'arc', 'rarc:l=10' or 'rarc-d:l0=2:C=2': a mode, then config-file settings (l = l0), each once."""
     head, _, rest = spec.partition(":")
     if head not in MODES:
         raise RsarcError(f"unknown solver spec {spec!r}")
     settings = {}
     for part in filter(None, rest.split(":")):
         key, _, raw = part.partition("=")
-        name, value = _typed_setting(f"solver spec {spec!r}", "l0" if key == "l" else key, raw)
-        if name in ("mode", "seed"):
-            raise RsarcError(f"solver spec {spec!r}: the head sets the mode, --seed-base the seed")
-        settings[name] = value
+        _add_setting(settings, f"solver spec {spec!r}", "l0" if key == "l" else key, raw)
+    if "mode" in settings or "seed" in settings:
+        raise RsarcError(f"solver spec {spec!r}: the head sets the mode, --seed-base the seed")
     return replace(base, mode=head, **settings)
 
 

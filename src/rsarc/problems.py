@@ -61,8 +61,8 @@ class ObjectiveProblem:
             other storage, before it reduces it.
         sketched_hessian: ``(x, S) -> S hess f(x) S^T`` for an l x d sketch
             array S, computed without the d x d Hessian; the sketched
-            modes call it and never ``hessian``.  The result need not be
-            exactly symmetric.
+            modes call it and never ``hessian``.  The result must be
+            symmetric up to rounding: no layer symmetrizes it.
     """
 
     name: str

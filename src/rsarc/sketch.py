@@ -6,10 +6,11 @@ sketches have i.i.d. N(0, 1/l) entries so that E||S y||^2 = ||y||^2.
 
 The solver draws ``SCALED_GAUSSIAN`` sketches in its sketched modes.
 Full-space ARC uses S = I (l = d), which is never formed as a matrix: the
-solver takes g and the symmetric part of H as they are, so ``draw`` and
-the projections handle dense arrays only.  ``IDENTITY`` stays as the tag
-for that sketch, which perfbench's tracer reads when it counts the flops
-of ``sketch_hessian``.  The rank helpers return the rank as an int.
+solver takes g and H as they are, so ``draw`` and the projections handle
+dense arrays only; it symmetrizes no Hessian (see ``subproblem``).
+``IDENTITY`` stays as the tag for that sketch, which perfbench's tracer
+reads when it counts the flops of ``sketch_hessian``.  The rank helpers
+return the rank as an int.
 
 ``draw`` takes its normals from a Generator, or from a ``RowStream`` over
 one, as the solver does.  The stream hands out the Generator's rows of d
@@ -156,18 +157,14 @@ def sketch_gradient(s: SketchMatrix, grad: np.ndarray) -> np.ndarray:
     return s.matrix @ grad
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """The symmetric part (M + M^T) / 2, which removes roundoff skew."""
-    return 0.5 * (m + m.T)
-
-
 def sketch_hessian(s: SketchMatrix, hess: np.ndarray) -> np.ndarray:
-    """Project a Hessian: returns S H S^T symmetrized to kill roundoff skew."""
+    """Project a Hessian: returns the symmetric part of S H S^T, free of roundoff skew."""
     if hess.shape != (s.cols, s.cols):
         raise InvalidDimensionError(
             f"hessian shape {hess.shape} incompatible with sketch cols {s.cols}"
         )
-    return symmetrize(s.matrix @ hess @ s.matrix.T)
+    p = s.matrix @ hess @ s.matrix.T
+    return 0.5 * (p + p.T)
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-10) -> int:

@@ -21,10 +21,11 @@ The identity sketch is never formed as a matrix: g and the problem's
 ``hessian`` enter the model as they are (an array that is read-only or a
 view of other storage is copied first, as the model may overwrite it), and
 the step is the model's minimizer.  A scaled-Gaussian sketch's S g and
-S H S^T (the problem's ``sketched_hessian``, symmetrized; no d x d array is
+S H S^T (the problem's ``sketched_hessian``, as returned; no d x d array is
 formed) are whitened by ``subproblem.whiten``, and the model's minimizer u
 gives the step S^T L^{-T} u.  Each model is one l x l eigendecomposition
-(``subproblem.build_model``), whose eigenvalues give the observed rank.
+(``subproblem.build_model``) of one triangle of its H, which no layer
+symmetrizes; its eigenvalues give the observed rank.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
 stream order, through a ``sk.RowStream``, which decides when to draw the
@@ -112,7 +113,7 @@ class SolverConfig:
     """Parameters of the outer loop; defaults follow common practice.
 
     Each field is one setting of the ``solve`` and ``bench`` commands and
-    of their config files; ``validate`` reads its metadata alone.
+    of their config files; ``validate`` reads its type and metadata alone.
     """
 
     mode: str = _setting(MODE_RARC_D, "solver variant", MODES)
@@ -125,8 +126,12 @@ class SolverConfig:
     seed: int = _setting(0, "solver RNG seed", minimum=0)
 
     def validate(self) -> None:
+        types = get_type_hints(SolverConfig)
         for f in fields(self):
             value, choices, minimum = getattr(self, f.name), f.metadata["choices"], f.metadata["minimum"]
+            kind = (int, float) if types[f.name] is float else types[f.name]  # a bool is an int, but no setting
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"need {f.name} of type {types[f.name].__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"need a finite {f.name}, got {value}")
             if choices is not None and value not in choices:
@@ -277,7 +282,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
                     else:
                         s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rows)
                         g_hat = sk.sketch_gradient(s_mat, grad)
-                        h_hat = sk.symmetrize(problem.sketched_hessian(x, s_mat.matrix))
+                        h_hat = problem.sketched_hessian(x, s_mat.matrix)
                     finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
                     if not finite:
                         break

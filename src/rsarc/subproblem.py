@@ -35,12 +35,12 @@ whose largest entry lies outside about [1e-146, 1e146]; on such a matrix
 the two spectra agree to rounding only.)  When the reduction stops early,
 the spectrum is that of a matrix within Frobenius distance about
 sqrt(3) tol of H: each eigenvalue moves by at most that much, and the
-l - m dropped ones are exact zeros.  Both paths read one triangle of H,
-the lower triangle of its F-ordered view H^T (the upper one of a C-ordered
-array), so a matrix whose triangles differ by rounding is decomposed
-without first being symmetrized.  The reduction overwrites H, so a
-factored model reduces the caller's h_hat in place and keeps
-``h_hat = None``.
+l - m dropped ones are exact zeros.  In every mode ``build_model``
+decomposes one triangle of the H it is given, the lower one of its
+F-ordered view H^T (the upper one of a C-ordered array), and no layer
+symmetrizes H.  The reduction overwrites H, and the model keeps only what
+``solve`` reads, so the oracles ``model_value`` to ``check_termination``
+take H from their caller.
 """
 
 from __future__ import annotations
@@ -75,11 +75,10 @@ class SketchedCubicModel:
 
     f0: float
     g_hat: np.ndarray  # (l,)
-    h_hat: Optional[np.ndarray]  # (l, l), symmetric to rounding; None: reduced in place (factored)
     sigma: float
-    eigenvalues: np.ndarray  # ascending spectrum of h_hat
+    eigenvalues: np.ndarray  # ascending spectrum of H, read from one triangle
     eigenvectors: np.ndarray  # V (l, l), or Z_m (m, m) when factored
-    # V = Q blockdiag(Z_m, I) with h_hat = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
+    # V = Q blockdiag(Z_m, I) with H = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
     # and LAPACK found): the Householder reflectors below the diagonal of an F-ordered
     # (l, l) array and the scalars tau of the m - 1 kept ones, and the ascending order
     # of [T_m's eigenvalues, l - m zeros]; None: the eigenvectors are V itself
@@ -113,8 +112,8 @@ def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.n
     couples s through the Gram matrix G = S S^T, since
     ||S^T s||^2 = s.G s.  With the Cholesky factor G = L L^T and u = L^T s,
     ||S^T s|| = ||u|| and m(s) is the Euclidean model of ``build_model``
-    with gradient L^{-1} g and Hessian L^{-1} H L^{-T} (symmetrized, so
-    exactly symmetric), the classical subproblem of adaptive cubic
+    with gradient L^{-1} g and Hessian L^{-1} H L^{-T} (as computed, so
+    symmetric to rounding), the classical subproblem of adaptive cubic
     regularization (Cartis, Gould & Toint 2011).  Its minimizer u maps back
     to s = L^{-T} u, and H and L^{-1} H L^{-T} are congruent, so they have
     the same rank (Sylvester's law of inertia).  No input is written.
@@ -135,18 +134,14 @@ def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.n
     if not np.all(np.isfinite(chol)):
         raise SingularGramError("gram factorization produced non-finite entries")
     linv = np.linalg.inv(chol)
-    g_t = linv @ g_hat
-    h_t = linv @ h_hat @ linv.T
-    return g_t, 0.5 * (h_t + h_t.T), linv
+    return linv @ g_hat, linv @ h_hat @ linv.T, linv
 
 
 def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float) -> SketchedCubicModel:
     """Assemble a model: decompose H, factored from order ``_FACTORED_MIN`` on.
 
-    The eigenpairs are those of the symmetric matrix with the upper triangle
-    of a C-ordered H (the lower one of an F-ordered one); the other
-    triangle is not read.  A factored model overwrites ``h_hat`` (a
-    C-ordered one is reduced in place) and keeps ``h_hat = None``.
+    Only one triangle of ``h_hat`` is read (see the module docstring).  A
+    factored model overwrites ``h_hat``: a C-ordered one is reduced in place.
 
     Raises InvalidDimensionError on inconsistent shapes and
     InvalidInputError unless sigma > 0.
@@ -160,13 +155,13 @@ def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float) -
     # C-ordered h_hat, which dsytrd overwrites with the reflectors
     if l < _FACTORED_MIN or not _lapack.available():
         lam, vecs = np.linalg.eigh(h_hat.T)
-        return SketchedCubicModel(float(f0), g_hat, h_hat, float(sigma), lam, vecs)
+        return SketchedCubicModel(float(f0), g_hat, float(sigma), lam, vecs)
     reflectors = np.require(h_hat.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
     diag, off, tau = _lapack.tridiagonalize(reflectors)
     lam, z = _lapack.tridiagonal_eigh(diag, off)
     lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
     order = np.argsort(lam, kind="stable")
-    return SketchedCubicModel(float(f0), g_hat, None, float(sigma), lam[order], z, reflectors, tau, order)
+    return SketchedCubicModel(float(f0), g_hat, float(sigma), lam[order], z, reflectors, tau, order)
 
 
 def _to_eigenbasis(model: SketchedCubicModel, v: np.ndarray) -> np.ndarray:
@@ -189,32 +184,20 @@ def _from_eigenbasis(model: SketchedCubicModel, y: np.ndarray) -> np.ndarray:
     return _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
 
 
-def cubic_norm(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
-    """||u||, the norm of the cubic term."""
-    return float(np.linalg.norm(s_hat))
+def model_value(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> float:
+    quad = model.g_hat @ s_hat + 0.5 * (s_hat @ h_hat @ s_hat)
+    return model.f0 + float(quad) + (model.sigma / 3.0) * float(np.linalg.norm(s_hat)) ** 3
 
 
-def _h_hat(model: SketchedCubicModel) -> np.ndarray:
-    if model.h_hat is None:
-        raise InvalidInputError("the model's H_hat was reduced in place by build_model")
-    return model.h_hat
-
-
-def model_value(model: SketchedCubicModel, s_hat: np.ndarray) -> float:
-    quad = model.g_hat @ s_hat + 0.5 * (s_hat @ _h_hat(model) @ s_hat)
-    return model.f0 + float(quad) + (model.sigma / 3.0) * cubic_norm(model, s_hat) ** 3
-
-
-def model_gradient(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
+def model_gradient(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     # grad m = g + H u + sigma ||u|| u
-    return model.g_hat + _h_hat(model) @ s_hat + model.sigma * cubic_norm(model, s_hat) * s_hat
+    return model.g_hat + h_hat @ s_hat + model.sigma * np.linalg.norm(s_hat) * s_hat
 
 
-def model_hessian(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
+def model_hessian(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     # hess m = H + sigma (||u|| I + u u^T / ||u||); H at u = 0 (the cubic
     # term is twice differentiable away from 0 only)
-    h_hat = _h_hat(model)
-    nrm = cubic_norm(model, s_hat)
+    nrm = np.linalg.norm(s_hat)
     if nrm == 0.0:
         return h_hat.copy()
     return h_hat + model.sigma * (nrm * np.eye(model.dim) + np.outer(s_hat, s_hat) / nrm)
@@ -222,6 +205,7 @@ def model_hessian(model: SketchedCubicModel, s_hat: np.ndarray) -> np.ndarray:
 
 def check_termination(
     model: SketchedCubicModel,
+    h_hat: np.ndarray,
     s_hat: np.ndarray,
     kappa_t: float,
     kappa_s: float,
@@ -234,13 +218,13 @@ def check_termination(
     the last two with a 1e-12 absolute slack for roundoff.  ``solve``
     does not call this; it is the oracle its tests check solutions with.
     """
-    nrm = cubic_norm(model, s_hat)
-    decrease_ok = model_value(model, s_hat) <= model.f0
+    nrm = float(np.linalg.norm(s_hat))
+    decrease_ok = model_value(model, h_hat, s_hat) <= model.f0
     grad_ok = bool(
-        np.linalg.norm(model_gradient(model, s_hat))
+        np.linalg.norm(model_gradient(model, h_hat, s_hat))
         <= kappa_t * nrm**2 + _TERMINATION_SLACK
     )
-    lam_min = float(np.linalg.eigvalsh(model_hessian(model, s_hat))[0])
+    lam_min = float(np.linalg.eigvalsh(model_hessian(model, h_hat, s_hat))[0])
     curv_ok = lam_min >= -kappa_s * nrm - _TERMINATION_SLACK
     return decrease_ok, grad_ok, curv_ok
 

@@ -303,6 +303,18 @@ def test_runs_csv_roundtrip(tmp_path):
         assert r.n_p == orig[key(r)]
 
 
+@pytest.mark.parametrize("column, cell", [("repeat", "1.5"), ("seed", "x"), ("tau", ""), ("N_p", "never")])
+def test_a_runs_cell_that_does_not_parse_is_named(tmp_path, column, cell):
+    path = tmp_path / "runs.csv"
+    write_runs_csv([BenchmarkRun("QUADRANK:d=6", "arc", 0, 0, {1e-2: 1.0, 1e-5: 2.0}, "GradientTolReached")], path)
+    header, first, second = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[header.split(",").index(column)] = cell
+    path.write_text("\n".join([header, first, ",".join(fields)]) + "\n")
+    with pytest.raises(InvalidInputError, match=f"runs.csv:3: column {column}: cannot parse {cell!r}$"):
+        read_runs_csv(path)
+
+
 def test_grid_writes_traces(tmp_path):
     problems = ["QUADRANK:d=6:rank=6"]
     configs = [SolverConfig(mode="arc", epsilon=1e-7)]

@@ -437,6 +437,13 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         ([*_BENCH, "--tau", "2"], "got [2.0]"),
         ([*_BENCH, "--config", "{seed_config}"], "bench sets ['seed'] per run"),
         ([*_BENCH, "--config", "{mode_config}"], "bench sets ['mode'] per run"),
+        ([*_BENCH, "--solvers", "rarc-d:C=2:C=3"], "'C' sets growth_c again"),
+        ([*_BENCH, "--solvers", "rarc-d:growth_c=2:C=3"], "'C' sets growth_c again"),
+        ([*_BENCH, "--solvers", "rarc:l=4:l0=5"], "'l0' sets l0 again"),
+        ([*_SOLVE, "--config", "{twice_config}"], "twice_config.cfg:2: 'sigma0' sets sigma0 again"),
+        ([*_SOLVE, "--config", "{eps_config}"], "eps_config.cfg:2: 'epsilon' sets epsilon again"),
+        ([*_SOLVE, "--config", "{redraw_config}"], "redraw_config.cfg:3: 'redraw' sets redraw_policy again"),
+        (["rerun", "--manifest", "{alias_manifest}", "--out", "{out}"], "solver_configs[0]: 'C' sets growth_c again"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
@@ -444,7 +451,8 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         "no-inner-evaluations", "negative-inner-tol", "theta-config",
         "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",
         "runs-is-a-directory", "manifest-is-a-directory", "shared-solver-id", "tau-above-one",
-        "bench-config-seed", "bench-config-mode",
+        "bench-config-seed", "bench-config-mode", "spec-key-twice", "spec-name-and-alias", "spec-l-and-l0",
+        "config-key-twice", "config-alias-and-name", "config-name-and-alias", "manifest-name-and-alias",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
@@ -459,15 +467,20 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
     paths["old_config"].write_text("inner_tol = -1\n")
     paths["theta_config"] = tmp_path / "theta.cfg"
     paths["theta_config"].write_text("theta = 0.01\n")
-    # bench's --solvers heads set every mode and --seed-base every seed
-    for key, line in (("seed_config", "seed = 5\n"), ("mode_config", "sigma0 = 2.0\nmode = arc\n")):
+    # bench's --solvers heads set every mode and --seed-base every seed; a field
+    # set twice, under its name or an alias, is refused, not overwritten
+    for key, lines in (("seed_config", "seed = 5\n"), ("mode_config", "sigma0 = 2.0\nmode = arc\n"),
+                       ("twice_config", "sigma0 = 2\nsigma0 = 3\n"), ("eps_config", "eps = 1e-3\nepsilon = 1e-4\n"),
+                       ("redraw_config", "redraw_policy = on-success\n\nredraw = every-iteration\n")):
         paths[key] = tmp_path / f"{key}.cfg"
-        paths[key].write_text(line)
-    paths["old_manifest"] = tmp_path / "old_manifest.json"
-    paths["old_manifest"].write_text(json.dumps({
-        "problems": ["QUADRANK:d=6"], "solver_configs": [{"mode": "arc", "max_inner": 0}],
-        "repeats": 1, "seed_base": 0, "taus": [0.01], "metric": "rel-hessians", "threads": {},
-    }))
+        paths[key].write_text(lines)
+    for key, config in (("old_manifest", {"mode": "arc", "max_inner": 0}),
+                        ("alias_manifest", {"mode": "rarc-d", "growth_c": 2, "C": 3})):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps({
+            "problems": ["QUADRANK:d=6"], "solver_configs": [config],
+            "repeats": 1, "seed_base": 0, "taus": [0.01], "metric": "rel-hessians", "threads": {},
+        }))
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
     code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])

@@ -250,10 +250,20 @@ def test_l0_larger_than_dimension_rejected():
         {"redraw_policy": ""},
         {"seed": -1},
         {"sigma0": 9.9e-17},
+        {"l0": 2.5},
+        {"max_iter": 10.5},
+        {"growth_c": 1.5},
+        {"seed": 1.5},
+        {"sigma0": "1"},
+        {"l0": 2.0},
+        {"max_iter": True},
+        {"epsilon": False},
+        {"mode": 1},
+        {"redraw_policy": None},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
         SolverConfig(**kwargs).validate()
 
 
@@ -270,6 +280,7 @@ def test_solver_id_names_the_settings_that_change_the_run():
 
 def test_validate_accepts_each_minimum():
     SolverConfig(sigma0=1e-16, epsilon=math.ulp(0.0), max_iter=0, l0=1, growth_c=1, seed=0).validate()
+    SolverConfig(sigma0=1, epsilon=1).validate()  # an int is a valid float setting
 
 
 def test_trace_csv_header(tmp_path):
@@ -781,16 +792,23 @@ def test_one_blas_thread_starts_no_worker(monkeypatch):
 
 def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):
     # a model reused with a new sigma matches one that is built and
-    # decomposed again
+    # decomposed again, from the H of the last model built
     p = get_problem("l-COSINE:N=10:d=40")
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=60)
     reused = run(p, cfg)
     rebuilt = []
+    build = solver_mod.sp.build_model
+    last_h = []
+
+    def recorded(f0, g_hat, h_hat, sigma):
+        last_h[:] = [h_hat.copy()]
+        return build(f0, g_hat, h_hat, sigma)
 
     def rebuild(m, sigma):
         rebuilt.append(sigma)
-        return solver_mod.sp.build_model(m.f0, m.g_hat, m.h_hat, sigma)
+        return build(m.f0, m.g_hat, last_h[0].copy(), sigma)
 
+    monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
     monkeypatch.setattr(solver_mod, "replace", rebuild)
     again = run(p, cfg)
     assert _reused(reused.trace) and len(rebuilt) == len(_reused(reused.trace))

@@ -7,7 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from rsarc import SolverConfig
+from rsarc import SketchedCubicModel, SolverConfig
 from rsarc._lapack import _BINDINGS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsarc"
@@ -172,3 +172,19 @@ def test_only_whiten_raises_a_singular_gram_error():
                 if isinstance(exc, ast.Name) and exc.id == "SingularGramError":
                     raisers.add(f"{path.stem}.{fn.name}")
     assert raisers == {"subproblem.whiten"}
+
+
+def test_the_model_keeps_only_what_its_solve_reads():
+    # a field that solve and its eigenbasis products never read is data the
+    # model carries for nothing; the oracles take H from their caller
+    path = PACKAGE / "subproblem.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = ("solve", "_to_eigenbasis", "_from_eigenbasis")
+    read = {
+        node.attr
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in readers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "model"
+    }
+    assert read == {f.name for f in fields(SketchedCubicModel)}

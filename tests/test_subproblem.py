@@ -24,10 +24,10 @@ from rsarc import (
     solve,
     spectrum_rank,
 )
-from rsarc.sketch import SCALED_GAUSSIAN, symmetrize
+from rsarc.sketch import SCALED_GAUSSIAN
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
-from rsarc.subproblem import cubic_norm, whiten
+from rsarc.subproblem import whiten
 from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
@@ -47,64 +47,70 @@ def random_data(rng, l, f0=0.0, sigma=None, gram="random"):
 
 
 def whitened(f0, g, h, sigma, gram):
-    """The Euclidean model of a sketched model's data and L^{-1} (None for the identity Gram)."""
+    """The Euclidean model of a sketched model's data, its H (which the model
+    does not keep) and L^{-1} (None for the identity Gram)."""
     if gram is None:
-        return build_model(f0, g, h, sigma), None
+        return build_model(f0, g, h, sigma), h, None
     g_t, h_t, linv = whiten(gram, g, h)
-    return build_model(f0, g_t, h_t, sigma), linv
+    return build_model(f0, g_t, h_t, sigma), h_t, linv
 
 
 def random_model(rng, l, **kwargs):
-    return whitened(*random_data(rng, l, **kwargs))[0]
+    """A random Euclidean model and its H."""
+    return whitened(*random_data(rng, l, **kwargs))[:2]
 
 
 def test_value_and_gradient_at_origin():
-    m = build_model(3.5, np.array([1.0, -2.0]), np.eye(2), 1.0)
+    h = np.eye(2)
+    m = build_model(3.5, np.array([1.0, -2.0]), h, 1.0)
     z = np.zeros(2)
-    assert model_value(m, z) == 3.5
-    assert np.array_equal(model_gradient(m, z), m.g_hat)
-    assert np.array_equal(model_hessian(m, z), m.h_hat)
+    assert model_value(m, h, z) == 3.5
+    assert np.array_equal(model_gradient(m, h, z), m.g_hat)
+    assert np.array_equal(model_hessian(m, h, z), h)
 
 
 def test_scalar_example():
     # f0 - 1 + 1/2 + 1/3 = f0 - 1/6 at s = -1; gradient 1 - 1 - 1 = -1
-    m = build_model(5.0, np.array([1.0]), np.array([[1.0]]), 1.0)
+    h = np.array([[1.0]])
+    m = build_model(5.0, np.array([1.0]), h, 1.0)
     s = np.array([-1.0])
-    assert model_value(m, s) == pytest.approx(5.0 - 1.0 / 6.0, abs=1e-15)
-    assert model_gradient(m, s) == pytest.approx([-1.0], abs=1e-15)
+    assert model_value(m, h, s) == pytest.approx(5.0 - 1.0 / 6.0, abs=1e-15)
+    assert model_gradient(m, h, s) == pytest.approx([-1.0], abs=1e-15)
 
 
 def test_model_gradient_matches_finite_differences():
     rng = np.random.default_rng(50)
     for _ in range(10):
-        m = random_model(rng, int(rng.integers(1, 5)))
+        m, h = random_model(rng, int(rng.integers(1, 5)))
         s = rng.standard_normal(m.dim)
-        fd = fd_gradient(lambda v: model_value(m, v), s)
-        assert rel_err(fd, model_gradient(m, s)) < 1e-6
+        fd = fd_gradient(lambda v: model_value(m, h, v), s)
+        assert rel_err(fd, model_gradient(m, h, s)) < 1e-6
 
 
 def test_model_hessian_matches_finite_differences():
     rng = np.random.default_rng(51)
     for _ in range(5):
-        m = random_model(rng, 3)
+        m, h = random_model(rng, 3)
         s = rng.standard_normal(3) + 0.5  # keep away from the nonsmooth origin
-        fd = fd_jacobian(lambda v: model_gradient(m, v), s)
-        assert rel_err(fd, model_hessian(m, s)) < 1e-5
+        fd = fd_jacobian(lambda v: model_gradient(m, h, v), s)
+        assert rel_err(fd, model_hessian(m, h, s)) < 1e-5
 
 
 def test_solve_one_dimensional_closed_form():
-    m = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0)
+    h = np.array([[1.0]])
+    m = build_model(0.0, np.array([1.0]), h, 1.0)
     sol = solve(m)
     assert sol.s_hat[0] == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0, abs=1e-10)
-    assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
+    assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_zero_gradient_psd():
-    m = build_model(2.0, np.zeros(3), np.diag([1.0, 2.0, 3.0]), 1.0)
+    h = np.diag([1.0, 2.0, 3.0])
+    m = build_model(2.0, np.zeros(3), h, 1.0)
     sol = solve(m)
     assert np.array_equal(sol.s_hat, np.zeros(3))
     assert sol.model_value == 2.0
-    assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
+    assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_matches_grid_oracle_2d():
@@ -114,7 +120,7 @@ def test_solve_matches_grid_oracle_2d():
     pts = np.stack([xg.ravel(), yg.ravel()], axis=1)
     for _ in range(20):
         data = random_data(rng, 2)
-        m, _ = whitened(*data)
+        m = whitened(*data)[0]
         oracle = float(np.min(model_value_oracle(*data, pts)))
         sol = solve(m)
         assert sol.model_value <= oracle + 1e-6
@@ -125,7 +131,7 @@ def test_solve_matches_descent_oracle():
     for l in (1, 2, 3, 5):
         for _ in range(5):
             data = random_data(rng, l)
-            m, _ = whitened(*data)
+            m, h, _ = whitened(*data)
             best = np.inf
             for _ in range(10):
                 res = minimize(lambda s: model_value_oracle(*data, s), rng.standard_normal(l) * 2.0,
@@ -133,7 +139,7 @@ def test_solve_matches_descent_oracle():
                 best = min(best, res.fun)
             sol = solve(m)
             assert sol.model_value <= best + 1e-8
-            assert all(check_termination(m, sol.s_hat, 0.1, 0.1))
+            assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
 
 
 def test_newton_limit_small_sigma():
@@ -151,7 +157,7 @@ def test_model_decrease_identity():
     # f0 - q(s) >= sigma/3 ||S^T s||^3 whenever m(s) <= m(0)
     rng = np.random.default_rng(55)
     for _ in range(20):
-        m = random_model(rng, int(rng.integers(1, 6)))
+        m, _ = random_model(rng, int(rng.integers(1, 6)))
         sol = solve(m)
         assert sol.model_value <= m.f0
         lhs = sol.predicted_decrease
@@ -162,9 +168,9 @@ def test_model_decrease_identity():
 def test_secular_residual_bound():
     rng = np.random.default_rng(56)
     for _ in range(20):
-        m = random_model(rng, int(rng.integers(1, 6)))
+        m, h = random_model(rng, int(rng.integers(1, 6)))
         sol = solve(m)
-        grad_norm = np.linalg.norm(model_gradient(m, sol.s_hat))
+        grad_norm = np.linalg.norm(model_gradient(m, h, sol.s_hat))
         assert grad_norm <= 1e-10 * (1.0 + np.linalg.norm(m.g_hat))
 
 
@@ -172,7 +178,7 @@ def test_the_evaluation_cap_ends_the_secular_solve(monkeypatch):
     # _MAX_INNER bounds the evaluations, bracketing included: a cap at the
     # count a solve needs still solves it, one fewer raises
     rng = np.random.default_rng(57)
-    m = random_model(rng, 6)
+    m, _ = random_model(rng, 6)
     needed = solve(m).inner_iterations
     assert needed > 2
     monkeypatch.setattr(subproblem, "_MAX_INNER", needed)
@@ -191,21 +197,21 @@ def test_predicted_decrease_matches_the_quadratic_oracle(gram):
     for l in (1, 2, 4, 7, 12):
         for _ in range(5):
             _, g, h, _, gm = data = random_data(rng, l, gram=gram)
-            m, linv = whitened(*data)
+            m, h_t, linv = whitened(*data)
             sol = solve(m)
             s = sol.s_hat if linv is None else linv.T @ sol.s_hat
             gs, shs = float(g @ s), float(s @ h @ s)
             scale = abs(gs) + abs(shs) + 1e-300
             assert abs(sol.predicted_decrease + (gs + 0.5 * shs)) <= 1e-10 * scale
-            grad_norm = np.linalg.norm(model_gradient(m, sol.s_hat))
+            grad_norm = np.linalg.norm(model_gradient(m, h_t, sol.s_hat))
             assert grad_norm <= 1e-9 * (1.0 + np.linalg.norm(m.g_hat))
 
 
 def test_cubic_norm_consistent():
     rng = np.random.default_rng(57)
-    m = random_model(rng, 4)
+    m, _ = random_model(rng, 4)
     sol = solve(m)
-    assert sol.cubic_norm == pytest.approx(cubic_norm(m, sol.s_hat), rel=1e-10, abs=1e-12)
+    assert sol.cubic_norm == pytest.approx(np.linalg.norm(sol.s_hat), rel=1e-10, abs=1e-12)
 
 
 def test_hard_case_eigenvector_correction():
@@ -219,7 +225,7 @@ def test_hard_case_eigenvector_correction():
     assert sol.hard_case and sol.mu == 2.0
     # at the hard-case solution sigma*||s|| equals -lambda_min exactly
     assert sigma * sol.cubic_norm == pytest.approx(2.0, rel=1e-12)
-    assert np.linalg.norm(model_gradient(m, sol.s_hat)) < 1e-12
+    assert np.linalg.norm(model_gradient(m, np.diag(lam), sol.s_hat)) < 1e-12
     rng = np.random.default_rng(58)
     best = np.inf
     for _ in range(20):
@@ -239,15 +245,15 @@ def test_hard_case_zero_gradient_negative_curvature():
 
 def test_check_termination_cases():
     rng = np.random.default_rng(59)
-    m = random_model(rng, 3)
+    m, h = random_model(rng, 3)
     sol = solve(m)
-    assert check_termination(m, sol.s_hat, 0.1, 0.1) == (True, True, True)
+    assert check_termination(m, h, sol.s_hat, 0.1, 0.1) == (True, True, True)
 
-    flags = check_termination(m, np.zeros(3), 0.1, 0.1)
+    flags = check_termination(m, h, np.zeros(3), 0.1, 0.1)
     assert flags[0] is True and flags[1] is False  # zero step, nonzero gradient
 
     m0 = build_model(0.0, np.zeros(2), np.eye(2), 1.0)
-    assert check_termination(m0, np.zeros(2), 0.1, 0.1) == (True, True, True)
+    assert check_termination(m0, np.eye(2), np.zeros(2), 0.1, 0.1) == (True, True, True)
 
 
 def test_singular_gram_rejected():
@@ -294,7 +300,7 @@ def test_a_whitened_solve_reaches_the_minimum_of_the_sketched_model():
     for l in (1, 2, 3, 4, 5):
         for _ in range(5):
             data = random_data(rng, l)
-            m, linv = whitened(*data)
+            m, _, linv = whitened(*data)
             sol = solve(m)
             s = linv.T @ sol.s_hat
             value = float(model_value_oracle(*data, s))
@@ -334,9 +340,9 @@ def _assert_same_solution(a, b):
             assert value == other, name
 
 
-def _rebuilt(m, sigma):
-    """The model ``build_model`` gives for m's data with another sigma."""
-    return build_model(m.f0, m.g_hat, m.h_hat, sigma)
+def _rebuilt(m, h, sigma):
+    """The model ``build_model`` gives for m's data, built from H, with another sigma."""
+    return build_model(m.f0, m.g_hat, h, sigma)
 
 
 @pytest.mark.parametrize("gram", ["random", "identity"])
@@ -346,19 +352,19 @@ def test_a_solve_from_the_last_spectrum_equals_a_fresh_solve(gram):
     rng = np.random.default_rng(64)
     for l in (1, 2, 5, 12):
         for _ in range(5):
-            m = random_model(rng, l, gram=gram)
+            m, h = random_model(rng, l, gram=gram)
             solve(m)  # the solver solves a model before it reuses it
             for factor in (2.0, 4.0, 0.5):
                 sigma = factor * m.sigma
-                _assert_same_solution(solve(replace(m, sigma=sigma)), solve(_rebuilt(m, sigma)))
+                _assert_same_solution(solve(replace(m, sigma=sigma)), solve(_rebuilt(m, h, sigma)))
 
 
 def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
-    lam = np.array([-2.0, 1.0, 3.0])
-    m = build_model(0.0, np.array([0.0, 0.3, -0.4]), np.diag(lam), 0.1)
+    h = np.diag([-2.0, 1.0, 3.0])
+    m = build_model(0.0, np.array([0.0, 0.3, -0.4]), h, 0.1)
     prev = solve(m)
     for sigma in (0.2, 0.4, 50.0):
-        fresh = solve(_rebuilt(m, sigma))
+        fresh = solve(_rebuilt(m, h, sigma))
         _assert_same_solution(solve(replace(m, sigma=sigma)), fresh)
     assert prev.hard_case and solve(replace(m, sigma=0.2)).hard_case
     assert not fresh.hard_case  # sigma = 50: the interior step is long enough
@@ -367,7 +373,8 @@ def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
 def test_the_whitened_spectrum_ranks_the_sketched_hessian():
     # L^{-1} S H S^T L^{-T} is congruent to S H S^T (Sylvester's law of
     # inertia), and the Gram's conditioning does not move an eigenvalue
-    # across the relative threshold on these problems
+    # across the relative threshold on these problems.  As in the solver,
+    # S H S^T is whitened and decomposed as the problem returns it
     selectors = ["l-QUADRANK:N=20:rank=5:d=60"] + [
         f"l-{name}:N=10:d=40" for name in ("ARWHEAD", "POWER", "COSINE", "ENGVAL1")
     ]
@@ -378,10 +385,10 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         p = problems[trial % len(problems)]
         x = rng.standard_normal(p.dim)
         s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
-        h = symmetrize(p.sketched_hessian(x, s.matrix))
+        h = p.sketched_hessian(x, s.matrix)
         m = build_model(0.0, *whiten(s.gram(), s.matrix @ p.gradient(x), h)[:2], 1.0)
         got = spectrum_rank(m.eigenvalues, 1e-10)
-        want = numerical_rank(h, 1e-10)
+        want = numerical_rank(0.5 * (h + h.T), 1e-10)
         if got != want:
             mismatches.append((p.name, s.matrix.shape[0], got, want))
     assert not mismatches
@@ -395,7 +402,8 @@ def _large_instance(n, rank, gram, seed=66):
     rng = np.random.default_rng(seed)
     r = n if rank == "full" else rank
     b = rng.standard_normal((n, r))
-    h = symmetrize((b * rng.standard_normal(r)) @ b.T)
+    h = (b * rng.standard_normal(r)) @ b.T
+    h = 0.5 * (h + h.T)
     gm = None if gram is None else draw(SCALED_GAUSSIAN, n, 2 * n, rng).gram()
     return rng.standard_normal(n), h, gm, rng
 
@@ -436,8 +444,22 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
     assert a.mu == pytest.approx(b.mu, rel=1e-10)
     assert a.predicted_decrease == pytest.approx(b.predicted_decrease, rel=1e-10)
     assert a.hard_case == b.hard_case
-    # H_hat is reduced in place and not kept
-    assert factored.h_hat is None and np.shares_memory(factored.reflectors, consumed)
+    # H is reduced in place, into the reflectors
+    assert np.shares_memory(factored.reflectors, consumed)
+
+
+@needs_lapack
+@pytest.mark.parametrize("gram", [None, "gaussian"])
+@pytest.mark.parametrize("n", [subproblem._FACTORED_MIN, 224])
+def test_the_termination_oracle_accepts_a_factored_solve(n, gram):
+    # a factored model reduces its H in place and keeps none; the oracle
+    # checks its solution against the H the model was built from
+    g, h, gm, _ = _large_instance(n, "full", gram)
+    if gm is not None:
+        g, h, _ = whiten(gm, g, h)
+    model = build_model(0.0, g, h.copy(), 0.7)
+    assert model.reflectors is not None
+    assert check_termination(model, h, solve(model).s_hat, 0.1, 0.1) == (True, True, True)
 
 
 @needs_lapack
@@ -446,7 +468,8 @@ def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
     rng = np.random.default_rng(67)
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     lam = np.concatenate([[-2.0], rng.uniform(1.0, 3.0, n - 1)])
-    h = symmetrize((q * lam) @ q.T)
+    h = (q * lam) @ q.T
+    h = 0.5 * (h + h.T)
     g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, n - 1)  # no component along the minimal eigenvector
     factored = solve(build_model(0.0, g, h.copy(), 0.5))
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
@@ -637,7 +660,8 @@ def test_a_truncated_model_keeps_the_hard_case(monkeypatch):
     rng = np.random.default_rng(68)
     q = np.linalg.qr(rng.standard_normal((n, r)))[0]
     lam = np.concatenate([[-2.0], rng.uniform(1.0, 3.0, r - 1)])
-    h = symmetrize((q * lam) @ q.T)
+    h = (q * lam) @ q.T
+    h = 0.5 * (h + h.T)
     g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, r - 1) + 1e-4 * (np.eye(n) - q @ q.T) @ rng.standard_normal(n)
     model = build_model(0.0, g, h.copy(), 0.5)
     assert model.eigenvectors.shape[0] < n and np.count_nonzero(model.eigenvalues == 0.0) > 0
@@ -672,12 +696,3 @@ def test_a_sketched_model_keeps_only_the_reduced_order(monkeypatch):
     full = run(p, cfg)
     assert orders and min(orders) == 150
     assert (truncated.status, len(truncated.trace)) == (full.status, len(full.trace))
-
-
-def test_a_consumed_h_hat_is_refused_by_the_oracles():
-    m = build_model(0.0, np.ones(2), np.eye(2), 1.0)
-    m = replace(m, h_hat=None)
-    for oracle in (model_value, model_gradient, model_hessian):
-        with pytest.raises(InvalidInputError, match="reduced in place"):
-            oracle(m, np.ones(2))
-
