@@ -118,10 +118,19 @@ def read_config_file(path: str) -> dict:
 
 def read_manifest(path: str) -> Tuple[dict, dict]:
     """The grid record of a manifest.json written by ``bench`` (``run_grid``'s
-    arguments, solver configs as SolverConfig) and its ``threads`` record."""
+    arguments, solver configs as SolverConfig) and its ``threads`` record.
+    A key repeated in any one JSON object is an RsarcError, not the last value."""
+
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        if repeated:
+            raise RsarcError(f"{path}: key(s) {repeated} repeated in one JSON object")
+        return dict(pairs)
+
     with open(path) as fh:
         try:
-            manifest = _typed(path, "manifest", json.load(fh), dict)
+            manifest = _typed(path, "manifest", json.load(fh, object_pairs_hook=unique), dict)
         except json.JSONDecodeError as exc:
             raise RsarcError(f"{path}: not a JSON manifest: {exc}") from None
     missing = [key for key in (*_GRID, "threads") if key not in manifest]

@@ -11,15 +11,18 @@ two GEMM and r x r work, about 6 d r^2 flops in level-3 BLAS); a draw too
 ill-conditioned for that, with cond near u^{-1/2} or above, falls back to
 Householder QR.
 
-Every problem provides second-order information twice.  The dense d x d
-``hessian`` serves ``arc`` (the identity sketch, never formed: the model
-reads one triangle of H itself, in place) and output checks;
-``sketched_hessian(x, S)`` returns S H(x) S^T for an l x d sketch array S
-without forming H, and the sketched modes use only it.  Built-ins build it
-from the columns of S in O(l^2 d) flops.  Lifted problems compute it as
+Each built-in states its Hessian once, as the product H(x) @ M with an
+n x k array M in O(n k) flops (a block of Hessian-vector products;
+Pearlmutter, Neural Comput. 6, 1994), and both second-order oracles derive
+from it.  The dense d x d ``hessian`` is H(x) @ I; it serves ``arc`` (the
+identity sketch, never formed: the model reads one triangle of H itself,
+in place) and output checks.  ``sketched_hessian(x, S)`` is S (H(x) @ S^T)
+for an l x d sketch array S, O(l^2 d) flops without forming H, and the
+sketched modes use only it.  Lifted problems compute it as
 (S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 + l^2 r) flops; each holds its
 d x r embedding Q once, as one C-ordered array: Q^T x is evaluated as
-x @ Q, and the dense Hessian multiplies by the transposed view Q^T.
+x @ Q, once per point for all four oracles, and the dense Hessian
+multiplies by the transposed view Q^T.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class ObjectiveProblem:
             array S, computed without the d x d Hessian; the sketched
             modes call it and never ``hessian``.  The result must be
             symmetric up to rounding: no layer symmetrizes it.
+
+    A built-in states ``H(x) @ M`` once and derives both from it.
     """
 
     name: str
@@ -144,18 +149,34 @@ def make_orthogonal_embedding(d: int, r: int, seed) -> np.ndarray:
 
 
 def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> ObjectiveProblem:
+    # (the last x's dtype, shape and bytes, its Q^T x), one tuple so that no
+    # reader pairs one point's key with another's product: the oracles at one
+    # point share one pass over Q.  A point equal only by value (-0.0, a NaN
+    # payload) or written into since gets a fresh product.
+    last = (None, None)
+
+    def lift(x):
+        nonlocal last
+        key = (x.dtype, x.shape, x.tobytes())
+        cached, y = last
+        if cached != key:
+            y = x @ q
+            y.flags.writeable = False
+            last = (key, y)
+        return y
+
     def value(x):
-        return base.value(x @ q)
+        return base.value(lift(x))
 
     def gradient(x):
-        return q @ base.gradient(x @ q)
+        return q @ base.gradient(lift(x))
 
     def hessian(x):
-        return q @ base.hessian(x @ q) @ q.T
+        return q @ base.hessian(lift(x)) @ q.T
 
     def sketched_hessian(x, s):
         sq = s @ q
-        return sq @ base.hessian(x @ q) @ sq.T
+        return sq @ base.hessian(lift(x)) @ sq.T
 
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]
@@ -163,17 +184,8 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
     if head == "QUADRANK" and base.known_rank != base.dim:
         label += f":rank={base.known_rank}"
     label += f":d={q.shape[0]}:seed={seed}"
-    return ObjectiveProblem(
-        name=label,
-        dim=q.shape[0],
-        x0=q @ base.x0,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        sketched_hessian=sketched_hessian,
-        f_star=base.f_star,
-        known_rank=rank,
-    )
+    return ObjectiveProblem(label, q.shape[0], q @ base.x0, value, gradient, hessian, sketched_hessian,
+                            base.f_star, rank)
 
 
 def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
@@ -198,36 +210,38 @@ def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
 # ---------------------------------------------------------------------------
 
 
+def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None) -> ObjectiveProblem:
+    """A built-in whose Hessian is ``hmul(x, M) = H(x) @ M``: the dense one is
+    H(x) @ I, the identity made per call (n can be 1e5), the sketched one S (H(x) @ S^T)."""
+
+    def hessian(x):
+        return hmul(x, np.eye(n))
+
+    def sketched_hessian(x, s):
+        return s @ hmul(x, s.T)
+
+    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, f_star, known_rank)
+
+
 def _tridiagonal(name, n, x0, value, gradient, link, f_star) -> ObjectiveProblem:
     """Chained f = sum_{i<n} f_i(x_i, x_{i+1}), whose Hessian is tridiagonal:
-    ``link(x)`` gives each f_i's second derivatives in x_i, in x_{i+1} and
-    across; S H S^T = (S a) S^T + T + T^T with T = (S_{:, :-1} b) S_{:, 1:}^T."""
-    idx = np.arange(n - 1)
+    ``link(x)`` gives each f_i's second derivatives in x_i, in x_{i+1} and across."""
 
-    def bands(x):
+    def hmul(x, m):
         first, second, b = link(x)
         a = np.zeros(n)
         a[:-1] += first
         a[1:] += second
-        return a, b
+        out = a[:, None] * m
+        out[:-1] += b[:, None] * m[1:]
+        out[1:] += b[:, None] * m[:-1]
+        return out
 
-    def hessian(x):
-        a, b = bands(x)
-        h = np.diag(a)
-        h[idx, idx + 1] = h[idx + 1, idx] = b
-        return h
-
-    def sketched_hessian(x, s):
-        a, b = bands(x)
-        t = (s[:, :-1] * b) @ s[:, 1:].T
-        return (s * a) @ s.T + t + t.T
-
-    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, f_star=f_star)
+    return _builtin(name, n, x0, value, gradient, hmul, f_star=f_star)
 
 
 def _arwhead(n: int) -> ObjectiveProblem:
     # f(x) = sum_{i<n} ((x_i^2 + x_n^2)^2 - 4 x_i + 3), x0 = ones, f* = 0
-    idx = np.arange(n - 1)
 
     def value(x):
         u = x[:-1] ** 2 + x[-1] ** 2
@@ -240,24 +254,17 @@ def _arwhead(n: int) -> ObjectiveProblem:
         g[-1] = 4.0 * x[-1] * np.sum(u)
         return g
 
-    def arrow(x):
-        # the diagonal a, and v in the last row and column off the diagonal
+    def hmul(x, m):
+        # an arrow: the diagonal a, and v in the last row and column off the diagonal
         u = x[:-1] ** 2 + x[-1] ** 2
         a = np.append(4.0 * u + 8.0 * x[:-1] ** 2, 4.0 * np.sum(u) + 8.0 * (n - 1) * x[-1] ** 2)
-        return a, 8.0 * x[:-1] * x[-1]
+        v = 8.0 * x[:-1] * x[-1]
+        out = a[:, None] * m
+        out[:-1] += v[:, None] * m[-1]
+        out[-1] += v @ m[:-1]
+        return out
 
-    def hessian(x):
-        a, v = arrow(x)
-        h = np.diag(a)
-        h[idx, -1] = h[-1, idx] = v
-        return h
-
-    def sketched_hessian(x, s):
-        a, v = arrow(x)
-        p = np.outer(s[:, :-1] @ v, s[:, -1])
-        return (s * a) @ s.T + p + p.T
-
-    return ObjectiveProblem("ARWHEAD", n, np.ones(n), value, gradient, hessian, sketched_hessian, f_star=0.0)
+    return _builtin("ARWHEAD", n, np.ones(n), value, gradient, hmul, f_star=0.0)
 
 
 def _cosine(n: int) -> ObjectiveProblem:
@@ -313,16 +320,12 @@ def _power(n: int) -> ObjectiveProblem:
     def gradient(x):
         return 4.0 * np.dot(w, x**2) * (w * x)
 
-    def hessian(x):
-        t = np.dot(w, x**2)
+    def hmul(x, m):
+        # 4 t diag(w) + 8 v v^T with t = sum_i w_i x_i^2 and v = w x
         v = w * x
-        return 4.0 * t * np.diag(w) + 8.0 * np.outer(v, v)
+        return 4.0 * np.dot(w, x**2) * (w[:, None] * m) + 8.0 * np.outer(v, v @ m)
 
-    def sketched_hessian(x, s):
-        sv = s @ (w * x)
-        return 4.0 * np.dot(w, x**2) * ((s * w) @ s.T) + 8.0 * np.outer(sv, sv)
-
-    return ObjectiveProblem("POWER", n, np.ones(n), value, gradient, hessian, sketched_hessian, f_star=0.0)
+    return _builtin("POWER", n, np.ones(n), value, gradient, hmul, f_star=0.0)
 
 
 def _nondquar(n: int) -> ObjectiveProblem:
@@ -347,28 +350,20 @@ def _nondquar(n: int) -> ObjectiveProblem:
         g[-1] += np.sum(c)
         return g
 
-    def hessian(x):
-        t = x[:-2] + x[1:-1] + x[-1]
-        h = np.zeros((n, n))
-        h[:2, :2] += end
-        h[-2:, -2:] += end
-        c = 12.0 * t**2
-        for i in range(n - 2):
-            for a in (i, i + 1, n - 1):
-                for b in (i, i + 1, n - 1):
-                    h[a, b] += c[i]
-        return h
-
-    def sketched_hessian(x, s):
-        # sum_i c_i v_i v_i^T with v_i = S (e_i + e_{i+1} + e_n), and the two end blocks
-        v = s[:, :-2] + s[:, 1:-1] + s[:, -1:]
-        c = 12.0 * (x[:-2] + x[1:-1] + x[-1]) ** 2
-        head, tail = s[:, 0] - s[:, 1], s[:, -2] - s[:, -1]
-        return (v * c) @ v.T + 2.0 * (np.outer(head, head) + np.outer(tail, tail))
+    def hmul(x, m):
+        # the two end blocks, and sum_i c_i v_i (v_i^T M) with v_i = e_i + e_{i+1} + e_n
+        cv = (12.0 * (x[:-2] + x[1:-1] + x[-1]) ** 2)[:, None] * (m[:-2] + m[1:-1] + m[-1])
+        out = np.zeros(m.shape)
+        out[:2] += end @ m[:2]
+        out[-2:] += end @ m[-2:]
+        out[1:-1] += cv
+        out[:-2] += cv
+        out[-1] += cv.sum(axis=0)
+        return out
 
     x0 = np.ones(n)
     x0[1::2] = -1.0
-    return ObjectiveProblem("NONDQUAR", n, x0, value, gradient, hessian, sketched_hessian, f_star=0.0)
+    return _builtin("NONDQUAR", n, x0, value, gradient, hmul, f_star=0.0)
 
 
 def _rosenchain(n: int) -> ObjectiveProblem:
@@ -411,16 +406,10 @@ def _quadrank(n: int, rank: int) -> ObjectiveProblem:
     def gradient(x):
         return d * x - b
 
-    def hessian(x):
-        return np.diag(d)
+    def hmul(x, m):
+        return d[:, None] * m
 
-    def sketched_hessian(x, s):
-        return (s[:, :rank] * d[:rank]) @ s[:, :rank].T
-
-    return ObjectiveProblem(
-        f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hessian, sketched_hessian,
-        f_star=f_star, known_rank=rank,
-    )
+    return _builtin(f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hmul, f_star, rank)
 
 
 def quadrank_minimizer(n: int, rank: int) -> np.ndarray:

@@ -377,6 +377,18 @@ def test_manifest_unknown_solver_key(tmp_path, capsys):
     assert str(path) in err and "kappa_t" in err
 
 
+def test_manifest_refuses_a_repeated_key(tmp_path, capsys):
+    # json.load would keep the last of two values; the rerun would run sigma0 = 3
+    path, manifest = _written_manifest(tmp_path)
+    manifest["solver_configs"][0]["sigma0"] = "SIGMA"
+    path.write_text(json.dumps(manifest).replace('"sigma0": "SIGMA"', '"sigma0": 2, "sigma0": 3'))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "b2")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "key(s) ['sigma0'] repeated" in err
+    assert not (tmp_path / "b2").exists()
+
+
 def test_manifest_missing_key(tmp_path, capsys):
     # every manifest bench writes records the metric and the thread settings
     path, manifest = _written_manifest(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,67 @@ def test_augmented_hessian_rank_bounded():
     points = [g.x0] + [g.x0 + rng.standard_normal(60) for _ in range(5)]
     for x in points:
         assert numerical_rank(g.hessian(x)) <= 8
+
+
+@pytest.mark.parametrize("name", ["ARWHEAD", "COSINE", "ENGVAL1", "POWER"])
+def test_lifted_hessians_are_the_projections_of_the_base_hessian(name):
+    # the arithmetic of every benchmark solve: H = Q H_b Q^T and
+    # S H S^T = (S Q) H_b (S Q)^T, with H_b the base Hessian at Q^T x
+    d, n, seed = 60, 12, 4
+    base = builtin_problem(name, n)
+    g = augment(base, d, seed)
+    q = make_orthogonal_embedding(d, n, seed)
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((5, d))
+    for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):
+        h_b = base.hessian(x @ q)
+        assert np.array_equal(g.hessian(x), q @ h_b @ q.T)
+        assert np.array_equal(g.sketched_hessian(x, s), (s @ q) @ h_b @ (s @ q).T)
+
+
+def _recording(base):
+    # base with each oracle noting the point it is called at
+    seen = []
+
+    def note(oracle):
+        def noted(y):
+            seen.append(y)
+            return oracle(y)
+        return noted
+
+    return dataclasses.replace(base, value=note(base.value), gradient=note(base.gradient),
+                               hessian=note(base.hessian)), seen
+
+
+def test_a_lifted_instance_computes_q_transpose_x_once_per_point():
+    base, seen = _recording(builtin_problem("ENGVAL1", 10))
+    g = augment(base, 50, seed=2)
+    x = g.x0 + 0.1
+    g.value(x)
+    g.gradient(x)
+    g.sketched_hessian(x, np.ones((2, 50)))
+    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+    with pytest.raises(ValueError):
+        seen[0][0] = 1.0
+    g.hessian(x.copy())  # equal bytes: the same product
+    assert seen[3] is seen[0]
+
+
+def test_a_lifted_instance_sees_a_point_written_in_place():
+    g = augment(builtin_problem("POWER", 10), 50, seed=2)
+    x = g.x0.copy()
+    before = g.value(x)
+    x *= 0.5
+    assert g.value(x) == pytest.approx(before / 16, rel=1e-12)
+
+
+def test_a_lifted_instance_tells_negative_zero_from_zero():
+    base, seen = _recording(builtin_problem("QUADRANK", 10))
+    g = augment(base, 20, seed=1)
+    g.value(np.zeros(20))
+    g.value(-np.zeros(20))
+    g.value(np.zeros(20))
+    assert seen[0] is not seen[1] and seen[1] is not seen[2]
 
 
 def test_square_augmentation_preserves_spectrum():

@@ -188,3 +188,18 @@ def test_the_model_keeps_only_what_its_solve_reads():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "model"
     }
     assert read == {f.name for f in fields(SketchedCubicModel)}
+
+
+def test_each_built_in_states_its_hessian_once():
+    # a built-in gives H(x) @ M; only _builtin derives the dense and sketched
+    # Hessians from it, and only _augmented_problem lifts a base's
+    path = PACKAGE / "problems.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    definers = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if node is not top and isinstance(node, ast.FunctionDef) and node.name in ("hessian", "sketched_hessian")
+    }
+    assert definers == {"_builtin", "_augmented_problem"}
