@@ -17,12 +17,12 @@ Pearlmutter, Neural Comput. 6, 1994), and both second-order oracles derive
 from it.  The dense d x d ``hessian`` is H(x) @ I; it serves ``arc`` (the
 identity sketch, never formed: the model reads one triangle of H itself,
 in place) and output checks.  ``sketched_hessian(x, S)`` is S (H(x) @ S^T)
-for an l x d sketch array S, O(l^2 d) flops without forming H, and the
+for an l x d sketch array S, O(l^2 d) flops without forming H (O(l^2 r)
+for QUADRANK, whose H vanishes off its first r coordinates), and the
 sketched modes use only it.  Lifted problems compute it as
 (S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 + l^2 r) flops; each holds its
 d x r embedding Q once, as one C-ordered array: Q^T x is evaluated as
-x @ Q, once per point for all four oracles, and the dense Hessian
-multiplies by the transposed view Q^T.
+x @ Q, and the dense Hessian multiplies by the transposed view Q^T.
 """
 
 from __future__ import annotations
@@ -149,34 +149,18 @@ def make_orthogonal_embedding(d: int, r: int, seed) -> np.ndarray:
 
 
 def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> ObjectiveProblem:
-    # (the last x's dtype, shape and bytes, its Q^T x), one tuple so that no
-    # reader pairs one point's key with another's product: the oracles at one
-    # point share one pass over Q.  A point equal only by value (-0.0, a NaN
-    # payload) or written into since gets a fresh product.
-    last = (None, None)
-
-    def lift(x):
-        nonlocal last
-        key = (x.dtype, x.shape, x.tobytes())
-        cached, y = last
-        if cached != key:
-            y = x @ q
-            y.flags.writeable = False
-            last = (key, y)
-        return y
-
     def value(x):
-        return base.value(lift(x))
+        return base.value(x @ q)
 
     def gradient(x):
-        return q @ base.gradient(lift(x))
+        return q @ base.gradient(x @ q)
 
     def hessian(x):
-        return q @ base.hessian(lift(x)) @ q.T
+        return q @ base.hessian(x @ q) @ q.T
 
     def sketched_hessian(x, s):
         sq = s @ q
-        return sq @ base.hessian(lift(x)) @ sq.T
+        return sq @ base.hessian(x @ q) @ sq.T
 
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]
@@ -184,8 +168,17 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
     if head == "QUADRANK" and base.known_rank != base.dim:
         label += f":rank={base.known_rank}"
     label += f":d={q.shape[0]}:seed={seed}"
-    return ObjectiveProblem(label, q.shape[0], q @ base.x0, value, gradient, hessian, sketched_hessian,
-                            base.f_star, rank)
+    return ObjectiveProblem(
+        name=label,
+        dim=q.shape[0],
+        x0=q @ base.x0,
+        value=value,
+        gradient=gradient,
+        hessian=hessian,
+        sketched_hessian=sketched_hessian,
+        f_star=base.f_star,
+        known_rank=rank,
+    )
 
 
 def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
@@ -210,17 +203,24 @@ def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
 # ---------------------------------------------------------------------------
 
 
-def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None) -> ObjectiveProblem:
-    """A built-in whose Hessian is ``hmul(x, M) = H(x) @ M``: the dense one is
-    H(x) @ I, the identity made per call (n can be 1e5), the sketched one S (H(x) @ S^T)."""
+def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None, support=None) -> ObjectiveProblem:
+    """A built-in whose Hessian is zero outside its leading k x k block H_k
+    (k = ``support``, n if None) and ``hmul(x, M) = H_k(x) @ M`` for a k x j
+    array M: the dense Hessian is H_k @ I padded with zeros, the identity made
+    per call (n can be 1e5), and the sketched one S_k (H_k @ S_k^T), S_k the
+    first k columns of S."""
+    k = n if support is None else support
 
     def hessian(x):
-        return hmul(x, np.eye(n))
+        h = hmul(x, np.eye(k))
+        return h if k == n else np.pad(h, (0, n - k))
 
     def sketched_hessian(x, s):
-        return s @ hmul(x, s.T)
+        s_k = s[:, :k]
+        return s_k @ hmul(x, s_k.T)
 
-    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, f_star, known_rank)
+    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian,
+                            f_star=f_star, known_rank=known_rank)
 
 
 def _tridiagonal(name, n, x0, value, gradient, link, f_star) -> ObjectiveProblem:
@@ -407,9 +407,10 @@ def _quadrank(n: int, rank: int) -> ObjectiveProblem:
         return d * x - b
 
     def hmul(x, m):
-        return d[:, None] * m
+        return d[:rank, None] * m
 
-    return _builtin(f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hmul, f_star, rank)
+    return _builtin(f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hmul,
+                    f_star=f_star, known_rank=rank, support=rank)
 
 
 def quadrank_minimizer(n: int, rank: int) -> np.ndarray:
