@@ -6,12 +6,12 @@ metric (relative Hessians, or the solver loop's ``time.perf_counter``
 seconds, ``wall_time_s``) at the first iterate meeting that bar, and
 infinity when the bar is never met within the 2000-iteration cap.  Data
 profiles report the fraction of instances solved as a function of the
-budget.
+budget.  The runs and profile CSVs go through ``solver.write_rows`` and
+``solver.read_rows``; ``RUNS_COLUMNS`` gives a runs CSV's columns and types.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, replace
@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidProblemError
 from .problems import ObjectiveProblem, get_problem
-from .solver import ONE_BLAS_THREAD, IterationTrace, SolverConfig, run, thread_settings, trace_to_csv
+from .solver import (ONE_BLAS_THREAD, IterationTrace, SolverConfig, read_rows, run, thread_settings, trace_to_csv,
+                     write_rows)
 
 METRIC_REL_HESSIANS = "rel-hessians"
 METRIC_RUNTIME = "runtime"
@@ -278,59 +279,33 @@ def file_stem(name: str) -> str:
     return name.replace(":", "_").replace("=", "")
 
 
-#: runs CSV column names, one row per (run, tolerance)
-RUNS_COLUMNS = ("problem_id", "solver_id", "repeat", "seed", "tau", "N_p", "status")
+#: runs CSV column names and types, one row per (run, tolerance)
+RUNS_COLUMNS = {"problem_id": str, "solver_id": str, "repeat": int, "seed": int, "tau": float, "N_p": float,
+                "status": str}
 
 
 def write_runs_csv(runs: Sequence[BenchmarkRun], path) -> None:
-    """One row per (run, tolerance): problem, solver, repeat, seed, tau, N_p."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_COLUMNS)
-        for r in runs:
-            for tau in sorted(r.n_p, reverse=True):
-                writer.writerow(
-                    [r.problem_id, r.solver_id, r.repeat, r.seed, repr(tau), repr(r.n_p[tau]), r.status]
-                )
+    """One row per (run, tolerance), tolerances descending (``write_rows``)."""
+    write_rows(path, RUNS_COLUMNS, ((r.problem_id, r.solver_id, r.repeat, r.seed, tau, r.n_p[tau], r.status)
+                                    for r in runs for tau in sorted(r.n_p, reverse=True)))
 
 
 def read_runs_csv(path) -> List[BenchmarkRun]:
-    """Runs from a CSV written by ``write_runs_csv``; InvalidInputError names
-    the missing columns, or the line, column and value of a number that does
-    not parse."""
-    numbers = {"repeat": int, "seed": int, "tau": float, "N_p": float}
+    """Runs from a CSV written by ``write_runs_csv`` (``read_rows``).
+    InvalidInputError names the line of a second row for one run and tau,
+    or of a row whose seed or status differs from its run's first row."""
     by_key: Dict[tuple, BenchmarkRun] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RUNS_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidInputError(f"{path}: not a runs CSV, missing column(s) {missing}")
-        for rec in reader:
-            for col, kind in numbers.items():
-                try:
-                    rec[col] = kind(rec[col])
-                except (TypeError, ValueError):
-                    bad = f"{path}:{reader.line_num}: column {col}: cannot parse {rec[col]!r}"
-                    raise InvalidInputError(bad) from None
-            key = (rec["problem_id"], rec["solver_id"], rec["repeat"])
-            run_rec = by_key.get(key)
-            if run_rec is None:
-                run_rec = BenchmarkRun(
-                    problem_id=rec["problem_id"],
-                    solver_id=rec["solver_id"],
-                    repeat=rec["repeat"],
-                    seed=rec["seed"],
-                    n_p={},
-                    status=rec["status"],
-                )
-                by_key[key] = run_rec
-            run_rec.n_p[rec["tau"]] = rec["N_p"]
+    for line, rec in read_rows(path, "runs", RUNS_COLUMNS):
+        key = (rec["problem_id"], rec["solver_id"], rec["repeat"])
+        run_rec = by_key.setdefault(key, BenchmarkRun(*key, rec["seed"], {}, rec["status"]))
+        if (rec["seed"], rec["status"]) != (run_rec.seed, run_rec.status):
+            raise InvalidInputError(f"{path}:{line}: run {key} has seed {rec['seed']} and status {rec['status']!r} "
+                                    f"here, seed {run_rec.seed} and status {run_rec.status!r} on its first row")
+        if rec["tau"] in run_rec.n_p:
+            raise InvalidInputError(f"{path}:{line}: run {key} has a second row at tau {rec['tau']!r}")
+        run_rec.n_p[rec["tau"]] = rec["N_p"]
     return list(by_key.values())
 
 
 def write_profile_csv(profile: DataProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "pi"])
-        for a, p in zip(profile.alpha_grid, profile.pi):
-            writer.writerow([repr(float(a)), repr(float(p))])
+    write_rows(path, {"alpha": float, "pi": float}, zip(profile.alpha_grid, profile.pi))

@@ -120,12 +120,6 @@ class EmbeddingCheck:
     n_checked: int
 
 
-def _as_generator(seed: RngLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def draw(distribution: str, l: int, d: int, seed: Union[RngLike, RowStream] = None) -> SketchMatrix:
     """Draw an l x d sketch from the given distribution.
 
@@ -143,7 +137,7 @@ def draw(distribution: str, l: int, d: int, seed: Union[RngLike, RowStream] = No
             raise InvalidDimensionError(f"a row stream of {seed.d} columns cannot draw d={d}")
         z = seed.take(l)
     else:
-        z = _as_generator(seed).standard_normal((l, d))
+        z = np.random.default_rng(seed).standard_normal((l, d))
     z /= np.sqrt(l)  # in place: one l x d array per draw
     return SketchMatrix(z, distribution)
 
@@ -215,8 +209,7 @@ def check_subspace_embedding(
         raise InvalidDimensionError(
             f"B shape {b.shape} incompatible with sketch cols {s.cols}"
         )
-    rng = _as_generator(seed)
-    z = rng.standard_normal((n_samples, b.shape[1]))
+    z = np.random.default_rng(seed).standard_normal((n_samples, b.shape[1]))
     y = z @ b.T
     ynorm2 = np.sum(y**2, axis=1)
     keep = ynorm2 > 0.0

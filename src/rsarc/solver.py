@@ -46,6 +46,10 @@ empty trace.
 A predicted decrease at or below the rho guard 1e-16 (1 + |f|) on
 ``_MAX_UNRESOLVED_DECREASES`` consecutive iterations, where sigma would
 otherwise double towards overflow, ends it with ``DecreaseUnresolved``.
+
+Every CSV file of the package, a trace here and bench's runs and profile
+files, is written by ``write_rows`` and read by ``read_rows``, from one
+column-to-type table per file: a trace's comes from ``IterationTrace``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import List, Optional, get_type_hints
+from typing import Dict, Iterable, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -172,9 +176,10 @@ class IterationTrace:
     wall_time_s: float  # cumulative solver-loop seconds, time.perf_counter
 
 
-#: trace CSV column names, in IterationTrace field order
+#: trace CSV column names and types, in IterationTrace field order
 _CSV_NAMES = {"big_r_hat_k": "R_hat_k"}
-TRACE_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(IterationTrace))
+_TRACE_KINDS = {_CSV_NAMES.get(name, name): kind for name, kind in get_type_hints(IterationTrace).items()}
+TRACE_COLUMNS = tuple(_TRACE_KINDS)
 
 
 @dataclass
@@ -382,37 +387,54 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
     )
 
 
-def trace_to_csv(trace: List[IterationTrace], path) -> None:
-    """Write one CSV row per iteration with round-trip float formatting."""
-    types = get_type_hints(IterationTrace)
+def write_rows(path, kinds: Dict[str, type], rows: Iterable[Iterable]) -> None:
+    """Write a CSV whose header is the columns of ``kinds`` (column to type, in
+    order), then one line per row of cells in that order.  A float cell is
+    written as ``repr(float(v))``, which reads back bit for bit."""
+    floats = [kind is float for kind in kinds.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow(repr(v) if types[name] is float else v for name, v in vars(row).items())
+        writer.writerow(kinds)
+        writer.writerows([repr(float(v)) if f else v for f, v in zip(floats, row)] for row in rows)
+
+
+def read_rows(path, what: str, kinds: Dict[str, type]) -> List[Tuple[int, dict]]:
+    """The rows of a ``what`` CSV written by ``write_rows``, each as its line
+    number and its cells parsed by ``kinds`` (a bool reads ``True`` or
+    ``False``), in the order of ``kinds``.  InvalidInputError names the file,
+    the line and the column of a missing column, a missing cell or a cell
+    that does not parse."""
+    parsers = {col: {"True": True, "False": False}.__getitem__ if kind is bool else kind
+               for col, kind in kinds.items()}
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [col for col in kinds if col not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInputError(f"{path}:1: not a {what} CSV, missing column(s) {missing}")
+        for rec in reader:
+            row = {}
+            for col, parse in parsers.items():
+                cell = rec[col]
+                if cell is None:  # the line ends before this column
+                    raise InvalidInputError(f"{path}:{reader.line_num}: column {col}: no cell")
+                try:
+                    row[col] = parse(cell)
+                except (KeyError, ValueError):
+                    bad = f"{path}:{reader.line_num}: column {col}: cannot parse {cell!r}"
+                    raise InvalidInputError(bad) from None
+            rows.append((reader.line_num, row))
+    return rows
+
+
+def trace_to_csv(trace: List[IterationTrace], path) -> None:
+    """Write one CSV row per iteration, in ``TRACE_COLUMNS`` order (``write_rows``)."""
+    write_rows(path, _TRACE_KINDS, (vars(row).values() for row in trace))
 
 
 def trace_from_csv(path) -> List[IterationTrace]:
-    """The rows of a trace CSV written by ``trace_to_csv``; InvalidInputError
-    names the file, line and column of a missing column or a bad value."""
-    types = get_type_hints(IterationTrace)
-    parse = {k: {"True": True, "False": False}.__getitem__ if t is bool else t for k, t in types.items()}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in TRACE_COLUMNS if col not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidInputError(f"{path}:1: not a trace CSV, missing column(s) {missing}")
-        trace = []
-        for rec in reader:
-            row = {}
-            for f, col in zip(fields(IterationTrace), TRACE_COLUMNS):
-                try:
-                    row[f.name] = parse[f.name](rec[col])
-                except (KeyError, TypeError, ValueError):
-                    bad = f"{path}:{reader.line_num}: column {col}: cannot parse {rec[col]!r}"
-                    raise InvalidInputError(bad) from None
-            trace.append(IterationTrace(**row))
-    return trace
+    """The rows of a trace CSV written by ``trace_to_csv`` (``read_rows``)."""
+    return [IterationTrace(*row.values()) for _, row in read_rows(path, "trace", _TRACE_KINDS)]
 
 
 def thread_settings() -> dict:

@@ -315,6 +315,37 @@ def test_a_runs_cell_that_does_not_parse_is_named(tmp_path, column, cell):
         read_runs_csv(path)
 
 
+def test_a_runs_row_without_a_cell_is_named(tmp_path):
+    path = tmp_path / "runs.csv"
+    write_runs_csv([BenchmarkRun("QUADRANK:d=6", "arc", 0, 0, {1e-2: 1.0, 1e-5: 2.0}, "GradientTolReached")], path)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, second.rsplit(",", 1)[0]]) + "\n")
+    with pytest.raises(InvalidInputError, match="runs.csv:3: column status: no cell$"):
+        read_runs_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("P,arc,0,0,0.01,0.5,GradientTolReached", r"runs.csv:3: run \('P', 'arc', 0\) has seed 0 and status "
+                                                  r"'GradientTolReached' here, seed 0 and status 'MaxIter' on its "
+                                                  r"first row$"),
+        ("P,arc,0,7,0.00001,inf,MaxIter", r"runs.csv:3: run \('P', 'arc', 0\) has seed 7 and status 'MaxIter' "
+                                          r"here, seed 0 "),
+        ("P,arc,0,0,0.01,inf,MaxIter", r"runs.csv:3: run \('P', 'arc', 0\) has a second row at tau 0.01$"),
+    ],
+    ids=["status-differs", "seed-differs", "tau-twice"],
+)
+def test_runs_rows_that_disagree_are_refused(tmp_path, row, message):
+    path = tmp_path / "runs.csv"
+    path.write_text(f"problem_id,solver_id,repeat,seed,tau,N_p,status\nP,arc,0,0,0.01,inf,MaxIter\n{row}\n")
+    with pytest.raises(InvalidInputError, match=message):
+        read_runs_csv(path)
+    # the same rows under another repeat are two runs
+    path.write_text(path.read_text().replace("P,arc,0,", "P,arc,1,", 1))
+    assert len(read_runs_csv(path)) == 2
+
+
 def test_grid_writes_traces(tmp_path):
     problems = ["QUADRANK:d=6:rank=6"]
     configs = [SolverConfig(mode="arc", epsilon=1e-7)]

@@ -456,6 +456,8 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         ([*_SOLVE, "--config", "{eps_config}"], "eps_config.cfg:2: 'epsilon' sets epsilon again"),
         ([*_SOLVE, "--config", "{redraw_config}"], "redraw_config.cfg:3: 'redraw' sets redraw_policy again"),
         (["rerun", "--manifest", "{alias_manifest}", "--out", "{out}"], "solver_configs[0]: 'C' sets growth_c again"),
+        (["profile", "--runs", "{twice_row}", "--out", "{out}"],
+         "twice_row.csv:4: run ('QUADRANK:d=6', 'arc', 0) has a second row at tau 0.01"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
@@ -465,10 +467,11 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         "runs-is-a-directory", "manifest-is-a-directory", "shared-solver-id", "tau-above-one",
         "bench-config-seed", "bench-config-mode", "spec-key-twice", "spec-name-and-alias", "spec-l-and-l0",
         "config-key-twice", "config-alias-and-name", "config-name-and-alias", "manifest-name-and-alias",
+        "repeated-runs-row",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
-    paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row")}
+    paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row", "twice_row")}
     write_runs_csv(
         [BenchmarkRun("QUADRANK:d=6", "arc", 0, 0, {1e-2: 1.0, 1e-5: 2.0}, "GradientTolReached")],
         paths["runs"],
@@ -495,6 +498,7 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
         }))
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
+    paths["twice_row"].write_text("\n".join([header, first, second, first]))
     code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])
     assert code == 1
     assert message in capsys.readouterr().err

@@ -301,6 +301,18 @@ def test_trace_csv_roundtrip(tmp_path):
     assert back == res.trace
 
 
+def test_a_trace_of_numpy_scalar_values_reads_back(tmp_path):
+    # on NumPy 2 repr(np.float64(0.0)) is 'np.float64(0.0)', which no float parse reads
+    p = builtin_problem("QUADRANK", 6)
+    p = dataclasses.replace(p, value=lambda x, value=p.value: np.float64(value(x)))
+    res = run(p, SolverConfig(mode="arc", epsilon=1e-9))
+    assert isinstance(res.trace[0].f, np.float64)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(res.trace, path)
+    assert "np." not in path.read_text()
+    assert trace_from_csv(path) == res.trace
+
+
 def test_a_malformed_trace_csv_names_the_file_line_and_column(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("k,f\n0,1.0\n")
@@ -316,6 +328,9 @@ def test_a_malformed_trace_csv_names_the_file_line_and_column(tmp_path):
         path.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
         with pytest.raises(InvalidInputError, match=rf"trace\.csv:3: column {column}: cannot parse '{bad}'"):
             trace_from_csv(path)
+    path.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]]) + "\n")
+    with pytest.raises(InvalidInputError, match=r"trace\.csv:3: column wall_time_s: no cell$"):
+        trace_from_csv(path)
 
 
 def test_summary_dict_contents():

@@ -203,3 +203,17 @@ def test_each_built_in_states_its_hessian_once():
         if node is not top and isinstance(node, ast.FunctionDef) and node.name in ("hessian", "sketched_hessian")
     }
     assert definers == {"_builtin", "_augmented_problem"}
+
+
+def test_only_write_rows_and_read_rows_use_the_csv_module():
+    # one CSV format: write_rows builds the one csv.writer and read_rows the one reader
+    uses = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                    uses.add(f"{path.stem}: from csv import")
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "csv":
+                    uses.add(f"{path.stem}.{getattr(top, 'name', '<module>')}: csv.{node.attr}")
+    assert uses == {"solver.write_rows: csv.writer", "solver.read_rows: csv.DictReader"}
