@@ -193,8 +193,8 @@ def check_grid(problems, solver_configs, repeats, seed_base, taus=DEFAULT_TAUS,
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if workers < 1:
         raise InvalidInputError(f"need workers >= 1, got {workers}")
-    if not all(0.0 < tau < 1.0 for tau in taus):
-        raise InvalidInputError(f"need every tau in (0,1), got {list(taus)}")
+    if not taus or not all(0.0 < tau < 1.0 for tau in taus):
+        raise InvalidInputError(f"need one or more taus, each in (0,1), got {list(taus)}")
     if len(set(taus)) != len(taus):
         raise InvalidInputError(f"repeated tau in {list(taus)}; each run keeps one budget per tau")
     ids = [config.solver_id() for config in solver_configs]

@@ -263,6 +263,8 @@ def _run_grid(args, grid: dict) -> int:
 
 def cmd_profile(args) -> int:
     runs = bn.read_runs_csv(args.runs)
+    if not runs:
+        raise RsarcError(f"{args.runs}: no runs to profile")
     solver_ids = sorted({r.solver_id for r in runs})
     taus = args.tau or sorted({t for r in runs for t in r.n_p}, reverse=True)
     profiles = [bn.data_profile(runs, tau, solver_id=s) for s in solver_ids for tau in taus]

@@ -36,9 +36,10 @@ the next iteration must build a model at x_k, and a sketched mode draws
 a fresh sketch for every model it builds.  A success, a change of l or
 the ``every-iteration`` policy drops the model, together with its sketch,
 its L^{-1} and the last Hessian, before the next Hessian is formed.  A model
-that survives a rejected step is reused with the new sigma: that
-iteration draws nothing, evaluates no Hessian and decomposes nothing, and
-its iterate is bit for bit the one a recomputation would give.
+that survives a rejected step is reused as it is, since sigma is
+``subproblem.solve``'s argument: that iteration draws nothing, evaluates no
+Hessian and decomposes nothing, and its iterate is bit for bit the one a
+recomputation would give.
 
 A non-finite value f(x_k), gradient or projected derivative
 ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
@@ -59,7 +60,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Tuple, get_type_hints
 
 import numpy as np
@@ -162,7 +163,7 @@ class IterationTrace:
     grad_norm: float
     l_k: int
     r_hat_k: int
-    big_r_hat_k: int
+    R_hat_k: int
     sigma_k: float
     rho_k: float  # NaN when the predicted decrease fell below the guard
     predicted_decrease: float  # f_k - q(s), the rho denominator
@@ -176,9 +177,8 @@ class IterationTrace:
     wall_time_s: float  # cumulative solver-loop seconds, time.perf_counter
 
 
-#: trace CSV column names and types, in IterationTrace field order
-_CSV_NAMES = {"big_r_hat_k": "R_hat_k"}
-_TRACE_KINDS = {_CSV_NAMES.get(name, name): kind for name, kind in get_type_hints(IterationTrace).items()}
+#: trace CSV column names and types: IterationTrace's fields, in order
+_TRACE_KINDS = get_type_hints(IterationTrace)
 TRACE_COLUMNS = tuple(_TRACE_KINDS)
 
 
@@ -272,9 +272,6 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
 
         t0 = time.perf_counter()
         solution = None
-        if model is not None:
-            # only sigma moved: keep g_hat, H_hat, L^{-1} and the eigenpairs
-            model = replace(model, sigma=sigma)
         finite = True
         for redraws in range(_MAX_GRAM_REDRAWS + 1):
             try:
@@ -293,8 +290,8 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
                         break
                     if not identity:
                         g_hat, h_hat, linv = sp.whiten(s_mat.gram(), g_hat, h_hat)
-                    model = sp.build_model(f, g_hat, h_hat, sigma)
-                solution = sp.solve(model)
+                    model = sp.build_model(f, g_hat, h_hat)
+                solution = sp.solve(model, sigma)
                 break
             except (SingularGramError, InnerSolverError):
                 model = s_mat = linv = None
@@ -342,7 +339,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
                 grad_norm=gnorm,
                 l_k=l,
                 r_hat_k=r_hat,
-                big_r_hat_k=r_hat_running,
+                R_hat_k=r_hat_running,
                 sigma_k=sigma_used,
                 rho_k=rho,
                 predicted_decrease=q_dec,
@@ -403,7 +400,7 @@ def read_rows(path, what: str, kinds: Dict[str, type]) -> List[Tuple[int, dict]]
     number and its cells parsed by ``kinds`` (a bool reads ``True`` or
     ``False``), in the order of ``kinds``.  InvalidInputError names the file,
     the line and the column of a missing column, a missing cell or a cell
-    that does not parse."""
+    that does not parse, and the line of a row longer than the header."""
     parsers = {col: {"True": True, "False": False}.__getitem__ if kind is bool else kind
                for col, kind in kinds.items()}
     rows = []
@@ -413,6 +410,8 @@ def read_rows(path, what: str, kinds: Dict[str, type]) -> List[Tuple[int, dict]]
         if missing:
             raise InvalidInputError(f"{path}:1: not a {what} CSV, missing column(s) {missing}")
         for rec in reader:
+            if None in rec:  # DictReader files the cells past the header under None
+                raise InvalidInputError(f"{path}:{reader.line_num}: more cells than the header has columns")
             row = {}
             for col, parse in parsers.items():
                 cell = rec[col]

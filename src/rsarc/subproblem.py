@@ -10,13 +10,13 @@ eigendecomposition plus scalar root-finding on the secular equation
 sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g and
 mu >= max(0, -lambda_min), including explicit hard-case handling; its
 tolerance and evaluation cap are ``_SECULAR_TOL`` and ``_MAX_INNER``.
-``build_model`` eigendecomposes H, so a model that differs only in sigma
-(``dataclasses.replace(model, sigma=...)``) is solved without a second
-eigendecomposition.  ``solve`` does the rest; its solution carries the
-rho denominator f0 - q(u), evaluated in the eigenbasis.
+``build_model`` eigendecomposes H = V diag(lambda) V^T and keeps
+w = V^T g; sigma is ``solve``'s argument, so one model is solved for any
+sigma without a second eigendecomposition.  ``solve`` does the rest; its
+solution carries the rho denominator f0 - q(u), evaluated in the eigenbasis.
 
-The solve needs the eigenvectors V only through two products, V^T g and
-V y.  Below order ``_FACTORED_MIN`` the model keeps V from
+V enters only through two products, V^T g (in ``build_model``) and V y
+(in ``solve``).  Below order ``_FACTORED_MIN`` the model keeps V from
 ``np.linalg.eigh``.  From that order on, when numpy's OpenBLAS exports
 LAPACK (``_lapack``), it keeps V factored: the Householder reflectors of
 H = Q blockdiag(T_m, 0) Q^T (``_lapack.tridiagonalize``, LAPACK
@@ -40,12 +40,12 @@ decomposes one triangle of the H it is given, the lower one of its
 F-ordered view H^T (the upper one of a C-ordered array), and no layer
 symmetrizes H.  The reduction overwrites H, and the model keeps only what
 ``solve`` reads, so the oracles ``model_value`` to ``check_termination``
-take H from their caller.
+take f0, g, H and sigma from their caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,11 +71,10 @@ _FACTORED_MIN = 128
 
 @dataclass
 class SketchedCubicModel:
-    """Data of the Euclidean cubic model (all in the l-dimensional space)."""
+    """Data of the Euclidean cubic model but sigma (all in the l-dimensional space)."""
 
     f0: float
-    g_hat: np.ndarray  # (l,)
-    sigma: float
+    w: np.ndarray = field(init=False)  # V^T g, the gradient in the eigenbasis; set by build_model
     eigenvalues: np.ndarray  # ascending spectrum of H, read from one triangle
     eigenvectors: np.ndarray  # V (l, l), or Z_m (m, m) when factored
     # V = Q blockdiag(Z_m, I) with H = Q blockdiag(T_m, 0) Q^T (l >= _FACTORED_MIN
@@ -85,10 +84,6 @@ class SketchedCubicModel:
     reflectors: Optional[np.ndarray] = None
     tau: Optional[np.ndarray] = None
     order: Optional[np.ndarray] = None
-
-    @property
-    def dim(self) -> int:
-        return self.g_hat.shape[0]
 
 
 @dataclass
@@ -137,31 +132,32 @@ def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.n
     return linv @ g_hat, linv @ h_hat @ linv.T, linv
 
 
-def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float) -> SketchedCubicModel:
-    """Assemble a model: decompose H, factored from order ``_FACTORED_MIN`` on.
+def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray) -> SketchedCubicModel:
+    """Assemble a model: decompose H, factored from order ``_FACTORED_MIN`` on,
+    and take g into the eigenbasis.
 
     Only one triangle of ``h_hat`` is read (see the module docstring).  A
     factored model overwrites ``h_hat``: a C-ordered one is reduced in place.
 
-    Raises InvalidDimensionError on inconsistent shapes and
-    InvalidInputError unless sigma > 0.
+    Raises InvalidDimensionError on inconsistent shapes.
     """
     l = g_hat.shape[0]
     if h_hat.shape != (l, l):
         raise InvalidDimensionError(f"inconsistent model shapes: g {g_hat.shape}, H {h_hat.shape}")
-    if not sigma > 0.0:
-        raise InvalidInputError(f"need sigma > 0, got {sigma}")
     # eigh and dsytrd read the lower triangle of h_hat.T, an F-ordered view of a
     # C-ordered h_hat, which dsytrd overwrites with the reflectors
     if l < _FACTORED_MIN or not _lapack.available():
         lam, vecs = np.linalg.eigh(h_hat.T)
-        return SketchedCubicModel(float(f0), g_hat, float(sigma), lam, vecs)
-    reflectors = np.require(h_hat.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
-    diag, off, tau = _lapack.tridiagonalize(reflectors)
-    lam, z = _lapack.tridiagonal_eigh(diag, off)
-    lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
-    order = np.argsort(lam, kind="stable")
-    return SketchedCubicModel(float(f0), g_hat, float(sigma), lam[order], z, reflectors, tau, order)
+        model = SketchedCubicModel(float(f0), lam, vecs)
+    else:
+        reflectors = np.require(h_hat.T, np.float64, ["F_CONTIGUOUS", "WRITEABLE"])
+        diag, off, tau = _lapack.tridiagonalize(reflectors)
+        lam, z = _lapack.tridiagonal_eigh(diag, off)
+        lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
+        order = np.argsort(lam, kind="stable")
+        model = SketchedCubicModel(float(f0), lam[order], z, reflectors, tau, order)
+    model.w = _to_eigenbasis(model, g_hat)
+    return model
 
 
 def _to_eigenbasis(model: SketchedCubicModel, v: np.ndarray) -> np.ndarray:
@@ -184,32 +180,27 @@ def _from_eigenbasis(model: SketchedCubicModel, y: np.ndarray) -> np.ndarray:
     return _lapack.apply_q(model.reflectors, model.tau, u, transpose=False)
 
 
-def model_value(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> float:
-    quad = model.g_hat @ s_hat + 0.5 * (s_hat @ h_hat @ s_hat)
-    return model.f0 + float(quad) + (model.sigma / 3.0) * float(np.linalg.norm(s_hat)) ** 3
+def model_value(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float, s_hat: np.ndarray) -> float:
+    quad = g_hat @ s_hat + 0.5 * (s_hat @ h_hat @ s_hat)
+    return f0 + float(quad) + (sigma / 3.0) * float(np.linalg.norm(s_hat)) ** 3
 
 
-def model_gradient(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
+def model_gradient(g_hat: np.ndarray, h_hat: np.ndarray, sigma: float, s_hat: np.ndarray) -> np.ndarray:
     # grad m = g + H u + sigma ||u|| u
-    return model.g_hat + h_hat @ s_hat + model.sigma * np.linalg.norm(s_hat) * s_hat
+    return g_hat + h_hat @ s_hat + sigma * np.linalg.norm(s_hat) * s_hat
 
 
-def model_hessian(model: SketchedCubicModel, h_hat: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
+def model_hessian(h_hat: np.ndarray, sigma: float, s_hat: np.ndarray) -> np.ndarray:
     # hess m = H + sigma (||u|| I + u u^T / ||u||); H at u = 0 (the cubic
     # term is twice differentiable away from 0 only)
     nrm = np.linalg.norm(s_hat)
     if nrm == 0.0:
         return h_hat.copy()
-    return h_hat + model.sigma * (nrm * np.eye(model.dim) + np.outer(s_hat, s_hat) / nrm)
+    return h_hat + sigma * (nrm * np.eye(s_hat.shape[0]) + np.outer(s_hat, s_hat) / nrm)
 
 
-def check_termination(
-    model: SketchedCubicModel,
-    h_hat: np.ndarray,
-    s_hat: np.ndarray,
-    kappa_t: float,
-    kappa_s: float,
-) -> Tuple[bool, bool, bool]:
+def check_termination(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: float, s_hat: np.ndarray,
+                      kappa_t: float, kappa_s: float) -> Tuple[bool, bool, bool]:
     """The three step-acceptance conditions on an approximate minimizer.
 
     Returns (m(u) <= m(0),
@@ -219,12 +210,12 @@ def check_termination(
     does not call this; it is the oracle its tests check solutions with.
     """
     nrm = float(np.linalg.norm(s_hat))
-    decrease_ok = model_value(model, h_hat, s_hat) <= model.f0
+    decrease_ok = model_value(f0, g_hat, h_hat, sigma, s_hat) <= f0
     grad_ok = bool(
-        np.linalg.norm(model_gradient(model, h_hat, s_hat))
+        np.linalg.norm(model_gradient(g_hat, h_hat, sigma, s_hat))
         <= kappa_t * nrm**2 + _TERMINATION_SLACK
     )
-    lam_min = float(np.linalg.eigvalsh(model_hessian(model, h_hat, s_hat))[0])
+    lam_min = float(np.linalg.eigvalsh(model_hessian(h_hat, sigma, s_hat))[0])
     curv_ok = lam_min >= -kappa_s * nrm - _TERMINATION_SLACK
     return decrease_ok, grad_ok, curv_ok
 
@@ -302,8 +293,8 @@ def _solve_secular(lam: np.ndarray, w: np.ndarray, wnorm: float, sigma: float) -
     )
 
 
-def solve(model: SketchedCubicModel) -> SubproblemSolution:
-    """Global minimizer of the cubic model, in the model's own coordinates.
+def solve(model: SketchedCubicModel, sigma: float) -> SubproblemSolution:
+    """Global minimizer of the cubic model at weight sigma, in its own coordinates.
 
     Works in the eigenbasis of H that ``build_model`` computed: it solves
     the secular equation exactly (to ``_SECULAR_TOL``), with an eigenvector
@@ -311,10 +302,13 @@ def solve(model: SketchedCubicModel) -> SubproblemSolution:
     ``check_termination`` in exact arithmetic, so they are not evaluated
     here.  The solution carries the predicted decrease f0 - q(u),
     evaluated in the eigenbasis.
+
+    Raises InvalidInputError unless sigma > 0.
     """
+    if not sigma > 0.0:
+        raise InvalidInputError(f"need sigma > 0, got {sigma}")
     lam = model.eigenvalues
-    w = _to_eigenbasis(model, model.g_hat)
-    sigma = model.sigma
+    w = model.w
 
     gnorm = float(np.linalg.norm(w))
     lam1 = float(lam[0])

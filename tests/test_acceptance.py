@@ -107,7 +107,7 @@ def test_criterion_3_sketch_growth_on_rank10_problem():
 
 def _random_instance(rng, l):
     """The data (f0, g, H, sigma, G) of a random Gram-coupled model, its whitened
-    model and that model's H, which the model does not keep."""
+    model and that model's g and H, which the model does not keep."""
     g = rng.standard_normal(l)
     h = rng.standard_normal((l, l))
     h = 0.5 * (h + h.T)
@@ -119,7 +119,7 @@ def _random_instance(rng, l):
         gram = 0.5 * (gram + gram.T)
     data = (0.0, g, h, float(rng.uniform(0.5, 2.0)), gram)
     g_t, h_t, _ = whiten(gram, g, h)
-    return data, build_model(0.0, g_t, h_t, data[3]), h_t
+    return data, build_model(0.0, g_t, h_t), g_t, h_t
 
 
 def test_criterion_4_subproblem_optimality():
@@ -132,8 +132,8 @@ def test_criterion_4_subproblem_optimality():
     for l, n_inst, oracle in ((1, 20, "grid"), (2, 30, "grid"),
                               (3, 20, "descent"), (4, 10, "descent"), (5, 20, "descent")):
         for _ in range(n_inst):
-            data, m, _ = _random_instance(rng, l)
-            sol = solve(m)
+            data, m, _, _ = _random_instance(rng, l)
+            sol = solve(m, data[3])
             if oracle == "grid":
                 pts = xs[:, None] if l == 1 else pts2
                 ref = float(np.min(model_value_oracle(*data, pts)))
@@ -148,9 +148,9 @@ def test_criterion_4_subproblem_optimality():
             worst_gap = max(worst_gap, sol.model_value - ref)
             assert sol.model_value <= ref + tol
             count += 1
-    m1 = build_model(0.0, np.array([1.0]), np.array([[1.0]]), 1.0)
+    m1 = build_model(0.0, np.array([1.0]), np.array([[1.0]]))
     closed_form = (1.0 - np.sqrt(5.0)) / 2.0
-    one_d_err = abs(solve(m1).s_hat[0] - closed_form)
+    one_d_err = abs(solve(m1, 1.0).s_hat[0] - closed_form)
     ok = count == 100 and one_d_err <= 1e-10
     assert report(4, ok, f"({count} instances, worst gap to oracle {worst_gap:.2e}, "
                          f"1-D closed-form error {one_d_err:.1e})")
@@ -294,9 +294,9 @@ def test_criterion_7_derivative_checks():
     rng = np.random.default_rng(62)
     worst_model = 0.0
     for _ in range(10):
-        _, m, h = _random_instance(rng, int(rng.integers(1, 5)))
-        s = rng.standard_normal(m.dim)
-        err = rel_err(fd_gradient(lambda v: model_value(m, h, v), s), model_gradient(m, h, s))
+        (f0, _, _, sigma, _), _, g, h = _random_instance(rng, int(rng.integers(1, 5)))
+        s = rng.standard_normal(g.shape[0])
+        err = rel_err(fd_gradient(lambda v: model_value(f0, g, h, sigma, v), s), model_gradient(g, h, sigma, s))
         worst_model = max(worst_model, err)
         assert err < 1e-6
     assert report(7, True, f"(worst problem-gradient error {worst_grad:.1e}; "

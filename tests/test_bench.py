@@ -38,7 +38,7 @@ def make_trace(fs, l=1, d=1):
         cum += (l / d) ** 2
         rows.append(
             IterationTrace(
-                k=k, f=f, grad_norm=1.0, l_k=l, r_hat_k=1, big_r_hat_k=1,
+                k=k, f=f, grad_norm=1.0, l_k=l, r_hat_k=1, R_hat_k=1,
                 sigma_k=1.0, rho_k=1.0, predicted_decrease=1.0, success=True, step_norm=1.0,
                 inner_iterations=1, mu=1.0, hard_case=False, gram_redraws=0,
                 cum_rel_hessians=cum, wall_time_s=0.001 * (k + 1),
@@ -324,6 +324,14 @@ def test_a_runs_row_without_a_cell_is_named(tmp_path):
         read_runs_csv(path)
 
 
+def test_a_runs_row_longer_than_its_header_is_refused(tmp_path):
+    # csv.DictReader files the cells past the header under the key None
+    path = tmp_path / "runs.csv"
+    path.write_text("problem_id,solver_id,repeat,seed,tau,N_p,status\nP,arc,0,0,0.01,inf,MaxIter,extra\n")
+    with pytest.raises(InvalidInputError, match="runs.csv:2: more cells than the header has columns$"):
+        read_runs_csv(path)
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -372,6 +380,14 @@ def test_grid_refuses_a_repeated_tau(tmp_path):
     configs = [SolverConfig(mode="arc")]
     with pytest.raises(InvalidInputError, match="repeated tau"):
         run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, taus=(0.01, 0.01), out_dir=str(tmp_path))
+    assert not list(tmp_path.iterdir())  # refused before any run
+
+
+def test_grid_refuses_no_tau(tmp_path):
+    # a run with no tau has no budget, so the runs CSV would hold no row for it
+    configs = [SolverConfig(mode="arc")]
+    with pytest.raises(InvalidInputError, match=r"need one or more taus, each in \(0,1\), got \[\]"):
+        run_grid(["QUADRANK:d=6"], configs, repeats=1, seed_base=0, taus=(), out_dir=str(tmp_path))
     assert not list(tmp_path.iterdir())  # refused before any run
 
 

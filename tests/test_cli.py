@@ -458,6 +458,8 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         (["rerun", "--manifest", "{alias_manifest}", "--out", "{out}"], "solver_configs[0]: 'C' sets growth_c again"),
         (["profile", "--runs", "{twice_row}", "--out", "{out}"],
          "twice_row.csv:4: run ('QUADRANK:d=6', 'arc', 0) has a second row at tau 0.01"),
+        (["profile", "--runs", "{no_rows}", "--out", "{out}"], "no_rows.csv: no runs to profile"),
+        (["rerun", "--manifest", "{no_tau_manifest}", "--out", "{out}"], "need one or more taus"),
     ],
     ids=[
         "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
@@ -467,11 +469,11 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         "runs-is-a-directory", "manifest-is-a-directory", "shared-solver-id", "tau-above-one",
         "bench-config-seed", "bench-config-mode", "spec-key-twice", "spec-name-and-alias", "spec-l-and-l0",
         "config-key-twice", "config-alias-and-name", "config-name-and-alias", "manifest-name-and-alias",
-        "repeated-runs-row",
+        "repeated-runs-row", "runs-without-rows", "manifest-without-taus",
     ],
 )
 def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
-    paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row", "twice_row")}
+    paths = {name: tmp_path / f"{name}.csv" for name in ("runs", "profile", "bad_row", "twice_row", "no_rows")}
     write_runs_csv(
         [BenchmarkRun("QUADRANK:d=6", "arc", 0, 0, {1e-2: 1.0, 1e-5: 2.0}, "GradientTolReached")],
         paths["runs"],
@@ -489,16 +491,18 @@ def test_bad_input_ends_in_a_typed_error(tmp_path, capsys, argv, message):
                        ("redraw_config", "redraw_policy = on-success\n\nredraw = every-iteration\n")):
         paths[key] = tmp_path / f"{key}.cfg"
         paths[key].write_text(lines)
-    for key, config in (("old_manifest", {"mode": "arc", "max_inner": 0}),
-                        ("alias_manifest", {"mode": "rarc-d", "growth_c": 2, "C": 3})):
+    for key, config, taus in (("old_manifest", {"mode": "arc", "max_inner": 0}, [0.01]),
+                              ("alias_manifest", {"mode": "rarc-d", "growth_c": 2, "C": 3}, [0.01]),
+                              ("no_tau_manifest", {"mode": "arc"}, [])):
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps({
             "problems": ["QUADRANK:d=6"], "solver_configs": [config],
-            "repeats": 1, "seed_base": 0, "taus": [0.01], "metric": "rel-hessians", "threads": {},
+            "repeats": 1, "seed_base": 0, "taus": taus, "metric": "rel-hessians", "threads": {},
         }))
     header, first, second = paths["runs"].read_text().splitlines()
     paths["bad_row"].write_text("\n".join([header, first, second.replace(",0,0,", ",0,x,")]))
     paths["twice_row"].write_text("\n".join([header, first, second, first]))
+    paths["no_rows"].write_text(header + "\n")
     code = main([arg.format(out=tmp_path / "out", dir=tmp_path, **paths) for arg in argv])
     assert code == 1
     assert message in capsys.readouterr().err

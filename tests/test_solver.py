@@ -88,11 +88,11 @@ def test_trace_invariants():
     prev_f = None
     for i, t in enumerate(tr):
         assert t.r_hat_k <= t.l_k
-        assert t.big_r_hat_k <= p.known_rank
+        assert t.R_hat_k <= p.known_rank
         assert t.sigma_k >= solver_mod._SIGMA_MIN
         if i > 0:
             assert t.l_k >= tr[i - 1].l_k  # never shrinks
-            assert t.big_r_hat_k >= tr[i - 1].big_r_hat_k
+            assert t.R_hat_k >= tr[i - 1].R_hat_k
             expected = tr[i - 1].cum_rel_hessians + (t.l_k / d) ** 2
             assert t.cum_rel_hessians == pytest.approx(expected, rel=1e-15)
             assert t.wall_time_s >= tr[i - 1].wall_time_s
@@ -330,6 +330,9 @@ def test_a_malformed_trace_csv_names_the_file_line_and_column(tmp_path):
             trace_from_csv(path)
     path.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]]) + "\n")
     with pytest.raises(InvalidInputError, match=r"trace\.csv:3: column wall_time_s: no cell$"):
+        trace_from_csv(path)
+    path.write_text("\n".join(lines[:2] + [lines[2] + ",0.0"] + lines[3:]) + "\n")
+    with pytest.raises(InvalidInputError, match=r"trace\.csv:3: more cells than the header has columns$"):
         trace_from_csv(path)
 
 
@@ -615,6 +618,16 @@ def test_rarc_d_makes_one_eigendecomposition_per_iteration(monkeypatch):
     assert (len(eigvalsh), len(ranked)) == (0, 0)
 
 
+def test_rarc_d_takes_each_gradient_into_the_eigenbasis_once(monkeypatch):
+    # V^T g depends on the model alone, so a model reused with a new sigma
+    # solves from the coordinates build_model computed
+    p = get_problem("l-COSINE:N=10:d=40")
+    projected = _counting(monkeypatch, solver_mod.sp, "_to_eigenbasis")
+    res = run(p, SolverConfig(mode="rarc-d", epsilon=1e-6, seed=0, max_iter=60))
+    fresh = len(res.trace) - len(_reused(res.trace))
+    assert _reused(res.trace) and len(projected) == fresh
+
+
 def _iteration_calls(monkeypatch, problem):
     """A copy of ``problem`` whose value and Hessians, and the draws and eigh
     calls, log into the returned list.  Every iteration ends in one trial
@@ -693,21 +706,17 @@ def test_a_failed_reuse_redraws_the_sketch(monkeypatch):
     # model whose solve fails is dropped, and the redraw projects the Hessian at x_k
     p = builtin_problem("COSINE", 20)
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=20)
-    build_model, solve = solver_mod.sp.build_model, solver_mod.sp.solve
-    built, failed = [], []
+    solve = solver_mod.sp.solve
+    solved, failed = [], []
 
-    def recorded(*args):
-        built.append(build_model(*args))
-        return built[-1]
-
-    def fail_first_reuse(model):
-        # a reused model is one build_model did not return
-        if not any(model is m for m in built) and not failed:
+    def fail_first_reuse(model, sigma):
+        # a reused model is the one the last solve was given
+        if solved and model is solved[-1] and not failed:
             failed.append(True)
             raise InnerSolverError("refused")
-        return solve(model)
+        solved.append(model)
+        return solve(model, sigma)
 
-    monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
     monkeypatch.setattr(solver_mod.sp, "solve", fail_first_reuse)
     res = run(p, cfg)
     assert failed and len(res.trace) == cfg.max_iter
@@ -807,24 +816,28 @@ def test_one_blas_thread_starts_no_worker(monkeypatch):
 
 def test_reusing_the_spectrum_changes_no_iterate(monkeypatch):
     # a model reused with a new sigma matches one that is built and
-    # decomposed again, from the H of the last model built
+    # decomposed again, from the f0, g and H of the last model built
     p = get_problem("l-COSINE:N=10:d=40")
     cfg = SolverConfig(mode="rarc-d", seed=0, max_iter=60)
     reused = run(p, cfg)
     rebuilt = []
-    build = solver_mod.sp.build_model
-    last_h = []
+    build, solve = solver_mod.sp.build_model, solver_mod.sp.solve
+    last = {}  # the data of the last model built, and whether it was solved
 
-    def recorded(f0, g_hat, h_hat, sigma):
-        last_h[:] = [h_hat.copy()]
-        return build(f0, g_hat, h_hat, sigma)
+    def recorded(f0, g_hat, h_hat):
+        last.update(data=(f0, g_hat.copy(), h_hat.copy()), solved=False)
+        return build(f0, g_hat, h_hat)
 
-    def rebuild(m, sigma):
-        rebuilt.append(sigma)
-        return build(m.f0, m.g_hat, last_h[0].copy(), sigma)
+    def rebuild_a_reused_model(model, sigma):
+        if last["solved"]:
+            rebuilt.append(sigma)
+            f0, g_hat, h_hat = last["data"]
+            model = build(f0, g_hat.copy(), h_hat.copy())
+        last["solved"] = True
+        return solve(model, sigma)
 
     monkeypatch.setattr(solver_mod.sp, "build_model", recorded)
-    monkeypatch.setattr(solver_mod, "replace", rebuild)
+    monkeypatch.setattr(solver_mod.sp, "solve", rebuild_a_reused_model)
     again = run(p, cfg)
     assert _reused(reused.trace) and len(rebuilt) == len(_reused(reused.trace))
     untimed = [dataclasses.replace(row, wall_time_s=0.0) for row in reused.trace]

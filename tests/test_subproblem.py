@@ -1,5 +1,4 @@
 import ctypes
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,70 +46,68 @@ def random_data(rng, l, f0=0.0, sigma=None, gram="random"):
 
 
 def whitened(f0, g, h, sigma, gram):
-    """The Euclidean model of a sketched model's data, its H (which the model
-    does not keep) and L^{-1} (None for the identity Gram)."""
+    """The Euclidean model of a sketched model's data, its g and H (which the
+    model does not keep), sigma and L^{-1} (None for the identity Gram)."""
     if gram is None:
-        return build_model(f0, g, h, sigma), h, None
+        return build_model(f0, g, h), g, h, sigma, None
     g_t, h_t, linv = whiten(gram, g, h)
-    return build_model(f0, g_t, h_t, sigma), h_t, linv
+    return build_model(f0, g_t, h_t), g_t, h_t, sigma, linv
 
 
 def random_model(rng, l, **kwargs):
-    """A random Euclidean model and its H."""
-    return whitened(*random_data(rng, l, **kwargs))[:2]
+    """A random Euclidean model, its g and H, and sigma."""
+    return whitened(*random_data(rng, l, **kwargs))[:4]
 
 
 def test_value_and_gradient_at_origin():
-    h = np.eye(2)
-    m = build_model(3.5, np.array([1.0, -2.0]), h, 1.0)
+    g, h = np.array([1.0, -2.0]), np.eye(2)
     z = np.zeros(2)
-    assert model_value(m, h, z) == 3.5
-    assert np.array_equal(model_gradient(m, h, z), m.g_hat)
-    assert np.array_equal(model_hessian(m, h, z), h)
+    assert model_value(3.5, g, h, 1.0, z) == 3.5
+    assert np.array_equal(model_gradient(g, h, 1.0, z), g)
+    assert np.array_equal(model_hessian(h, 1.0, z), h)
 
 
 def test_scalar_example():
     # f0 - 1 + 1/2 + 1/3 = f0 - 1/6 at s = -1; gradient 1 - 1 - 1 = -1
-    h = np.array([[1.0]])
-    m = build_model(5.0, np.array([1.0]), h, 1.0)
+    g, h = np.array([1.0]), np.array([[1.0]])
     s = np.array([-1.0])
-    assert model_value(m, h, s) == pytest.approx(5.0 - 1.0 / 6.0, abs=1e-15)
-    assert model_gradient(m, h, s) == pytest.approx([-1.0], abs=1e-15)
+    assert model_value(5.0, g, h, 1.0, s) == pytest.approx(5.0 - 1.0 / 6.0, abs=1e-15)
+    assert model_gradient(g, h, 1.0, s) == pytest.approx([-1.0], abs=1e-15)
 
 
 def test_model_gradient_matches_finite_differences():
     rng = np.random.default_rng(50)
     for _ in range(10):
-        m, h = random_model(rng, int(rng.integers(1, 5)))
-        s = rng.standard_normal(m.dim)
-        fd = fd_gradient(lambda v: model_value(m, h, v), s)
-        assert rel_err(fd, model_gradient(m, h, s)) < 1e-6
+        m, g, h, sigma = random_model(rng, int(rng.integers(1, 5)))
+        s = rng.standard_normal(g.shape[0])
+        fd = fd_gradient(lambda v: model_value(m.f0, g, h, sigma, v), s)
+        assert rel_err(fd, model_gradient(g, h, sigma, s)) < 1e-6
 
 
 def test_model_hessian_matches_finite_differences():
     rng = np.random.default_rng(51)
     for _ in range(5):
-        m, h = random_model(rng, 3)
+        _, g, h, sigma = random_model(rng, 3)
         s = rng.standard_normal(3) + 0.5  # keep away from the nonsmooth origin
-        fd = fd_jacobian(lambda v: model_gradient(m, h, v), s)
-        assert rel_err(fd, model_hessian(m, h, s)) < 1e-5
+        fd = fd_jacobian(lambda v: model_gradient(g, h, sigma, v), s)
+        assert rel_err(fd, model_hessian(h, sigma, s)) < 1e-5
 
 
 def test_solve_one_dimensional_closed_form():
-    h = np.array([[1.0]])
-    m = build_model(0.0, np.array([1.0]), h, 1.0)
-    sol = solve(m)
+    g, h = np.array([1.0]), np.array([[1.0]])
+    m = build_model(0.0, g, h)
+    sol = solve(m, 1.0)
     assert sol.s_hat[0] == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0, abs=1e-10)
-    assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
+    assert all(check_termination(0.0, g, h, 1.0, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_zero_gradient_psd():
-    h = np.diag([1.0, 2.0, 3.0])
-    m = build_model(2.0, np.zeros(3), h, 1.0)
-    sol = solve(m)
+    g, h = np.zeros(3), np.diag([1.0, 2.0, 3.0])
+    m = build_model(2.0, g, h)
+    sol = solve(m, 1.0)
     assert np.array_equal(sol.s_hat, np.zeros(3))
     assert sol.model_value == 2.0
-    assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
+    assert all(check_termination(2.0, g, h, 1.0, sol.s_hat, 0.1, 0.1))
 
 
 def test_solve_matches_grid_oracle_2d():
@@ -122,7 +119,7 @@ def test_solve_matches_grid_oracle_2d():
         data = random_data(rng, 2)
         m = whitened(*data)[0]
         oracle = float(np.min(model_value_oracle(*data, pts)))
-        sol = solve(m)
+        sol = solve(m, data[3])
         assert sol.model_value <= oracle + 1e-6
 
 
@@ -131,15 +128,15 @@ def test_solve_matches_descent_oracle():
     for l in (1, 2, 3, 5):
         for _ in range(5):
             data = random_data(rng, l)
-            m, h, _ = whitened(*data)
+            m, g, h, sigma, _ = whitened(*data)
             best = np.inf
             for _ in range(10):
                 res = minimize(lambda s: model_value_oracle(*data, s), rng.standard_normal(l) * 2.0,
                                method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
                 best = min(best, res.fun)
-            sol = solve(m)
+            sol = solve(m, sigma)
             assert sol.model_value <= best + 1e-8
-            assert all(check_termination(m, h, sol.s_hat, 0.1, 0.1))
+            assert all(check_termination(m.f0, g, h, sigma, sol.s_hat, 0.1, 0.1))
 
 
 def test_newton_limit_small_sigma():
@@ -147,8 +144,8 @@ def test_newton_limit_small_sigma():
     a = rng.standard_normal((4, 4))
     h = a @ a.T + np.eye(4)  # safely positive definite
     g = rng.standard_normal(4)
-    m = build_model(0.0, g, h, 1e-8)
-    sol = solve(m)
+    m = build_model(0.0, g, h)
+    sol = solve(m, 1e-8)
     newton = -np.linalg.solve(h, g)
     assert rel_err(sol.s_hat, newton) < 1e-4
 
@@ -157,36 +154,36 @@ def test_model_decrease_identity():
     # f0 - q(s) >= sigma/3 ||S^T s||^3 whenever m(s) <= m(0)
     rng = np.random.default_rng(55)
     for _ in range(20):
-        m, _ = random_model(rng, int(rng.integers(1, 6)))
-        sol = solve(m)
+        m, _, _, sigma = random_model(rng, int(rng.integers(1, 6)))
+        sol = solve(m, sigma)
         assert sol.model_value <= m.f0
         lhs = sol.predicted_decrease
-        rhs = m.sigma / 3.0 * sol.cubic_norm**3
+        rhs = sigma / 3.0 * sol.cubic_norm**3
         assert lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
 
 
 def test_secular_residual_bound():
     rng = np.random.default_rng(56)
     for _ in range(20):
-        m, h = random_model(rng, int(rng.integers(1, 6)))
-        sol = solve(m)
-        grad_norm = np.linalg.norm(model_gradient(m, h, sol.s_hat))
-        assert grad_norm <= 1e-10 * (1.0 + np.linalg.norm(m.g_hat))
+        m, g, h, sigma = random_model(rng, int(rng.integers(1, 6)))
+        sol = solve(m, sigma)
+        grad_norm = np.linalg.norm(model_gradient(g, h, sigma, sol.s_hat))
+        assert grad_norm <= 1e-10 * (1.0 + np.linalg.norm(g))
 
 
 def test_the_evaluation_cap_ends_the_secular_solve(monkeypatch):
     # _MAX_INNER bounds the evaluations, bracketing included: a cap at the
     # count a solve needs still solves it, one fewer raises
     rng = np.random.default_rng(57)
-    m, _ = random_model(rng, 6)
-    needed = solve(m).inner_iterations
+    m, _, _, sigma = random_model(rng, 6)
+    needed = solve(m, sigma).inner_iterations
     assert needed > 2
     monkeypatch.setattr(subproblem, "_MAX_INNER", needed)
-    assert solve(m).inner_iterations == needed
+    assert solve(m, sigma).inner_iterations == needed
     for cap in (needed - 1, 1):
         monkeypatch.setattr(subproblem, "_MAX_INNER", cap)
         with pytest.raises(InnerSolverError, match=f"in {cap} evaluations"):
-            solve(m)
+            solve(m, sigma)
 
 
 @pytest.mark.parametrize("gram", ["random", "identity"])
@@ -197,20 +194,20 @@ def test_predicted_decrease_matches_the_quadratic_oracle(gram):
     for l in (1, 2, 4, 7, 12):
         for _ in range(5):
             _, g, h, _, gm = data = random_data(rng, l, gram=gram)
-            m, h_t, linv = whitened(*data)
-            sol = solve(m)
+            m, g_t, h_t, sigma, linv = whitened(*data)
+            sol = solve(m, sigma)
             s = sol.s_hat if linv is None else linv.T @ sol.s_hat
             gs, shs = float(g @ s), float(s @ h @ s)
             scale = abs(gs) + abs(shs) + 1e-300
             assert abs(sol.predicted_decrease + (gs + 0.5 * shs)) <= 1e-10 * scale
-            grad_norm = np.linalg.norm(model_gradient(m, h_t, sol.s_hat))
-            assert grad_norm <= 1e-9 * (1.0 + np.linalg.norm(m.g_hat))
+            grad_norm = np.linalg.norm(model_gradient(g_t, h_t, sigma, sol.s_hat))
+            assert grad_norm <= 1e-9 * (1.0 + np.linalg.norm(g_t))
 
 
 def test_cubic_norm_consistent():
     rng = np.random.default_rng(57)
-    m, _ = random_model(rng, 4)
-    sol = solve(m)
+    m, _, _, sigma = random_model(rng, 4)
+    sol = solve(m, sigma)
     assert sol.cubic_norm == pytest.approx(np.linalg.norm(sol.s_hat), rel=1e-10, abs=1e-12)
 
 
@@ -220,12 +217,12 @@ def test_hard_case_eigenvector_correction():
     lam = np.array([-2.0, 1.0, 3.0])
     g = np.array([0.0, 0.3, -0.4])
     sigma = 0.1
-    m = build_model(0.0, g, np.diag(lam), sigma)
-    sol = solve(m)
+    m = build_model(0.0, g, np.diag(lam))
+    sol = solve(m, sigma)
     assert sol.hard_case and sol.mu == 2.0
     # at the hard-case solution sigma*||s|| equals -lambda_min exactly
     assert sigma * sol.cubic_norm == pytest.approx(2.0, rel=1e-12)
-    assert np.linalg.norm(model_gradient(m, np.diag(lam), sol.s_hat)) < 1e-12
+    assert np.linalg.norm(model_gradient(g, np.diag(lam), sigma, sol.s_hat)) < 1e-12
     rng = np.random.default_rng(58)
     best = np.inf
     for _ in range(20):
@@ -237,23 +234,22 @@ def test_hard_case_eigenvector_correction():
 
 
 def test_hard_case_zero_gradient_negative_curvature():
-    m = build_model(1.0, np.zeros(2), np.diag([-3.0, 1.0]), 1.5)
-    sol = solve(m)
+    m = build_model(1.0, np.zeros(2), np.diag([-3.0, 1.0]))
+    sol = solve(m, 1.5)
     assert sol.cubic_norm == pytest.approx(2.0, rel=1e-12)  # ||s|| = -lam1/sigma
     assert sol.model_value < 1.0
 
 
 def test_check_termination_cases():
     rng = np.random.default_rng(59)
-    m, h = random_model(rng, 3)
-    sol = solve(m)
-    assert check_termination(m, h, sol.s_hat, 0.1, 0.1) == (True, True, True)
+    m, g, h, sigma = random_model(rng, 3)
+    sol = solve(m, sigma)
+    assert check_termination(m.f0, g, h, sigma, sol.s_hat, 0.1, 0.1) == (True, True, True)
 
-    flags = check_termination(m, h, np.zeros(3), 0.1, 0.1)
+    flags = check_termination(m.f0, g, h, sigma, np.zeros(3), 0.1, 0.1)
     assert flags[0] is True and flags[1] is False  # zero step, nonzero gradient
 
-    m0 = build_model(0.0, np.zeros(2), np.eye(2), 1.0)
-    assert check_termination(m0, np.eye(2), np.zeros(2), 0.1, 0.1) == (True, True, True)
+    assert check_termination(0.0, np.zeros(2), np.eye(2), 1.0, np.zeros(2), 0.1, 0.1) == (True, True, True)
 
 
 def test_singular_gram_rejected():
@@ -262,16 +258,17 @@ def test_singular_gram_rejected():
 
 
 def test_nonpositive_sigma_rejected():
+    m = build_model(0.0, np.ones(2), np.eye(2))
     for sigma in (0.0, -1.0, float("nan")):
         with pytest.raises(InvalidInputError, match="sigma"):
-            build_model(0.0, np.ones(2), np.eye(2), sigma)
+            solve(m, sigma)
 
 
 def test_gram_shape_mismatch():
     for call in (
         lambda: whiten(np.eye(2), np.ones(2), np.eye(3)),
         lambda: whiten(np.eye(3), np.ones(2), np.eye(2)),
-        lambda: build_model(0.0, np.ones(2), np.eye(3), 1.0),
+        lambda: build_model(0.0, np.ones(2), np.eye(3)),
     ):
         with pytest.raises(InvalidDimensionError):
             call()
@@ -300,8 +297,8 @@ def test_a_whitened_solve_reaches_the_minimum_of_the_sketched_model():
     for l in (1, 2, 3, 4, 5):
         for _ in range(5):
             data = random_data(rng, l)
-            m, _, linv = whitened(*data)
-            sol = solve(m)
+            m, _, _, sigma, linv = whitened(*data)
+            sol = solve(m, sigma)
             s = linv.T @ sol.s_hat
             value = float(model_value_oracle(*data, s))
             assert value == pytest.approx(sol.model_value, rel=1e-10, abs=1e-12)
@@ -326,7 +323,7 @@ def test_rank_of_the_solve_spectrum_with_identity_gram():
             lam[:r] = rng.choice([-1.0, 1.0], r) * rng.uniform(0.1, 10.0, r)
             h = (q * lam) @ q.T
             h = 0.5 * (h + h.T)
-            m = build_model(0.0, rng.standard_normal(l), h, 1.0)
+            m = build_model(0.0, rng.standard_normal(l), h)
             got = spectrum_rank(m.eigenvalues, 1e-10)
             assert got == numerical_rank(h, 1e-10) == r
 
@@ -340,33 +337,28 @@ def _assert_same_solution(a, b):
             assert value == other, name
 
 
-def _rebuilt(m, h, sigma):
-    """The model ``build_model`` gives for m's data, built from H, with another sigma."""
-    return build_model(m.f0, m.g_hat, h, sigma)
-
-
 @pytest.mark.parametrize("gram", ["random", "identity"])
 def test_a_solve_from_the_last_spectrum_equals_a_fresh_solve(gram):
-    # a rejected step changes sigma only: the model's eigenpairs carry over
-    # exactly, and its solve equals that of a model built afresh
+    # a rejected step changes sigma only: the model carries over as it is,
+    # and its solve equals that of a model built afresh from g and H
     rng = np.random.default_rng(64)
     for l in (1, 2, 5, 12):
         for _ in range(5):
-            m, h = random_model(rng, l, gram=gram)
-            solve(m)  # the solver solves a model before it reuses it
+            m, g, h, sigma0 = random_model(rng, l, gram=gram)
+            solve(m, sigma0)  # the solver solves a model before it reuses it
             for factor in (2.0, 4.0, 0.5):
-                sigma = factor * m.sigma
-                _assert_same_solution(solve(replace(m, sigma=sigma)), solve(_rebuilt(m, h, sigma)))
+                sigma = factor * sigma0
+                _assert_same_solution(solve(m, sigma), solve(build_model(m.f0, g, h), sigma))
 
 
 def test_a_solve_from_the_last_spectrum_keeps_the_hard_case():
-    h = np.diag([-2.0, 1.0, 3.0])
-    m = build_model(0.0, np.array([0.0, 0.3, -0.4]), h, 0.1)
-    prev = solve(m)
+    g, h = np.array([0.0, 0.3, -0.4]), np.diag([-2.0, 1.0, 3.0])
+    m = build_model(0.0, g, h)
+    prev = solve(m, 0.1)
     for sigma in (0.2, 0.4, 50.0):
-        fresh = solve(_rebuilt(m, h, sigma))
-        _assert_same_solution(solve(replace(m, sigma=sigma)), fresh)
-    assert prev.hard_case and solve(replace(m, sigma=0.2)).hard_case
+        fresh = solve(build_model(0.0, g, h), sigma)
+        _assert_same_solution(solve(m, sigma), fresh)
+    assert prev.hard_case and solve(m, 0.2).hard_case
     assert not fresh.hard_case  # sigma = 50: the interior step is long enough
 
 
@@ -386,7 +378,7 @@ def test_the_whitened_spectrum_ranks_the_sketched_hessian():
         x = rng.standard_normal(p.dim)
         s = draw(SCALED_GAUSSIAN, int(rng.integers(1, 25)), p.dim, rng)
         h = p.sketched_hessian(x, s.matrix)
-        m = build_model(0.0, *whiten(s.gram(), s.matrix @ p.gradient(x), h)[:2], 1.0)
+        m = build_model(0.0, *whiten(s.gram(), s.matrix @ p.gradient(x), h)[:2])
         got = spectrum_rank(m.eigenvalues, 1e-10)
         want = numerical_rank(0.5 * (h + h.T), 1e-10)
         if got != want:
@@ -423,9 +415,9 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
     if gm is not None:
         g, h, _ = whiten(gm, g, h)
     consumed = h.copy()
-    factored = build_model(0.0, g, consumed, 0.7)
+    factored = build_model(0.0, g, consumed)
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
-    explicit = build_model(0.0, g, h, 0.7)
+    explicit = build_model(0.0, g, h)
     assert factored.reflectors is not None and explicit.reflectors is None
     y = rng.standard_normal(n)
     if rank == "full":
@@ -439,7 +431,7 @@ def test_the_factored_eigenbasis_matches_eigh(monkeypatch, n, rank, gram):
         assert np.max(np.abs(factored.eigenvalues - explicit.eigenvalues)) <= bound
         round_trip = subproblem._from_eigenbasis(factored, subproblem._to_eigenbasis(factored, y))
         assert rel_err(round_trip, y) <= 1e-12
-    a, b = solve(factored), solve(explicit)
+    a, b = solve(factored, 0.7), solve(explicit, 0.7)
     assert rel_err(a.s_hat, b.s_hat) <= 1e-10
     assert a.mu == pytest.approx(b.mu, rel=1e-10)
     assert a.predicted_decrease == pytest.approx(b.predicted_decrease, rel=1e-10)
@@ -457,9 +449,9 @@ def test_the_termination_oracle_accepts_a_factored_solve(n, gram):
     g, h, gm, _ = _large_instance(n, "full", gram)
     if gm is not None:
         g, h, _ = whiten(gm, g, h)
-    model = build_model(0.0, g, h.copy(), 0.7)
+    model = build_model(0.0, g, h.copy())
     assert model.reflectors is not None
-    assert check_termination(model, h, solve(model).s_hat, 0.1, 0.1) == (True, True, True)
+    assert check_termination(0.0, g, h, 0.7, solve(model, 0.7).s_hat, 0.1, 0.1) == (True, True, True)
 
 
 @needs_lapack
@@ -471,9 +463,9 @@ def test_the_factored_eigenbasis_keeps_the_hard_case(monkeypatch):
     h = (q * lam) @ q.T
     h = 0.5 * (h + h.T)
     g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, n - 1)  # no component along the minimal eigenvector
-    factored = solve(build_model(0.0, g, h.copy(), 0.5))
+    factored = solve(build_model(0.0, g, h.copy()), 0.5)
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
-    explicit = solve(build_model(0.0, g, h, 0.5))
+    explicit = solve(build_model(0.0, g, h), 0.5)
     assert factored.hard_case and explicit.hard_case
     assert factored.mu == explicit.mu
     assert rel_err(factored.s_hat, explicit.s_hat) <= 1e-10
@@ -487,7 +479,7 @@ def test_a_failed_lapack_call_raises_a_typed_error(monkeypatch, routine):
     g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, "full", None)
     monkeypatch.setitem(_lapack._routines(), routine, failing_lapack(routine, 7))
     with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
-        solve(build_model(0.0, g, h, 1.0))
+        solve(build_model(0.0, g, h), 1.0)
     res = run(get_problem("ARWHEAD:N=200"), SolverConfig(mode="arc"))
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
@@ -509,7 +501,7 @@ def test_without_every_symbol_a_model_takes_eigh(monkeypatch, routine):
     _lapack._routines.cache_clear()
     try:
         g, h, _, _ = _large_instance(subproblem._FACTORED_MIN, 50, None)
-        model = build_model(0.0, g, h, 1.0)
+        model = build_model(0.0, g, h)
         assert not _lapack.available() and model.reflectors is None
     finally:
         monkeypatch.undo()
@@ -648,7 +640,7 @@ def test_the_model_reads_one_triangle_of_h(n):
     # of a C-ordered H, so large noise below its diagonal changes no eigenvalue
     g, h, _, rng = _large_instance(n, "full", None)
     noisy = h + np.tril(1e6 * rng.standard_normal((n, n)), -1)
-    a, b = build_model(0.0, g, noisy, 1.0), build_model(0.0, g, h.copy(), 1.0)
+    a, b = build_model(0.0, g, noisy), build_model(0.0, g, h.copy())
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
@@ -663,11 +655,11 @@ def test_a_truncated_model_keeps_the_hard_case(monkeypatch):
     h = (q * lam) @ q.T
     h = 0.5 * (h + h.T)
     g = q[:, 1:] @ rng.uniform(-1e-3, 1e-3, r - 1) + 1e-4 * (np.eye(n) - q @ q.T) @ rng.standard_normal(n)
-    model = build_model(0.0, g, h.copy(), 0.5)
+    model = build_model(0.0, g, h.copy())
     assert model.eigenvectors.shape[0] < n and np.count_nonzero(model.eigenvalues == 0.0) > 0
-    factored = solve(model)
+    factored = solve(model, 0.5)
     monkeypatch.setattr(subproblem, "_FACTORED_MIN", n + 1)
-    explicit = solve(build_model(0.0, g, h, 0.5))
+    explicit = solve(build_model(0.0, g, h), 0.5)
     assert factored.hard_case and explicit.hard_case
     assert factored.mu == pytest.approx(explicit.mu, rel=1e-10)
     assert rel_err(factored.s_hat, explicit.s_hat) <= 1e-10
