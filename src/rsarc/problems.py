@@ -13,16 +13,18 @@ Householder QR.
 
 Each built-in states its Hessian once, as the product H(x) @ M with an
 n x k array M in O(n k) flops (a block of Hessian-vector products;
-Pearlmutter, Neural Comput. 6, 1994), and both second-order oracles derive
-from it.  The dense d x d ``hessian`` is H(x) @ I; it serves ``arc`` (the
-identity sketch, never formed: the model reads one triangle of H itself,
-in place) and output checks.  ``sketched_hessian(x, S)`` is S (H(x) @ S^T)
-for an l x d sketch array S, O(l^2 d) flops without forming H (O(l^2 r)
-for QUADRANK, whose H vanishes off its first r coordinates), and the
-sketched modes use only it.  Lifted problems compute it as
+Pearlmutter, Neural Comput. 6, 1994), and every second-order oracle derives
+from it.  ``hmul(x, M)`` is that product, and ``arc`` reads only it: its
+model comes from Lanczos on v -> H(x) v, so no d x d array is formed.
+``sketched_hessian(x, S)`` is S (H(x) @ S^T) for an l x d sketch array S,
+O(l^2 d) flops without forming H (O(l^2 r) for QUADRANK, whose H vanishes
+off its first r coordinates), and the sketched modes use only it.  The
+dense d x d ``hessian`` is H(x) @ I; no solve calls it, and it serves
+output checks.  Lifted problems compute ``hmul`` as Q H_f(Q^T x) (Q^T M)
+in O(d r j) flops for a d x j array M, and ``sketched_hessian`` as
 (S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 + l^2 r) flops; each holds its
 d x r embedding Q once, as one C-ordered array: Q^T x is evaluated as
-x @ Q, and the dense Hessian multiplies by the transposed view Q^T.
+x @ Q, and Q^T M and the dense Hessian multiply by the transposed view Q^T.
 """
 
 from __future__ import annotations
@@ -55,19 +57,19 @@ class ObjectiveProblem:
         x0: standard start point, shape (d,).
         f_star: known optimal objective value, or None if unknown.
         known_rank: upper bound on rank(hess f(x)) valid at every x, or None.
-        value / gradient / hessian: evaluators; pure functions of x.  The
-            dense ``hessian`` serves ``arc`` (the identity sketch) and
-            output checks.  It returns a new array on every call, which
-            ``arc`` may overwrite: its model reduces the Hessian in place
-            and reads one triangle, so the result need not be exactly
-            symmetric.  ``arc`` copies a read-only result, or a view of
-            other storage, before it reduces it.
+        value / gradient: evaluators; pure functions of x.
+        hessian: the dense d x d ``hess f(x)``, a new array on every call.
+            No solve calls it: it serves output checks, and no caller
+            overwrites what it returns.
         sketched_hessian: ``(x, S) -> S hess f(x) S^T`` for an l x d sketch
             array S, computed without the d x d Hessian; the sketched
             modes call it and never ``hessian``.  The result must be
             symmetric up to rounding: no layer symmetrizes it.
+        hmul: ``(x, M) -> hess f(x) @ M`` for a d x j array M, computed
+            without the d x d Hessian; ``arc`` builds its model from it,
+            one column at a time, and never calls ``hessian``.
 
-    A built-in states ``H(x) @ M`` once and derives both from it.
+    A built-in states ``H(x) @ M`` once and derives all three from it.
     """
 
     name: str
@@ -77,6 +79,7 @@ class ObjectiveProblem:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     sketched_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hmul: Callable[[np.ndarray, np.ndarray], np.ndarray]
     f_star: Optional[float] = None
     known_rank: Optional[int] = None
 
@@ -162,6 +165,9 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
         sq = s @ q
         return sq @ base.hessian(x @ q) @ sq.T
 
+    def hmul(x, m):
+        return q @ base.hmul(x @ q, q.T @ m)
+
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]
     label = f"l-{head}:N={base.dim}"
@@ -176,6 +182,7 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
         gradient=gradient,
         hessian=hessian,
         sketched_hessian=sketched_hessian,
+        hmul=hmul,
         f_star=base.f_star,
         known_rank=rank,
     )
@@ -207,8 +214,9 @@ def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None, s
     """A built-in whose Hessian is zero outside its leading k x k block H_k
     (k = ``support``, n if None) and ``hmul(x, M) = H_k(x) @ M`` for a k x j
     array M: the dense Hessian is H_k @ I padded with zeros, the identity made
-    per call (n can be 1e5), and the sketched one S_k (H_k @ S_k^T), S_k the
-    first k columns of S."""
+    per call (n can be 1e5), the sketched one S_k (H_k @ S_k^T), S_k the
+    first k columns of S, and the field ``hmul`` is H_k @ M_k padded to n
+    rows, M_k the first k rows of an n x j array M."""
     k = n if support is None else support
 
     def hessian(x):
@@ -219,7 +227,11 @@ def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None, s
         s_k = s[:, :k]
         return s_k @ hmul(x, s_k.T)
 
-    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian,
+    def hmul_n(x, m):
+        h = hmul(x, m[:k])
+        return h if k == n else np.pad(h, ((0, n - k), (0, 0)))
+
+    return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, hmul_n,
                             f_star=f_star, known_rank=known_rank)
 
 

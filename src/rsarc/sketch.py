@@ -6,8 +6,9 @@ sketches have i.i.d. N(0, 1/l) entries so that E||S y||^2 = ||y||^2.
 
 The solver draws ``SCALED_GAUSSIAN`` sketches in its sketched modes.
 Full-space ARC uses S = I (l = d), which is never formed as a matrix: the
-solver takes g and H as they are, so ``draw`` and the projections handle
-dense arrays only; it symmetrizes no Hessian (see ``subproblem``).
+solver builds its model from g and Hessian-vector products by Lanczos
+(``subproblem.lanczos``), so ``draw`` and the projections handle dense
+arrays only; it symmetrizes no Hessian (see ``subproblem``).
 ``IDENTITY`` stays as the tag for that sketch, which perfbench's tracer
 reads when it counts the flops of ``sketch_hessian``.  The rank helpers
 return the rank as an int.

@@ -2,7 +2,8 @@
 
 Modes:
   * ``arc``     -- identity sketch with l = d (classical adaptive cubic
-                   regularization; fully deterministic).
+                   regularization; fully deterministic), its model built
+                   by Lanczos on Hessian-vector products.
   * ``rarc``    -- fixed sketch size l0, scaled-Gaussian sketches.
   * ``rarc-d``  -- sketch size grown by the rank-driven rule
                    l_{k+1} = max(C * Rhat_k + 1, l_k) whenever the running
@@ -17,15 +18,21 @@ ones of adaptive cubic regularization (module constants).  Per-iteration
 cost is charged as (l_k/d)^2 "relative Hessians seen", the budget metric
 used by the benchmark layer.
 
-The identity sketch is never formed as a matrix: g and the problem's
-``hessian`` enter the model as they are (an array that is read-only or a
-view of other storage is copied first, as the model may overwrite it), and
-the step is the model's minimizer.  A scaled-Gaussian sketch's S g and
-S H S^T (the problem's ``sketched_hessian``, as returned; no d x d array is
-formed) are whitened by ``subproblem.whiten``, and the model's minimizer u
-gives the step S^T L^{-T} u.  Each model is one l x l eigendecomposition
-(``subproblem.build_model``) of one triangle of its H, which no layer
-symmetrizes; its eigenvalues give the observed rank.
+The identity sketch is never formed as a matrix, nor is the d x d Hessian:
+``subproblem.lanczos`` runs on v -> H v (the problem's ``hmul``) from g
+and returns an orthonormal basis V_k of the Krylov space K_k(H, g) and the
+k x k tridiagonal T_k = V_k H V_k^T.  The model has gradient ||g|| e_1 and
+Hessian T_k, and its minimizer u gives the step V_k^T u: the Krylov
+subproblem of adaptive cubic regularization, whose step is the full-space
+minimizer outside the hard case (in exact arithmetic; on a Hessian of rank
+r, k stays near r + 1).  A Krylov space from g cannot see an eigenvector
+orthogonal to g, so the exact hard case is lost.  A scaled-Gaussian
+sketch's S g and S H S^T (the problem's ``sketched_hessian``, as returned;
+no d x d array is formed) are whitened by ``subproblem.whiten``, and the
+model's minimizer u gives the step S^T L^{-T} u.  Each model is one
+eigendecomposition (``subproblem.build_model``) of one triangle of its
+T_k or whitened S H S^T, which no layer symmetrizes; its eigenvalues give
+the observed rank.  No solve calls the problem's ``hessian``.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
 stream order, through a ``sk.RowStream``, which decides when to draw the
@@ -34,16 +41,16 @@ next sketch ahead on a worker thread and at what BLAS thread count.
 ``run`` keeps its sketch state in one variable: ``model`` is None when
 the next iteration must build a model at x_k, and a sketched mode draws
 a fresh sketch for every model it builds.  A success, a change of l or
-the ``every-iteration`` policy drops the model, together with its sketch,
-its L^{-1} and the last Hessian, before the next Hessian is formed.  A model
+the ``every-iteration`` policy drops the model, together with its sketch
+and L^{-1} or its Krylov basis, before the next model is built.  A model
 that survives a rejected step is reused as it is, since sigma is
 ``subproblem.solve``'s argument: that iteration draws nothing, evaluates no
 Hessian and decomposes nothing, and its iterate is bit for bit the one a
 recomputation would give.
 
-A non-finite value f(x_k), gradient or projected derivative
-ends the run with status ``NonFiniteDerivative``; at x0 that leaves an
-empty trace.
+A non-finite value f(x_k), gradient, projected derivative or
+Hessian-vector product ends the run with status ``NonFiniteDerivative``;
+at x0 that leaves an empty trace.
 A predicted decrease at or below the rho guard 1e-16 (1 + |f|) on
 ``_MAX_UNRESOLVED_DECREASES`` consecutive iterations, where sigma would
 otherwise double towards overflow, ends it with ``DecreaseUnresolved``.
@@ -162,7 +169,7 @@ class IterationTrace:
     f: float
     grad_norm: float
     l_k: int
-    r_hat_k: int
+    r_hat_k: int  # rank of the model's Hessian: T_k for arc, the whitened S H S^T otherwise
     R_hat_k: int
     sigma_k: float
     rho_k: float  # NaN when the predicted decrease fell below the guard
@@ -248,6 +255,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
     l = d if identity else config.l0
     r_hat_running = 0
     s_mat: Optional[sk.SketchMatrix] = None  # the sketch of model
+    basis: Optional[np.ndarray] = None  # arc: the Krylov basis V_k of model
     linv: Optional[np.ndarray] = None  # L^{-1} of s_mat's Gram L L^T
     model: Optional[sp.SketchedCubicModel] = None  # None: draw and build a model at x
     trace: List[IterationTrace] = []
@@ -277,10 +285,9 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
             try:
                 if model is None:
                     if identity:
-                        g_hat = grad
-                        h_hat = problem.hessian(x)
-                        if not (h_hat.flags.writeable and h_hat.flags.owndata):
-                            h_hat = np.array(h_hat)  # the model may overwrite it
+                        basis, h_hat = sp.lanczos(lambda v: problem.hmul(x, v[:, None])[:, 0], grad)
+                        g_hat = np.zeros(h_hat.shape[0])
+                        g_hat[0] = gnorm
                     else:
                         s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rows)
                         g_hat = sk.sketch_gradient(s_mat, grad)
@@ -307,12 +314,12 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
         # Ostrowski's theorem each eigenvalue is scaled by a factor between
         # the extreme eigenvalues of (S S^T)^{-1}, so the relative threshold
         # can rank the two spectra differently only for eigenvalues within
-        # cond(S S^T) of it.  arc's spectrum is that of H itself.
+        # cond(S S^T) of it.  arc's spectrum is that of T_k = V_k H V_k^T.
         r_hat = sk.spectrum_rank(model.eigenvalues)
         r_hat_prev = r_hat_running
         r_hat_running = max(r_hat_running, r_hat)
 
-        step = solution.s_hat if identity else s_mat.matrix.T @ (linv.T @ solution.s_hat)
+        step = basis.T @ solution.s_hat if identity else s_mat.matrix.T @ (linv.T @ solution.s_hat)
         q_dec = solution.predicted_decrease
         f_trial = problem.value(x + step)
         guard = 1e-16 * (1.0 + abs(f))
@@ -368,8 +375,8 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
         redraw = l_next != l or config.redraw_policy == REDRAW_EVERY_ITERATION
         l = l_next
         if success or (not identity and redraw):
-            # free the last sketch and d x d arrays before the next H is formed
-            model = h_hat = s_mat = linv = None
+            # free the last sketch or Krylov basis before the next model is built
+            model = h_hat = s_mat = linv = basis = None
 
         if unresolved == _MAX_UNRESOLVED_DECREASES:
             status = STATUS_DECREASE_UNRESOLVED

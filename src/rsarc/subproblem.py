@@ -5,7 +5,9 @@ The model in the variables u (dimension l) is the classical Euclidean one
     m(u) = f0 + g.u + 0.5 u.H u + (sigma/3) ||u||^3;
 
 a sketched model takes this form through ``whiten`` (see there), the one
-function that factors a sketch's Gram matrix.  m is minimized globally by
+function that factors a sketch's Gram matrix, and the full-space model of
+``arc`` through ``lanczos``, which restricts it to a Krylov space of H
+and g and needs only products H v.  m is minimized globally by
 eigendecomposition plus scalar root-finding on the secular equation
 sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g and
 mu >= max(0, -lambda_min), including explicit hard-case handling; its
@@ -45,8 +47,9 @@ take f0, g, H and sigma from their caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +70,9 @@ _MAX_INNER = 200
 #: build_model plus solve took 0.98 ms with eigh and 1.22 ms factored at
 #: l = 64, 2.74 and 1.83 ms at l = 128 (full-rank H, 2 cores, OpenBLAS)
 _FACTORED_MIN = 128
+#: lanczos stops at beta_k <= d _LANCZOS_TOL ||T_k||_F, the tolerance n eps ||H||_F
+#: of the truncated reduction (_lapack._DROP_TOL)
+_LANCZOS_TOL = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -130,6 +136,73 @@ def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.n
         raise SingularGramError("gram factorization produced non-finite entries")
     linv = np.linalg.inv(chol)
     return linv @ g_hat, linv @ h_hat @ linv.T, linv
+
+
+def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis V_k of the Krylov space K_k(H, g) and T_k = V_k H V_k^T.
+
+    ``hmul(v)`` is H v for a d-vector v.  Lanczos starts from g / ||g|| and
+    reorthogonalizes each new vector fully, by two classical Gram-Schmidt
+    passes against every row of V_k, so the rows stay orthonormal to
+    rounding and T_k is tridiagonal.  The model of ``build_model`` with
+    gradient ||g|| e_1 and Hessian T_k is then the model of adaptive cubic
+    regularization restricted to the rows of V_k, and its minimizer u gives
+    the step V_k^T u (the Krylov subproblem of Cartis, Gould & Toint, Math.
+    Program. 127, 2011, sections 6-7; GLTR, Gould, Lucidi, Roma & Toint,
+    SIAM J. Optim. 9, 1999).  Outside the hard case that is the minimizer
+    over the whole space, in exact arithmetic.  A Krylov space from g
+    cannot see an eigenvector orthogonal to g, so the exact hard case, whose
+    step runs along such an eigenvector, is lost.
+
+    The run stops when the next coupling beta_k is at most
+    d eps ||T_k||_F, the tolerance of the truncated tridiagonal reduction
+    (``_lapack.tridiagonalize``), which on a Hessian of rank r happens
+    within about r + 1 steps; or at k = d; or at once when a product is not
+    finite, whose T_k then holds the non-finite entry.  V_k (k x d) grows
+    with k and is not allocated for d rows ahead.
+
+    Raises InvalidInputError unless ||g|| is positive and finite.
+    """
+    d = g.shape[0]
+    gnorm = _norm(g)
+    if not (gnorm > 0.0 and np.isfinite(gnorm)):
+        raise InvalidInputError(f"need a nonzero finite g, got ||g|| = {gnorm}")
+    basis = np.empty((1, d))
+    basis[0] = g / gnorm
+    alpha: list = []
+    beta: list = []
+    t_norm = 0.0  # ||T_k||_F, by hypot, which cannot overflow while T_k is finite
+    for k in range(1, d + 1):
+        v = basis[k - 1]
+        w = hmul(v)
+        a = float(v @ w)
+        alpha.append(a)
+        if not np.isfinite(a):  # a finite v @ w has a finite w
+            break
+        t_norm = math.hypot(t_norm, a)
+        span = basis[:k]
+        w = w - span.T @ (span @ w)
+        w = w - span.T @ (span @ w)
+        b = _norm(w)
+        if k == d or b <= d * _LANCZOS_TOL * t_norm:
+            break
+        beta.append(b)
+        t_norm = math.hypot(t_norm, b, b)
+        if k == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(k, d - k), d))])
+        basis[k] = w / b
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return basis[:k], t
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||, also where the sum of squares of a finite v overflows."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if nrm == np.inf and np.all(np.isfinite(v)):
+        scale = float(np.max(np.abs(v)))
+        nrm = scale * float(np.linalg.norm(v / scale))
+    return nrm
 
 
 def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray) -> SketchedCubicModel:

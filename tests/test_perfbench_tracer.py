@@ -61,8 +61,9 @@ def test_tracer_patches_every_layer_and_restores_it(tmp_path, monkeypatch):
     layers = tracer.layers
     assert layers["solver.run"].calls == 2
     for name in ("sketch.draw", "subproblem.solve", "subproblem.build_model",
-                 "sketch.gram", "problems.hessian", "bench.solved_budget"):
+                 "sketch.gram", "bench.solved_budget"):
         assert layers[name].calls > 0, name
+    assert layers["problems.hessian"].calls == 0  # no solve forms the dense Hessian
     assert layers["subproblem.solve"].work > 0  # inner iterations were counted
     assert layers["bench.write_csv"].calls == 2
     assert all(stats.failures == 0 for stats in layers.values())

@@ -300,6 +300,26 @@ def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
         assert rel_err(g.sketched_hessian(x, s), s @ g.hessian(x) @ s.T) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name",
+    [*ALL_NAMES, "QUADRANK:rank=3", *(f"{name}:N=d" for name in ALL_NAMES), "QUADRANK:N=d:rank=3"],
+)
+@pytest.mark.parametrize("j,d", [(1, 3), (4, 3), (1, 20), (5, 20), (1, 300)])
+def test_hmul_matches_the_dense_product(name, j, d):
+    # the hmul contract of every problem, which arc's Lanczos reads one
+    # column at a time: H(x) @ M for a d x j array M, zero off QUADRANK's support
+    if "N=d" in name:
+        g = get_problem(name.replace("N=d", f"N={d}"))
+    else:
+        g = get_problem(f"l-{name}:N={min(10, d)}:d={d}:seed={j}")
+    rng = np.random.default_rng(d + j)
+    m = rng.standard_normal((d, j))
+    for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):
+        out = g.hmul(x, m)
+        assert out.shape == (d, j)
+        assert rel_err(out, g.hessian(x) @ m) < 1e-12
+
+
 def test_a_lifted_instance_holds_its_embedding_once():
     # Q (d x N) is the only large array a lifted instance keeps; it held a
     # transposed copy beside it before, twice the bytes.  Building it needs

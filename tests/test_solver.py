@@ -405,7 +405,7 @@ def test_summary_counts_rejected_steps_and_the_sigma_range():
     assert s["sigma_k_max"] > s["sigma_k_min"]
 
 
-@pytest.mark.parametrize("mode", ["rarc", "rarc-d"])
+@pytest.mark.parametrize("mode", ["arc", "rarc", "rarc-d"])
 def test_sketched_modes_never_form_the_dense_hessian(mode):
     def hessian(x):
         raise AssertionError("dense Hessian evaluated")
@@ -424,21 +424,26 @@ def test_sketched_modes_never_form_the_dense_hessian(mode):
         assert res.status == status, selector
 
 
-def test_arc_uses_the_dense_hessian_of_a_lifted_problem():
+def test_arc_uses_the_hessian_vector_products_of_a_lifted_problem():
+    # ARWHEAD's gradient spans a 2-dimensional invariant subspace of its
+    # Hessian, so each model takes two products, one column each, and T_k has rank 2
     p = get_problem("l-ARWHEAD:N=20:d=60:seed=2")
     calls = []
 
-    def hessian(x):
-        calls.append(1)
-        return p.hessian(x)
+    def hmul(x, m):
+        calls.append(m.shape)
+        return p.hmul(x, m)
 
-    res = run(dataclasses.replace(p, hessian=hessian), SolverConfig(mode="arc", epsilon=1e-6))
+    res = run(dataclasses.replace(p, hmul=hmul), SolverConfig(mode="arc", epsilon=1e-6))
     assert res.status == STATUS_GRADIENT_TOL
-    assert len(calls) == len(res.trace)
+    fresh = len(res.trace) - len(_reused(res.trace))
+    assert calls == [(60, 1)] * 2 * fresh
+    assert [row.r_hat_k for row in res.trace] == [2] * len(res.trace)
 
 
 def _nan_hessian(problem):
-    # both forms: arc calls hessian, the sketched modes sketched_hessian
+    # every form: arc calls hmul, the sketched modes sketched_hessian, and a
+    # lifted problem's sketched_hessian its base's hessian
     def poisoned(form):
         def call(*args):
             h = form(*args)
@@ -448,7 +453,10 @@ def _nan_hessian(problem):
         return call
 
     return dataclasses.replace(
-        problem, hessian=poisoned(problem.hessian), sketched_hessian=poisoned(problem.sketched_hessian)
+        problem,
+        hessian=poisoned(problem.hessian),
+        sketched_hessian=poisoned(problem.sketched_hessian),
+        hmul=poisoned(problem.hmul),
     )
 
 
@@ -467,14 +475,18 @@ def test_non_finite_hessian_ends_with_typed_status(mode, make):
 
 
 def test_a_nan_in_the_triangle_the_model_does_not_read_ends_with_typed_status():
-    p = builtin_problem("ARWHEAD", 10)
+    # arc reads H v through v.(H v) and the coordinates of H v that v weights;
+    # QUADRANK's gradient at x0 = 0 vanishes off the rank support, so a NaN in
+    # the last entry of H v is weighted by zero, and 0 * NaN is still NaN
+    p = builtin_problem("QUADRANK", 10, rank=5)
 
-    def hessian(x):
-        h = p.hessian(x)
-        h[-1, 0] = math.nan  # below the diagonal of a C-ordered H
+    def hmul(x, m):
+        h = p.hmul(x, m)
+        h[-1] = math.nan
         return h
 
-    res = run(dataclasses.replace(p, hessian=hessian), SolverConfig(mode="arc"))
+    assert p.gradient(p.x0)[-1] == 0.0
+    res = run(dataclasses.replace(p, hmul=hmul), SolverConfig(mode="arc"))
     assert res.status == STATUS_NON_FINITE
     assert res.trace == []
 
@@ -484,53 +496,23 @@ def test_a_finite_hessian_whose_squares_overflow_is_finite(d):
     # diag(1..d) scaled by 1e160: ||H||_F^2 overflows, no entry of H does;
     # each step is too short to decrease f, so the run reaches max_iter
     p = get_problem(f"QUADRANK:N={d}:rank={d}")
-    res = run(dataclasses.replace(p, hessian=lambda x: 1e160 * p.hessian(x)), SolverConfig(mode="arc", max_iter=2))
+    res = run(dataclasses.replace(p, hmul=lambda x, m: 1e160 * p.hmul(x, m)), SolverConfig(mode="arc", max_iter=2))
     assert res.status == STATUS_MAX_ITER and len(res.trace) == 2
 
 
 def test_a_step_whose_cube_overflows_is_an_inner_failure():
-    # the rounding noise of H's null space, scaled by 1e160, gives eigenvalues
-    # near -2e146, so the step norm is about 1e146 and its cube overflows: arc
-    # ends InnerFailure, and rarc-d redraws as after any inner failure; no
+    # H v scaled by -1e145 gives arc eigenvalues near -1e147, so the step norm
+    # is about 1e147 and its cube overflows: arc ends InnerFailure; rarc-d
+    # reads sketched_hessian, which the scaling leaves alone; no
     # OverflowError or RuntimeWarning escapes
     p = get_problem("l-ARWHEAD:N=10:d=40")
-    scaled = dataclasses.replace(p, hessian=lambda x: 1e160 * p.hessian(x))
+    scaled = dataclasses.replace(p, hmul=lambda x, m: -1e145 * p.hmul(x, m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         arc = run(scaled, SolverConfig(mode="arc", max_iter=2))
         sketched = run(scaled, SolverConfig(mode="rarc-d", max_iter=2))
     assert arc.status == STATUS_INNER_FAILURE and arc.trace == []
     assert sketched.status == STATUS_MAX_ITER and len(sketched.trace) == 2
-
-
-def test_arc_leaves_a_read_only_or_viewed_hessian_intact():
-    # the reduction overwrites a new Hessian (d >= 128) but copies one that
-    # the problem keeps: a read-only array, or a view into its storage
-    d = 200
-    p = get_problem(f"l-ARWHEAD:N=10:d={d}")
-    kept = []
-
-    def read_only(x):
-        h = p.hessian(x)
-        h.flags.writeable = False
-        kept.append((h, h.copy()))
-        return h
-
-    def view(x):
-        storage = np.zeros((d + 1, d))
-        storage[1:] = p.hessian(x)
-        kept.append((storage, storage.copy()))
-        return storage[1:]
-
-    cfg = SolverConfig(mode="arc", epsilon=1e-8)
-    fresh = run(p, cfg)
-    for hessian in (read_only, view):
-        res = run(dataclasses.replace(p, hessian=hessian), cfg)
-        untimed = [dataclasses.replace(row, wall_time_s=0.0) for row in res.trace]
-        assert untimed == [dataclasses.replace(row, wall_time_s=0.0) for row in fresh.trace]
-        assert np.array_equal(res.x_final, fresh.x_final)
-    assert fresh.status == STATUS_GRADIENT_TOL and kept
-    assert all(np.array_equal(array, copy) for array, copy in kept)
 
 
 @pytest.mark.parametrize("mode", ["arc", "rarc-d"])
@@ -583,9 +565,10 @@ def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
 
 @pytest.mark.skipif(not solver_mod.sp._lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
 def test_without_lapack_arc_falls_back_to_eigh(monkeypatch):
-    # a d x d model keeps its eigenvectors factored when numpy's OpenBLAS
-    # exports LAPACK, and takes np.linalg.eigh's explicit ones otherwise
-    p = get_problem("l-ARWHEAD:N=20:d=200")
+    # a model of order k >= _FACTORED_MIN keeps its eigenvectors factored when
+    # numpy's OpenBLAS exports LAPACK, and takes np.linalg.eigh's explicit ones
+    # otherwise; on this rank-150 problem Lanczos runs k = 156 steps from every x
+    p = get_problem("l-ENGVAL1:N=150:d=300")
     cfg = SolverConfig(mode="arc")
     eigh = _counting(monkeypatch, np.linalg, "eigh")
     factored = run(p, cfg)
@@ -631,12 +614,14 @@ def test_rarc_d_takes_each_gradient_into_the_eigenbasis_once(monkeypatch):
 def _iteration_calls(monkeypatch, problem):
     """A copy of ``problem`` whose value and Hessians, and the draws and eigh
     calls, log into the returned list.  Every iteration ends in one trial
-    value, so the log splits at "value" into iterations (see _segments)."""
+    value, so the log splits at "value" into iterations (see _segments), and
+    a run of Lanczos products logs one "hmul"."""
     log = []
 
     def logged(name, fn):
         def call(*args, **kwargs):
-            log.append(name)
+            if name != "hmul" or log[-1:] != ["hmul"]:
+                log.append(name)
             return fn(*args, **kwargs)
 
         return call
@@ -647,7 +632,8 @@ def _iteration_calls(monkeypatch, problem):
         problem,
         value=logged("value", problem.value),
         hessian=logged("hessian", problem.hessian),
-        sketched_hessian=logged("hessian", problem.sketched_hessian),
+        sketched_hessian=logged("sketched_hessian", problem.sketched_hessian),
+        hmul=logged("hmul", problem.hmul),
     )
     return problem, log
 
@@ -665,8 +651,8 @@ def _segments(log):
 @pytest.mark.parametrize(
     "selector, cfg, fresh_calls",
     [
-        ("l-COSINE:N=10:d=40", SolverConfig(mode="rarc-d", seed=0, max_iter=60), ["draw", "hessian", "eigh"]),
-        ("l-ROSENCHAIN:N=10:d=40", SolverConfig(mode="arc", epsilon=1e-6), ["hessian", "eigh"]),
+        ("l-COSINE:N=10:d=40", SolverConfig(mode="rarc-d", seed=0, max_iter=60), ["draw", "sketched_hessian", "eigh"]),
+        ("l-ROSENCHAIN:N=10:d=40", SolverConfig(mode="arc", epsilon=1e-6), ["hmul", "eigh"]),
     ],
 )
 def test_a_rejected_step_is_solved_again_from_the_same_spectrum(monkeypatch, selector, cfg, fresh_calls):
@@ -696,7 +682,7 @@ def test_every_iteration_redraws_leave_only_arc_a_model_to_reuse(
     assert (len(res.trace), sum(not row.success for row in res.trace)) == (rows, rejected)
     assert (log.count("draw"), log.count("eigh")) == (draws, builds)
     reused = set(_reused(res.trace)) if mode == "arc" else set()
-    fresh_calls = ["hessian", "eigh"] if mode == "arc" else ["draw", "hessian", "eigh"]
+    fresh_calls = ["hmul", "eigh"] if mode == "arc" else ["draw", "sketched_hessian", "eigh"]
     for row, calls in zip(res.trace, _segments(log)):
         assert calls == ([] if row.k in reused else fresh_calls), row.k
 
@@ -857,9 +843,9 @@ def test_arc_draws_and_projects_no_sketch(monkeypatch):
 
 
 def test_arc_holds_one_d_by_d_array():
-    # the problem's H, reduced in place to Householder reflectors, and small
-    # arrays (LAPACK's workspace is not traced); a symmetrized copy of H
-    # would make the peak about two arrays of 8 d^2 bytes
+    # at most: arc builds its model from Hessian-vector products, so its
+    # largest array is the k x d Krylov basis (k = 104 here); the dense H it
+    # reduced before was one array of 8 d^2 bytes, and a copy of it two
     d = 1000
     p = get_problem(f"l-ENGVAL1:N=100:d={d}")
     cfg = SolverConfig(mode="arc")

@@ -217,3 +217,15 @@ def test_only_write_rows_and_read_rows_use_the_csv_module():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "csv":
                     uses.add(f"{path.stem}.{getattr(top, 'name', '<module>')}: csv.{node.attr}")
     assert uses == {"solver.write_rows: csv.writer", "solver.read_rows: csv.DictReader"}
+
+
+def test_no_solve_calls_the_dense_hessian():
+    # arc builds its model from hmul and the sketched modes from sketched_hessian;
+    # the d x d hessian serves output checks only
+    path = PACKAGE / "solver.py"
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "hessian"
+    ]
+    assert not calls, f"solver.py calls .hessian( at lines {calls}"

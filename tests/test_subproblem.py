@@ -1,4 +1,5 @@
 import ctypes
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rsarc import (
 from rsarc.sketch import SCALED_GAUSSIAN
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
-from rsarc.subproblem import whiten
+from rsarc.subproblem import lanczos, whiten
 from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
@@ -480,7 +481,7 @@ def test_a_failed_lapack_call_raises_a_typed_error(monkeypatch, routine):
     monkeypatch.setitem(_lapack._routines(), routine, failing_lapack(routine, 7))
     with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
         solve(build_model(0.0, g, h), 1.0)
-    res = run(get_problem("ARWHEAD:N=200"), SolverConfig(mode="arc"))
+    res = run(get_problem("QUADRANK:N=200"), SolverConfig(mode="arc"))  # Lanczos runs k = 200 steps
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
 
@@ -688,3 +689,78 @@ def test_a_sketched_model_keeps_only_the_reduced_order(monkeypatch):
     full = run(p, cfg)
     assert orders and min(orders) == 150
     assert (truncated.status, len(truncated.trace)) == (full.status, len(full.trace))
+
+
+def _krylov_model(p, x):
+    """The Lanczos basis of ``p`` at x and the model on it: gradient ||g|| e_1, Hessian T_k."""
+    g = p.gradient(x)
+    basis, t = lanczos(lambda v: p.hmul(x, v[:, None])[:, 0], g)
+    g_t = np.zeros(t.shape[0])
+    g_t[0] = np.linalg.norm(g)
+    return basis, build_model(p.value(x), g_t, t)
+
+
+@pytest.mark.parametrize("selector", [
+    *(f"{name}:N=30" for name in ("ARWHEAD", "COSINE", "ENGVAL1", "POWER", "NONDQUAR", "ROSENCHAIN")),
+    "QUADRANK:N=30:rank=10",
+    *(f"l-{name}:N=20:d=60" for name in ("ARWHEAD", "COSINE", "ENGVAL1", "POWER", "NONDQUAR", "ROSENCHAIN")),
+    "l-QUADRANK:N=20:rank=5:d=60",
+])
+def test_the_lanczos_model_steps_as_the_dense_model(selector):
+    # outside the hard case the minimizer over K(H, g) is the full-space one
+    p = get_problem(selector)
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        x = p.x0 + rng.standard_normal(p.dim)
+        basis, krylov = _krylov_model(p, x)
+        assert np.linalg.norm(basis @ basis.T - np.eye(basis.shape[0])) <= 1e-13
+        dense = build_model(p.value(x), p.gradient(x), p.hessian(x))
+        for sigma in (1.0, 10.0):
+            a, b = solve(krylov, sigma), solve(dense, sigma)
+            assert not (a.hard_case or b.hard_case)
+            assert rel_err(basis.T @ a.s_hat, b.s_hat) <= 1e-10
+            assert a.predicted_decrease == pytest.approx(b.predicted_decrease, rel=1e-10)
+
+
+def test_lanczos_on_a_lifted_problem_ends_past_the_rank():
+    # K(H, g) lies in range(Q), so the couplings fall to rounding within a few
+    # steps past r = 20, and T_k has rank r
+    p = get_problem("l-ENGVAL1:N=20:d=300")
+    basis, model = _krylov_model(p, p.x0)
+    assert 20 <= basis.shape[0] <= 25
+    assert spectrum_rank(model.eigenvalues) == 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [1, 2])
+def test_a_non_finite_product_stops_lanczos_at_once(bad, at):
+    h = np.diag(np.arange(1.0, 51.0))
+    calls = []
+
+    def hmul(v):
+        calls.append(v)
+        w = h @ v
+        if len(calls) == at:
+            w[-1] = bad
+        return w
+
+    basis, t = lanczos(hmul, np.ones(50))
+    assert len(calls) == at and basis.shape == (at, 50) and t.shape == (at, at)
+    assert not np.isfinite(t[-1, -1]) and np.all(np.isfinite(t[:-1, :-1]))
+
+
+def test_lanczos_scales_with_a_hessian_whose_squares_overflow():
+    # ||H v||^2 and ||T_k||_F^2 overflow at entries of about 1e160; the norms
+    # Lanczos tests do not, so it runs the same steps and T_k scales with H
+    h = np.diag(np.arange(1.0, 41.0))
+    g = np.ones(40)
+    basis, t = lanczos(lambda v: h @ v, g)
+    big_basis, big_t = lanczos(lambda v: 1e160 * (h @ v), g)
+    assert basis.shape == big_basis.shape == (40, 40)
+    assert rel_err(big_t / 1e160, t) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [np.zeros(3), np.array([1.0, math.nan, 0.0])])
+def test_lanczos_refuses_a_zero_or_non_finite_start(g):
+    with pytest.raises(InvalidInputError, match="nonzero finite g"):
+        lanczos(lambda v: v, g)
