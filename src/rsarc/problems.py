@@ -11,20 +11,25 @@ two GEMM and r x r work, about 6 d r^2 flops in level-3 BLAS); a draw too
 ill-conditioned for that, with cond near u^{-1/2} or above, falls back to
 Householder QR.
 
-Each built-in states its Hessian once, as the product H(x) @ M with an
-n x k array M in O(n k) flops (a block of Hessian-vector products;
-Pearlmutter, Neural Comput. 6, 1994), and every second-order oracle derives
-from it.  ``hmul(x, M)`` is that product, and ``arc`` reads only it: its
-model comes from Lanczos on v -> H(x) v, so no d x d array is formed.
-``sketched_hessian(x, S)`` is S (H(x) @ S^T) for an l x d sketch array S,
-O(l^2 d) flops without forming H (O(l^2 r) for QUADRANK, whose H vanishes
-off its first r coordinates), and the sketched modes use only it.  The
-dense d x d ``hessian`` is H(x) @ I; no solve calls it, and it serves
-output checks.  Lifted problems compute ``hmul`` as Q H_f(Q^T x) (Q^T M)
-in O(d r j) flops for a d x j array M, and ``sketched_hessian`` as
-(S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 + l^2 r) flops; each holds its
-d x r embedding Q once, as one C-ordered array: Q^T x is evaluated as
-x @ Q, and Q^T M and the dense Hessian multiply by the transposed view Q^T.
+Each built-in states its Hessian once, as an operator fixed at x:
+``hmul(x)`` computes from x what its Hessian needs (ARWHEAD's diagonal and
+arrow, the bands of a chained problem, POWER's scalar and vector) and
+returns op with op(M) = H(x) @ M for an n x j array M, in O(n j) flops (a
+block of Hessian-vector products; Pearlmutter, Neural Comput. 6, 1994).
+The operator keeps no reference to x, so overwriting x leaves it as it
+was.  Every second-order oracle derives from it, and ``arc`` reads only
+it: each of its models makes one operator and runs Lanczos on
+v -> op(v), so no d x d array is formed.  ``sketched_hessian(x, S)`` is
+S op(S^T) for an l x d sketch array S, O(l^2 d) flops without forming H
+(O(l^2 r) for QUADRANK, whose H vanishes off its first r coordinates),
+and the sketched modes use only it.  The dense d x d ``hessian`` is
+op(I); no solve calls it, and it serves output checks.  A lifted
+problem's operator at x forms Q^T x and the base operator at it once, and
+maps M to Q H_f(Q^T x) (Q^T M) in O(d r j) flops for a d x j array M; its
+``sketched_hessian`` is (S Q) H_f(Q^T x) (S Q)^T in O(l d r + l r^2 +
+l^2 r) flops.  Each lifted problem holds its d x r embedding Q once, as
+one C-ordered array: Q^T x is evaluated as x @ Q, and Q^T M and the dense
+Hessian multiply by the transposed view Q^T.
 """
 
 from __future__ import annotations
@@ -65,11 +70,13 @@ class ObjectiveProblem:
             array S, computed without the d x d Hessian; the sketched
             modes call it and never ``hessian``.  The result must be
             symmetric up to rounding: no layer symmetrizes it.
-        hmul: ``(x, M) -> hess f(x) @ M`` for a d x j array M, computed
-            without the d x d Hessian; ``arc`` builds its model from it,
-            one column at a time, and never calls ``hessian``.
+        hmul: ``x -> op``, the Hessian operator fixed at x: ``op(M)`` is
+            ``hess f(x) @ M`` for a d x j array M, computed without the
+            d x d Hessian.  What op needs of x is computed when it is made,
+            and none of its state aliases x.  ``arc`` makes one op per model
+            and applies it one column at a time; no solve calls ``hessian``.
 
-    A built-in states ``H(x) @ M`` once and derives all three from it.
+    A built-in states its operator once and derives all three from it.
     """
 
     name: str
@@ -79,7 +86,7 @@ class ObjectiveProblem:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     sketched_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hmul: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hmul: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     f_star: Optional[float] = None
     known_rank: Optional[int] = None
 
@@ -165,8 +172,9 @@ def _augmented_problem(base: ObjectiveProblem, q: np.ndarray, seed) -> Objective
         sq = s @ q
         return sq @ base.hessian(x @ q) @ sq.T
 
-    def hmul(x, m):
-        return q @ base.hmul(x @ q, q.T @ m)
+    def hmul(x):
+        h = base.hmul(x @ q)
+        return lambda m: q @ h(q.T @ m)
 
     rank = base.known_rank if base.known_rank is not None else base.dim
     head = base.name.split(":")[0]
@@ -212,24 +220,25 @@ def augment(base: ObjectiveProblem, d: int, seed) -> ObjectiveProblem:
 
 def _builtin(name, n, x0, value, gradient, hmul, f_star=None, known_rank=None, support=None) -> ObjectiveProblem:
     """A built-in whose Hessian is zero outside its leading k x k block H_k
-    (k = ``support``, n if None) and ``hmul(x, M) = H_k(x) @ M`` for a k x j
-    array M: the dense Hessian is H_k @ I padded with zeros, the identity made
-    per call (n can be 1e5), the sketched one S_k (H_k @ S_k^T), S_k the
-    first k columns of S, and the field ``hmul`` is H_k @ M_k padded to n
-    rows, M_k the first k rows of an n x j array M."""
+    (k = ``support``, n if None) and ``hmul(x)`` the operator M -> H_k(x) @ M
+    on k x j arrays M: the dense Hessian is hmul(x)(I) padded with zeros, the
+    identity made per call (n can be 1e5), the sketched one
+    S_k hmul(x)(S_k^T), S_k the first k columns of S, and the field ``hmul(x)``
+    the operator M -> H_k(x) @ M_k padded to n rows, M_k the first k rows of
+    an n x j array M."""
     k = n if support is None else support
 
     def hessian(x):
-        h = hmul(x, np.eye(k))
+        h = hmul(x)(np.eye(k))
         return h if k == n else np.pad(h, (0, n - k))
 
     def sketched_hessian(x, s):
         s_k = s[:, :k]
-        return s_k @ hmul(x, s_k.T)
+        return s_k @ hmul(x)(s_k.T)
 
-    def hmul_n(x, m):
-        h = hmul(x, m[:k])
-        return h if k == n else np.pad(h, ((0, n - k), (0, 0)))
+    def hmul_n(x):
+        op = hmul(x)
+        return op if k == n else lambda m: np.pad(op(m[:k]), ((0, n - k), (0, 0)))
 
     return ObjectiveProblem(name, n, x0, value, gradient, hessian, sketched_hessian, hmul_n,
                             f_star=f_star, known_rank=known_rank)
@@ -239,15 +248,19 @@ def _tridiagonal(name, n, x0, value, gradient, link, f_star) -> ObjectiveProblem
     """Chained f = sum_{i<n} f_i(x_i, x_{i+1}), whose Hessian is tridiagonal:
     ``link(x)`` gives each f_i's second derivatives in x_i, in x_{i+1} and across."""
 
-    def hmul(x, m):
+    def hmul(x):
         first, second, b = link(x)
         a = np.zeros(n)
         a[:-1] += first
         a[1:] += second
-        out = a[:, None] * m
-        out[:-1] += b[:, None] * m[1:]
-        out[1:] += b[:, None] * m[:-1]
-        return out
+
+        def op(m):
+            out = a[:, None] * m
+            out[:-1] += b[:, None] * m[1:]
+            out[1:] += b[:, None] * m[:-1]
+            return out
+
+        return op
 
     return _builtin(name, n, x0, value, gradient, hmul, f_star=f_star)
 
@@ -266,15 +279,19 @@ def _arwhead(n: int) -> ObjectiveProblem:
         g[-1] = 4.0 * x[-1] * np.sum(u)
         return g
 
-    def hmul(x, m):
+    def hmul(x):
         # an arrow: the diagonal a, and v in the last row and column off the diagonal
         u = x[:-1] ** 2 + x[-1] ** 2
         a = np.append(4.0 * u + 8.0 * x[:-1] ** 2, 4.0 * np.sum(u) + 8.0 * (n - 1) * x[-1] ** 2)
         v = 8.0 * x[:-1] * x[-1]
-        out = a[:, None] * m
-        out[:-1] += v[:, None] * m[-1]
-        out[-1] += v @ m[:-1]
-        return out
+
+        def op(m):
+            out = a[:, None] * m
+            out[:-1] += v[:, None] * m[-1]
+            out[-1] += v @ m[:-1]
+            return out
+
+        return op
 
     return _builtin("ARWHEAD", n, np.ones(n), value, gradient, hmul, f_star=0.0)
 
@@ -332,10 +349,11 @@ def _power(n: int) -> ObjectiveProblem:
     def gradient(x):
         return 4.0 * np.dot(w, x**2) * (w * x)
 
-    def hmul(x, m):
+    def hmul(x):
         # 4 t diag(w) + 8 v v^T with t = sum_i w_i x_i^2 and v = w x
+        t = np.dot(w, x**2)
         v = w * x
-        return 4.0 * np.dot(w, x**2) * (w[:, None] * m) + 8.0 * np.outer(v, v @ m)
+        return lambda m: 4.0 * t * (w[:, None] * m) + 8.0 * np.outer(v, v @ m)
 
     return _builtin("POWER", n, np.ones(n), value, gradient, hmul, f_star=0.0)
 
@@ -362,16 +380,21 @@ def _nondquar(n: int) -> ObjectiveProblem:
         g[-1] += np.sum(c)
         return g
 
-    def hmul(x, m):
+    def hmul(x):
         # the two end blocks, and sum_i c_i v_i (v_i^T M) with v_i = e_i + e_{i+1} + e_n
-        cv = (12.0 * (x[:-2] + x[1:-1] + x[-1]) ** 2)[:, None] * (m[:-2] + m[1:-1] + m[-1])
-        out = np.zeros(m.shape)
-        out[:2] += end @ m[:2]
-        out[-2:] += end @ m[-2:]
-        out[1:-1] += cv
-        out[:-2] += cv
-        out[-1] += cv.sum(axis=0)
-        return out
+        c = (12.0 * (x[:-2] + x[1:-1] + x[-1]) ** 2)[:, None]
+
+        def op(m):
+            cv = c * (m[:-2] + m[1:-1] + m[-1])
+            out = np.zeros(m.shape)
+            out[:2] += end @ m[:2]
+            out[-2:] += end @ m[-2:]
+            out[1:-1] += cv
+            out[:-2] += cv
+            out[-1] += cv.sum(axis=0)
+            return out
+
+        return op
 
     x0 = np.ones(n)
     x0[1::2] = -1.0
@@ -418,8 +441,8 @@ def _quadrank(n: int, rank: int) -> ObjectiveProblem:
     def gradient(x):
         return d * x - b
 
-    def hmul(x, m):
-        return d[:rank, None] * m
+    def hmul(x):
+        return lambda m: d[:rank, None] * m
 
     return _builtin(f"QUADRANK:d={n}:rank={rank}", n, np.zeros(n), value, gradient, hmul,
                     f_star=f_star, known_rank=rank, support=rank)

@@ -19,20 +19,23 @@ cost is charged as (l_k/d)^2 "relative Hessians seen", the budget metric
 used by the benchmark layer.
 
 The identity sketch is never formed as a matrix, nor is the d x d Hessian:
-``subproblem.lanczos`` runs on v -> H v (the problem's ``hmul``) from g
-and returns an orthonormal basis V_k of the Krylov space K_k(H, g) and the
-k x k tridiagonal T_k = V_k H V_k^T.  The model has gradient ||g|| e_1 and
-Hessian T_k, and its minimizer u gives the step V_k^T u: the Krylov
-subproblem of adaptive cubic regularization, whose step is the full-space
-minimizer outside the hard case (in exact arithmetic; on a Hessian of rank
-r, k stays near r + 1).  A Krylov space from g cannot see an eigenvector
+each ``arc`` model makes the problem's Hessian operator at x_k once
+(``problem.hmul(x)``), and ``subproblem.lanczos`` runs on it from g.  It
+returns an orthonormal basis V_k of the Krylov space K_k(H, g) and the
+k x k tridiagonal T_k = V_k H V_k^T as its diagonal and off-diagonal.
+The model (``subproblem.krylov_model``) has gradient ||g|| e_1 and
+Hessian T_k, which LAPACK's ``dstedc`` decomposes as the tridiagonal it
+is, and its minimizer u gives the step V_k^T u: the Krylov subproblem of
+adaptive cubic regularization, whose step is the full-space minimizer
+outside the hard case (in exact arithmetic; on a Hessian of rank r, k
+stays near r + 1).  A Krylov space from g cannot see an eigenvector
 orthogonal to g, so the exact hard case is lost.  A scaled-Gaussian
 sketch's S g and S H S^T (the problem's ``sketched_hessian``, as returned;
 no d x d array is formed) are whitened by ``subproblem.whiten``, and the
-model's minimizer u gives the step S^T L^{-T} u.  Each model is one
-eigendecomposition (``subproblem.build_model``) of one triangle of its
-T_k or whitened S H S^T, which no layer symmetrizes; its eigenvalues give
-the observed rank.  No solve calls the problem's ``hessian``.
+model's minimizer u gives the step S^T L^{-T} u; that model is one
+eigendecomposition (``subproblem.build_model``) of one triangle of the
+whitened S H S^T, which no layer symmetrizes.  Either model's eigenvalues
+give the observed rank.  No solve calls the problem's ``hessian``.
 
 Sketches come from the solve's own Generator (seeded by ``seed``) in
 stream order, through a ``sk.RowStream``, which decides when to draw the
@@ -285,19 +288,20 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
             try:
                 if model is None:
                     if identity:
-                        basis, h_hat = sp.lanczos(lambda v: problem.hmul(x, v[:, None])[:, 0], grad)
-                        g_hat = np.zeros(h_hat.shape[0])
-                        g_hat[0] = gnorm
+                        basis, alpha, beta = sp.lanczos(problem.hmul(x), grad)
+                        finite = bool(np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta)))
                     else:
                         s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rows)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = problem.sketched_hessian(x, s_mat.matrix)
-                    finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
+                        finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
                     if not finite:
                         break
-                    if not identity:
+                    if identity:
+                        model = sp.krylov_model(f, gnorm, alpha, beta)
+                    else:
                         g_hat, h_hat, linv = sp.whiten(s_mat.gram(), g_hat, h_hat)
-                    model = sp.build_model(f, g_hat, h_hat)
+                        model = sp.build_model(f, g_hat, h_hat)
                 solution = sp.solve(model, sigma)
                 break
             except (SingularGramError, InnerSolverError):

@@ -7,10 +7,12 @@ The model in the variables u (dimension l) is the classical Euclidean one
 a sketched model takes this form through ``whiten`` (see there), the one
 function that factors a sketch's Gram matrix, and the full-space model of
 ``arc`` through ``lanczos``, which restricts it to a Krylov space of H
-and g and needs only products H v.  m is minimized globally by
-eigendecomposition plus scalar root-finding on the secular equation
-sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g and
-mu >= max(0, -lambda_min), including explicit hard-case handling; its
+and g and needs only products H v; ``krylov_model`` decomposes its
+tridiagonal T_k as the tridiagonal it is, by LAPACK's ``dstedc``, with no
+dense k x k array (``np.linalg.eigh`` of the dense T_k without LAPACK).
+m is minimized globally by eigendecomposition plus scalar root-finding on
+the secular equation sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g
+and mu >= max(0, -lambda_min), including explicit hard-case handling; its
 tolerance and evaluation cap are ``_SECULAR_TOL`` and ``_MAX_INNER``.
 ``build_model`` eigendecomposes H = V diag(lambda) V^T and keeps
 w = V^T g; sigma is ``solve``'s argument, so one model is solved for any
@@ -37,12 +39,12 @@ whose largest entry lies outside about [1e-146, 1e146]; on such a matrix
 the two spectra agree to rounding only.)  When the reduction stops early,
 the spectrum is that of a matrix within Frobenius distance about
 sqrt(3) tol of H: each eigenvalue moves by at most that much, and the
-l - m dropped ones are exact zeros.  In every mode ``build_model``
-decomposes one triangle of the H it is given, the lower one of its
-F-ordered view H^T (the upper one of a C-ordered array), and no layer
-symmetrizes H.  The reduction overwrites H, and the model keeps only what
-``solve`` reads, so the oracles ``model_value`` to ``check_termination``
-take f0, g, H and sigma from their caller.
+l - m dropped ones are exact zeros.  ``build_model`` decomposes one
+triangle of the H it is given, the lower one of its F-ordered view H^T
+(the upper one of a C-ordered array), and no layer symmetrizes H.  The
+reduction overwrites H, and the model keeps only what ``solve`` reads, so
+the oracles ``model_value`` to ``check_termination`` take f0, g, H and
+sigma from their caller.
 """
 
 from __future__ import annotations
@@ -138,13 +140,14 @@ def whiten(gram: np.ndarray, g_hat: np.ndarray, h_hat: np.ndarray) -> Tuple[np.n
     return linv @ g_hat, linv @ h_hat @ linv.T, linv
 
 
-def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An orthonormal basis V_k of the Krylov space K_k(H, g) and T_k = V_k H V_k^T.
 
-    ``hmul(v)`` is H v for a d-vector v.  Lanczos starts from g / ||g|| and
+    ``hmul(M)`` is H M for a d x j array M (a problem's Hessian operator);
+    each product is of one column.  Lanczos starts from g / ||g|| and
     reorthogonalizes each new vector fully, by two classical Gram-Schmidt
     passes against every row of V_k, so the rows stay orthonormal to
-    rounding and T_k is tridiagonal.  The model of ``build_model`` with
+    rounding and T_k is tridiagonal.  The model of ``krylov_model`` with
     gradient ||g|| e_1 and Hessian T_k is then the model of adaptive cubic
     regularization restricted to the rows of V_k, and its minimizer u gives
     the step V_k^T u (the Krylov subproblem of Cartis, Gould & Toint, Math.
@@ -161,7 +164,11 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
     finite, whose T_k then holds the non-finite entry.  V_k (k x d) grows
     with k and is not allocated for d rows ahead.
 
-    Raises InvalidInputError unless ||g|| is positive and finite.
+    Returns V_k and T_k as it is stored, as its diagonal alpha (k entries)
+    and its sub- and superdiagonal beta (k - 1 entries).  Raises
+    InvalidInputError unless ||g|| is positive and finite, and
+    InvalidDimensionError when a product is not of the shape d x 1 of its
+    column.
     """
     d = g.shape[0]
     gnorm = _norm(g)
@@ -174,7 +181,10 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
     t_norm = 0.0  # ||T_k||_F, by hypot, which cannot overflow while T_k is finite
     for k in range(1, d + 1):
         v = basis[k - 1]
-        w = hmul(v)
+        w = hmul(v[:, None])
+        if w.shape != (d, 1):
+            raise InvalidDimensionError(f"a Hessian product of shape {w.shape} for a column of shape {(d, 1)}")
+        w = w[:, 0]
         a = float(v @ w)
         alpha.append(a)
         if not np.isfinite(a):  # a finite v @ w has a finite w
@@ -191,8 +201,7 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
         if k == basis.shape[0]:
             basis = np.concatenate([basis, np.empty((min(k, d - k), d))])
         basis[k] = w / b
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    return basis[:k], t
+    return basis[:k], np.array(alpha), np.array(beta, dtype=float)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -207,7 +216,7 @@ def _norm(v: np.ndarray) -> float:
 
 def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray) -> SketchedCubicModel:
     """Assemble a model: decompose H, factored from order ``_FACTORED_MIN`` on,
-    and take g into the eigenbasis.
+    and take g into the eigenbasis (``krylov_model`` does so for ``lanczos``'s T_k).
 
     Only one triangle of ``h_hat`` is read (see the module docstring).  A
     factored model overwrites ``h_hat``: a C-ordered one is reduced in place.
@@ -229,6 +238,35 @@ def build_model(f0: float, g_hat: np.ndarray, h_hat: np.ndarray) -> SketchedCubi
         lam = np.concatenate([lam, np.zeros(l - lam.shape[0])])
         order = np.argsort(lam, kind="stable")
         model = SketchedCubicModel(float(f0), lam[order], z, reflectors, tau, order)
+    model.w = _to_eigenbasis(model, g_hat)
+    return model
+
+
+def krylov_model(f0: float, gnorm: float, alpha: np.ndarray, beta: np.ndarray) -> SketchedCubicModel:
+    """The model with gradient ``gnorm`` e_1 and the tridiagonal Hessian T of
+    diagonal ``alpha`` and sub- and superdiagonal ``beta``: ``lanczos``'s T_k.
+
+    T is decomposed as the tridiagonal it is, by LAPACK's ``dstedc``
+    (``_lapack.tridiagonal_eigh``), which overwrites ``alpha`` and ``beta``.
+    That is what ``np.linalg.eigh`` runs on a dense T after a reduction that
+    leaves a tridiagonal matrix as it is, so the spectrum and the
+    eigenvectors are ``eigh``'s of the dense T bit for bit (unless ``eigh``
+    first rescales T; module docstring), and the vectors are kept C-ordered,
+    as ``eigh`` returns them, so that the products of ``solve`` round as
+    they would on ``eigh``'s.  Without LAPACK the model is ``build_model``'s
+    of the dense T.
+
+    Raises InvalidDimensionError on inconsistent shapes.
+    """
+    k = alpha.shape[0]
+    if beta.shape != (k - 1,):
+        raise InvalidDimensionError(f"inconsistent tridiagonal: diagonal {alpha.shape}, off-diagonal {beta.shape}")
+    g_hat = np.zeros(k)
+    g_hat[0] = gnorm
+    if not _lapack.available():
+        return build_model(f0, g_hat, np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    lam, z = _lapack.tridiagonal_eigh(alpha, beta)
+    model = SketchedCubicModel(float(f0), lam, np.ascontiguousarray(z))
     model.w = _to_eigenbasis(model, g_hat)
     return model
 

@@ -3,10 +3,12 @@
 These stay independent of the code under test: plain central differences
 of the callables, and the model written out from its definition, nothing
 shared with the analytic formulas or the solver.  ``failing_lapack`` is
-the one fake of a failed LAPACK subroutine that the error-path tests share.
+the one fake of a failed LAPACK subroutine that the error-path tests share,
+and ``wrap_products`` the one wrapper of a problem's Hessian operator.
 """
 
 import ctypes
+import dataclasses
 
 import numpy as np
 
@@ -74,3 +76,23 @@ def failing_lapack(routine, info):
         ctypes.c_int64.from_address(args[last]).value = info
 
     return failing
+
+
+def wrap_products(problem, product=lambda m, h: h):
+    """A copy of ``problem`` whose Hessian operator returns ``product(m, h)`` for
+    each product h = H(x) @ m of the problem's own, and the log of the operators
+    it made: one list per ``hmul(x)`` call, of the shapes of the arrays m that
+    operator was applied to."""
+    made = []
+
+    def hmul(x):
+        op, shapes = problem.hmul(x), []
+        made.append(shapes)
+
+        def logged(m):
+            shapes.append(m.shape)
+            return product(m, op(m))
+
+        return logged
+
+    return dataclasses.replace(problem, hmul=hmul), made

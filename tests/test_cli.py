@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import pytest
 from rsarc import _lapack, cli, write_runs_csv
 from rsarc.bench import BenchmarkRun
 from rsarc.cli import main
-from helpers import failing_lapack
+from helpers import failing_lapack, wrap_products
 
 
 def test_solve_success_exit_code(tmp_path, capsys):
@@ -76,8 +75,7 @@ def test_solve_non_finite_hessian_exits_4(monkeypatch, capsys):
     get_problem = cli.get_problem
 
     def poisoned(selector):
-        p = get_problem(selector)
-        return dataclasses.replace(p, hmul=lambda x, m: p.hmul(x, m) * math.nan)
+        return wrap_products(get_problem(selector), lambda m, h: h * math.nan)[0]
 
     monkeypatch.setattr(cli, "get_problem", poisoned)
     assert main(["solve", "--problem", "QUADRANK:d=5", "--mode", "arc"]) == 4
@@ -368,7 +366,7 @@ def test_solve_exits_3_when_lapack_fails(monkeypatch, capsys):
     if not _lapack.available():
         pytest.skip("numpy's OpenBLAS exports no LAPACK")
     monkeypatch.setitem(_lapack._routines(), "dstedc", failing_lapack("dstedc", 1))
-    # Lanczos runs k = 156 steps on this rank-150 problem, so the model is factored
+    # arc decomposes each Krylov model's T_k by dstedc
     assert main(["solve", "--problem", "l-ENGVAL1:N=150:d=300", "--mode", "arc"]) == 3
     captured = capsys.readouterr()
     assert "status=InnerFailure" in captured.out and "Traceback" not in captured.err

@@ -306,8 +306,8 @@ def test_lifted_sketched_hessian_matches_dense_projection(name, l, d):
 )
 @pytest.mark.parametrize("j,d", [(1, 3), (4, 3), (1, 20), (5, 20), (1, 300)])
 def test_hmul_matches_the_dense_product(name, j, d):
-    # the hmul contract of every problem, which arc's Lanczos reads one
-    # column at a time: H(x) @ M for a d x j array M, zero off QUADRANK's support
+    # the hmul contract of every problem, whose operator arc's Lanczos applies
+    # one column at a time: H(x) @ M for a d x j array M, zero off QUADRANK's support
     if "N=d" in name:
         g = get_problem(name.replace("N=d", f"N={d}"))
     else:
@@ -315,9 +315,27 @@ def test_hmul_matches_the_dense_product(name, j, d):
     rng = np.random.default_rng(d + j)
     m = rng.standard_normal((d, j))
     for x in (g.x0, g.x0 + 0.3 * rng.standard_normal(d)):
-        out = g.hmul(x, m)
+        out = g.hmul(x)(m)
         assert out.shape == (d, j)
         assert rel_err(out, g.hessian(x) @ m) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "selector",
+    [*(f"{name}:N=20" for name in ALL_NAMES), "QUADRANK:N=20:rank=3", "l-ENGVAL1:N=10:d=40", "l-POWER:N=10:d=40"],
+)
+def test_an_operator_keeps_its_products_when_x_is_overwritten(selector):
+    # an operator computes what it needs of x when it is made and keeps no
+    # view of x, so a caller may overwrite x in place while it holds one
+    g = get_problem(selector)
+    rng = np.random.default_rng(len(selector))
+    x = g.x0 + 0.3 * rng.standard_normal(g.dim)
+    kept = x.copy()
+    m = rng.standard_normal((g.dim, 3))
+    op = g.hmul(x)
+    x[:] = rng.standard_normal(g.dim)
+    assert np.array_equal(op(m), g.hmul(kept)(m))
+    assert rel_err(op(m), g.hessian(kept) @ m) < 1e-12
 
 
 def test_a_lifted_instance_holds_its_embedding_once():

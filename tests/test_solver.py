@@ -37,6 +37,7 @@ from rsarc.solver import (
     TRACE_COLUMNS,
     summary_dict,
 )
+from helpers import wrap_products
 
 
 def test_update_sketch_size_rule():
@@ -426,37 +427,50 @@ def test_sketched_modes_never_form_the_dense_hessian(mode):
 
 def test_arc_uses_the_hessian_vector_products_of_a_lifted_problem():
     # ARWHEAD's gradient spans a 2-dimensional invariant subspace of its
-    # Hessian, so each model takes two products, one column each, and T_k has rank 2
-    p = get_problem("l-ARWHEAD:N=20:d=60:seed=2")
-    calls = []
-
-    def hmul(x, m):
-        calls.append(m.shape)
-        return p.hmul(x, m)
-
-    res = run(dataclasses.replace(p, hmul=hmul), SolverConfig(mode="arc", epsilon=1e-6))
+    # Hessian, so each model makes one operator and applies it twice, to one
+    # column each, and T_k has rank 2
+    p, made = wrap_products(get_problem("l-ARWHEAD:N=20:d=60:seed=2"))
+    res = run(p, SolverConfig(mode="arc", epsilon=1e-6))
     assert res.status == STATUS_GRADIENT_TOL
     fresh = len(res.trace) - len(_reused(res.trace))
-    assert calls == [(60, 1)] * 2 * fresh
+    assert made == [[(60, 1)] * 2] * fresh
     assert [row.r_hat_k for row in res.trace] == [2] * len(res.trace)
 
 
+def test_a_lifted_operator_makes_one_base_operator_per_model():
+    # Q^T x and the base's coefficients at it are computed once per Lanczos
+    # run, not once per product: each fresh model makes one base operator
+    base, made = wrap_products(builtin_problem("ENGVAL1", 20))
+    res = run(augment(base, 60, seed=2), SolverConfig(mode="arc", epsilon=1e-6))
+    assert res.status == STATUS_GRADIENT_TOL
+    fresh = len(res.trace) - len(_reused(res.trace))
+    assert len(made) == fresh > 1
+    assert all(len(shapes) > 2 and set(shapes) == {(20, 1)} for shapes in made)
+
+
+def test_a_product_of_the_wrong_shape_is_a_typed_error():
+    # an operator one row short is named with both shapes, not left to numpy
+    p, _ = wrap_products(get_problem("l-ARWHEAD:N=10:d=40"), lambda m, h: h[:-1])
+    with pytest.raises(InvalidDimensionError, match=r"\(39, 1\).*\(40, 1\)"):
+        run(p, SolverConfig(mode="arc"))
+
+
+def _first_nan(h):
+    h[0, 0] = math.nan
+    return h
+
+
 def _nan_hessian(problem):
-    # every form: arc calls hmul, the sketched modes sketched_hessian, and a
-    # lifted problem's sketched_hessian its base's hessian
+    # every form: arc applies hmul's operator, the sketched modes call
+    # sketched_hessian, and a lifted problem's sketched_hessian its base's hessian
     def poisoned(form):
-        def call(*args):
-            h = form(*args)
-            h[0, 0] = math.nan
-            return h
+        return lambda *args: _first_nan(form(*args))
 
-        return call
-
+    problem, _ = wrap_products(problem, lambda m, h: _first_nan(h))
     return dataclasses.replace(
         problem,
         hessian=poisoned(problem.hessian),
         sketched_hessian=poisoned(problem.sketched_hessian),
-        hmul=poisoned(problem.hmul),
     )
 
 
@@ -480,24 +494,27 @@ def test_a_nan_in_the_triangle_the_model_does_not_read_ends_with_typed_status():
     # the last entry of H v is weighted by zero, and 0 * NaN is still NaN
     p = builtin_problem("QUADRANK", 10, rank=5)
 
-    def hmul(x, m):
-        h = p.hmul(x, m)
+    def last_nan(m, h):
         h[-1] = math.nan
         return h
 
     assert p.gradient(p.x0)[-1] == 0.0
-    res = run(dataclasses.replace(p, hmul=hmul), SolverConfig(mode="arc"))
+    res = run(wrap_products(p, last_nan)[0], SolverConfig(mode="arc"))
     assert res.status == STATUS_NON_FINITE
     assert res.trace == []
 
 
-@pytest.mark.parametrize("d", [40, 200])  # eigh, and the factored reduction
+@pytest.mark.parametrize("d", [40, 200])  # a sketched model by eigh, and by the factored reduction
 def test_a_finite_hessian_whose_squares_overflow_is_finite(d):
     # diag(1..d) scaled by 1e160: ||H||_F^2 overflows, no entry of H does;
-    # each step is too short to decrease f, so the run reaches max_iter
+    # each step is too short to decrease f, so the run reaches max_iter.  arc
+    # decomposes T_k by dstedc at any d; rarc at l0 = d builds a model of order d
     p = get_problem(f"QUADRANK:N={d}:rank={d}")
-    res = run(dataclasses.replace(p, hmul=lambda x, m: 1e160 * p.hmul(x, m)), SolverConfig(mode="arc", max_iter=2))
-    assert res.status == STATUS_MAX_ITER and len(res.trace) == 2
+    arc = run(wrap_products(p, lambda m, h: 1e160 * h)[0], SolverConfig(mode="arc", max_iter=2))
+    scaled = dataclasses.replace(p, sketched_hessian=lambda x, s: 1e160 * p.sketched_hessian(x, s))
+    sketched = run(scaled, SolverConfig(mode="rarc", l0=d, max_iter=2))
+    for res in (arc, sketched):
+        assert res.status == STATUS_MAX_ITER and len(res.trace) == 2
 
 
 def test_a_step_whose_cube_overflows_is_an_inner_failure():
@@ -506,7 +523,7 @@ def test_a_step_whose_cube_overflows_is_an_inner_failure():
     # reads sketched_hessian, which the scaling leaves alone; no
     # OverflowError or RuntimeWarning escapes
     p = get_problem("l-ARWHEAD:N=10:d=40")
-    scaled = dataclasses.replace(p, hmul=lambda x, m: -1e145 * p.hmul(x, m))
+    scaled, _ = wrap_products(p, lambda m, h: -1e145 * h)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         arc = run(scaled, SolverConfig(mode="arc", max_iter=2))
@@ -554,20 +571,24 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_arc_makes_one_eigendecomposition_per_iteration(monkeypatch):
-    # with an identity Gram the observed rank comes from the model's spectrum
+    # with an identity Gram the observed rank comes from the model's spectrum,
+    # that of T_k, which dstedc decomposes as the tridiagonal it is: no dense
+    # T_k goes to eigh unless LAPACK is missing
     p = get_problem("l-ARWHEAD:N=10:d=40")
     eigh = _counting(monkeypatch, np.linalg, "eigh")
     eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+    dstedc = _counting(monkeypatch, solver_mod.sp._lapack, "tridiagonal_eigh")
     res = run(p, SolverConfig(mode="arc", epsilon=1e-8))
     assert res.status == STATUS_GRADIENT_TOL and len(res.trace) > 3
-    assert (len(eigh), len(eigvalsh)) == (len(res.trace), 0)
+    assert (len(eigh) + len(dstedc), len(eigvalsh)) == (len(res.trace), 0)
+    assert eigh == [] or not _lapack.available()
 
 
 @pytest.mark.skipif(not solver_mod.sp._lapack.available(), reason="numpy's OpenBLAS exports no LAPACK")
 def test_without_lapack_arc_falls_back_to_eigh(monkeypatch):
-    # a model of order k >= _FACTORED_MIN keeps its eigenvectors factored when
-    # numpy's OpenBLAS exports LAPACK, and takes np.linalg.eigh's explicit ones
-    # otherwise; on this rank-150 problem Lanczos runs k = 156 steps from every x
+    # arc decomposes T_k by dstedc when numpy's OpenBLAS exports LAPACK, and
+    # the dense T_k by np.linalg.eigh otherwise; on this rank-150 problem
+    # Lanczos runs k = 156 steps from every x, past _FACTORED_MIN
     p = get_problem("l-ENGVAL1:N=150:d=300")
     cfg = SolverConfig(mode="arc")
     eigh = _counting(monkeypatch, np.linalg, "eigh")
@@ -612,28 +633,35 @@ def test_rarc_d_takes_each_gradient_into_the_eigenbasis_once(monkeypatch):
 
 
 def _iteration_calls(monkeypatch, problem):
-    """A copy of ``problem`` whose value and Hessians, and the draws and eigh
-    calls, log into the returned list.  Every iteration ends in one trial
-    value, so the log splits at "value" into iterations (see _segments), and
-    a run of Lanczos products logs one "hmul"."""
+    """A copy of ``problem`` whose value and Hessians, and the draws and
+    eigendecompositions, log into the returned list.  Every iteration ends in
+    one trial value, so the log splits at "value" into iterations (see
+    _segments); a run of Lanczos products logs one "hmul", and eigh and
+    dstedc (arc's T_k) each log "eigh"."""
     log = []
 
     def logged(name, fn):
         def call(*args, **kwargs):
-            if name != "hmul" or log[-1:] != ["hmul"]:
-                log.append(name)
+            log.append(name)
             return fn(*args, **kwargs)
 
         return call
 
+    def product(m, h):
+        if log[-1:] != ["hmul"]:
+            log.append("hmul")
+        return h
+
     monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
+    dstedc = solver_mod.sp._lapack.tridiagonal_eigh
+    monkeypatch.setattr(solver_mod.sp._lapack, "tridiagonal_eigh", logged("eigh", dstedc))
     monkeypatch.setattr(solver_mod.sk, "draw", logged("draw", solver_mod.sk.draw))
+    problem, _ = wrap_products(problem, product)
     problem = dataclasses.replace(
         problem,
         value=logged("value", problem.value),
         hessian=logged("hessian", problem.hessian),
         sketched_hessian=logged("sketched_hessian", problem.sketched_hessian),
-        hmul=logged("hmul", problem.hmul),
     )
     return problem, log
 

@@ -27,7 +27,7 @@ from rsarc import (
 from rsarc.sketch import SCALED_GAUSSIAN
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
-from rsarc.subproblem import lanczos, whiten
+from rsarc.subproblem import krylov_model, lanczos, whiten
 from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
 
 
@@ -481,7 +481,8 @@ def test_a_failed_lapack_call_raises_a_typed_error(monkeypatch, routine):
     monkeypatch.setitem(_lapack._routines(), routine, failing_lapack(routine, 7))
     with pytest.raises(InnerSolverError, match=f"{routine} failed with info = 7"):
         solve(build_model(0.0, g, h), 1.0)
-    res = run(get_problem("QUADRANK:N=200"), SolverConfig(mode="arc"))  # Lanczos runs k = 200 steps
+    # a sketched model of order 200 is factored; arc's T_k goes to dstedc alone
+    res = run(get_problem("QUADRANK:N=200"), SolverConfig(mode="rarc", l0=200))
     assert res.status == STATUS_INNER_FAILURE and res.trace == []
 
 
@@ -694,10 +695,8 @@ def test_a_sketched_model_keeps_only_the_reduced_order(monkeypatch):
 def _krylov_model(p, x):
     """The Lanczos basis of ``p`` at x and the model on it: gradient ||g|| e_1, Hessian T_k."""
     g = p.gradient(x)
-    basis, t = lanczos(lambda v: p.hmul(x, v[:, None])[:, 0], g)
-    g_t = np.zeros(t.shape[0])
-    g_t[0] = np.linalg.norm(g)
-    return basis, build_model(p.value(x), g_t, t)
+    basis, alpha, beta = lanczos(p.hmul(x), g)
+    return basis, krylov_model(p.value(x), np.linalg.norm(g), alpha, beta)
 
 
 @pytest.mark.parametrize("selector", [
@@ -744,9 +743,9 @@ def test_a_non_finite_product_stops_lanczos_at_once(bad, at):
             w[-1] = bad
         return w
 
-    basis, t = lanczos(hmul, np.ones(50))
-    assert len(calls) == at and basis.shape == (at, 50) and t.shape == (at, at)
-    assert not np.isfinite(t[-1, -1]) and np.all(np.isfinite(t[:-1, :-1]))
+    basis, alpha, beta = lanczos(hmul, np.ones(50))
+    assert len(calls) == at and basis.shape == (at, 50) and (alpha.shape, beta.shape) == ((at,), (at - 1,))
+    assert not np.isfinite(alpha[-1]) and np.all(np.isfinite(alpha[:-1])) and np.all(np.isfinite(beta))
 
 
 def test_lanczos_scales_with_a_hessian_whose_squares_overflow():
@@ -754,10 +753,44 @@ def test_lanczos_scales_with_a_hessian_whose_squares_overflow():
     # Lanczos tests do not, so it runs the same steps and T_k scales with H
     h = np.diag(np.arange(1.0, 41.0))
     g = np.ones(40)
-    basis, t = lanczos(lambda v: h @ v, g)
-    big_basis, big_t = lanczos(lambda v: 1e160 * (h @ v), g)
+    basis, alpha, beta = lanczos(lambda v: h @ v, g)
+    big_basis, big_alpha, big_beta = lanczos(lambda v: 1e160 * (h @ v), g)
     assert basis.shape == big_basis.shape == (40, 40)
-    assert rel_err(big_t / 1e160, t) <= 1e-12
+    assert rel_err(big_alpha / 1e160, alpha) <= 1e-12 and rel_err(big_beta / 1e160, beta) <= 1e-12
+
+
+def _random_tridiagonal(n):
+    rng = np.random.default_rng(80 + n)
+    return rng.standard_normal(n), np.abs(rng.standard_normal(n - 1))
+
+
+def _lanczos_tridiagonal(selector):
+    p = get_problem(selector)
+    return lanczos(p.hmul(p.x0), p.gradient(p.x0))[1:]
+
+
+@needs_lapack
+@pytest.mark.parametrize("make, arg", [
+    *((_random_tridiagonal, n) for n in (1, 2, 25, 26, 104, 139, 200)),
+    (_lanczos_tridiagonal, "l-ENGVAL1:N=100:d=300"),  # k = 104
+    (_lanczos_tridiagonal, "ROSENCHAIN:N=150"),
+])
+def test_a_krylov_model_decomposes_t_as_eigh_does_bit_for_bit(make, arg):
+    # dstedc on (alpha, beta) is what eigh runs on the dense T after a reduction
+    # that leaves a tridiagonal T as it is; orders on both sides of dstedc's
+    # SMLSIZ = 25 and of _FACTORED_MIN, from which build_model does not take eigh
+    alpha, beta = make(arg)
+    n = alpha.shape[0]
+    lam, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    model = krylov_model(0.0, 2.0, alpha, beta)
+    assert np.array_equal(model.eigenvalues, lam) and np.array_equal(model.eigenvectors, vecs)
+    assert model.eigenvectors.flags.c_contiguous  # so that solve's V y rounds as eigh's would
+    assert np.array_equal(model.w, vecs.T @ (2.0 * np.eye(n)[0]))
+
+
+def test_a_krylov_model_refuses_an_off_diagonal_of_the_wrong_length():
+    with pytest.raises(InvalidDimensionError, match="off-diagonal"):
+        krylov_model(0.0, 1.0, np.ones(3), np.ones(3))
 
 
 @pytest.mark.parametrize("g", [np.zeros(3), np.array([1.0, math.nan, 0.0])])
