@@ -156,23 +156,48 @@ def available() -> bool:
     return _routines() is not None
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of a's first element.  ctypes reads it from the buffer of a
+    writeable C-ordered array, or of the transpose of an F-ordered one, in a
+    third of the time that ``a.ctypes.data`` takes; any other array (a view,
+    an empty or a read-only array) goes through ``a.ctypes.data``."""
+    c = a if a.flags.c_contiguous else a.T
+    if c.flags.c_contiguous and a.flags.writeable and a.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(c))
+    return a.ctypes.data
+
+
+def _marshal(args: tuple) -> Tuple[list, list]:
+    """A Fortran call's arguments, and the hidden length of each CHARACTER
+    among them: an array is passed as the address of its first element, an
+    int or a float by reference, and a CHARACTER (bytes) as itself."""
+    refs, lengths = [], []
+    for a in args:
+        if isinstance(a, np.ndarray):
+            refs.append(_address(a))
+        elif isinstance(a, bytes):
+            refs.append(a)
+            lengths.append(len(a))
+        elif isinstance(a, float):
+            refs.append(ctypes.byref(ctypes.c_double(a)))
+        else:
+            refs.append(ctypes.byref(_INT(a)))
+    return refs, lengths
+
+
 def _fortran(name: str, *args):
-    """Call a Fortran routine: an array is passed as the address of its first
-    element, an int or a float by reference, and a CHARACTER (bytes) with its
-    hidden length appended."""
-    refs = [a.ctypes.data if isinstance(a, np.ndarray)
-            else ctypes.byref(_INT(a)) if isinstance(a, (int, np.integer))
-            else ctypes.byref(ctypes.c_double(a)) if isinstance(a, float)
-            else a for a in args]
-    return _routines()[name](*refs, *(len(a) for a in args if isinstance(a, bytes)))
+    """Call a Fortran routine on ``args`` (``_marshal``)."""
+    refs, lengths = _marshal(args)
+    return _routines()[name](*refs, *lengths)
 
 
 def _subroutine(name: str, *args) -> None:
-    """Call a Fortran subroutine with ``info`` appended; a nonzero info raises InnerSolverError."""
-    info = np.zeros(1, dtype=np.int64)
-    _fortran(name, *args, info)
-    if info[0] != 0:
-        raise InnerSolverError(f"LAPACK {name} failed with info = {int(info[0])}")
+    """Call a Fortran subroutine with the address of ``info`` appended; a nonzero info raises InnerSolverError."""
+    info = _INT()
+    refs, lengths = _marshal(args)
+    _routines()[name](*refs, ctypes.addressof(info), *lengths)
+    if info.value != 0:
+        raise InnerSolverError(f"LAPACK {name} failed with info = {info.value}")
 
 
 def _check(a: np.ndarray, shape: Tuple[int, ...]) -> None:

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import List, Optional, Tuple, get_type_hints
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .problems import get_problem
 from .solver import (
     MODE_ARC,
     MODES,
+    SETTING_KINDS as _SETTINGS,
     STATUS_DECREASE_UNRESOLVED,
     STATUS_GRADIENT_TOL,
     STATUS_INNER_FAILURE,
@@ -59,8 +60,6 @@ _EXIT_BY_STATUS = {
 
 _FIELD_ALIASES = {"C": "growth_c", "eps": "epsilon", "redraw": "redraw_policy"}
 _FLAG_OF = {name: flag for flag, name in _FIELD_ALIASES.items()}
-#: SolverConfig field name -> its type hint
-_SETTINGS = get_type_hints(SolverConfig)
 #: run_grid's arguments in its order -> the JSON type of the value, or [type of each item]
 _GRID = {"problems": [str], "solver_configs": [dict], "repeats": int, "seed_base": int,
          "taus": [float], "metric": str}
@@ -281,6 +280,8 @@ def cmd_embed_check(args) -> int:
         raise RsarcError(f"need --trials >= 1, got {args.trials}")
     if args.rank < 0:
         raise RsarcError(f"need --rank >= 0, got {args.rank}")
+    if args.rank > args.d:  # no rank-r subspace of R^d has r > d
+        raise RsarcError(f"need --rank <= --d = {args.d}, got {args.rank}")
     if args.seed < 0:
         raise RsarcError(f"need --seed >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

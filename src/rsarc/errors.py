@@ -12,6 +12,10 @@ class InvalidDimensionError(RsarcError, ValueError):
 class UnsupportedProblemError(RsarcError, KeyError):
     """Raised for an unknown test-problem name or malformed problem selector."""
 
+    def __str__(self) -> str:
+        # the message as it is: KeyError's own __str__ quotes it as it would a missing key
+        return Exception.__str__(self)
+
 
 class SingularGramError(RsarcError):
     """Raised when the sketch Gram matrix S S^T cannot be factorized."""

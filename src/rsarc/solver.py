@@ -141,12 +141,12 @@ class SolverConfig:
     seed: int = _setting(0, "solver RNG seed", minimum=0)
 
     def validate(self) -> None:
-        types = get_type_hints(SolverConfig)
         for f in fields(self):
             value, choices, minimum = getattr(self, f.name), f.metadata["choices"], f.metadata["minimum"]
-            kind = (int, float) if types[f.name] is float else types[f.name]  # a bool is an int, but no setting
+            declared = SETTING_KINDS[f.name]
+            kind = (int, float) if declared is float else declared  # a bool is an int, but no setting
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"need {f.name} of type {types[f.name].__name__}, got {value!r}")
+                raise ConfigError(f"need {f.name} of type {declared.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"need a finite {f.name}, got {value}")
             if choices is not None and value not in choices:
@@ -164,6 +164,10 @@ class SolverConfig:
         else:
             head = f"rarc-d-l0{self.l0}" + (f"-C{self.growth_c}" if self.growth_c != 1 else "")
         return head if self.redraw_policy == REDRAW_ON_SUCCESS else f"{head}-{self.redraw_policy}"
+
+
+#: SolverConfig field name -> its type, which ``validate`` and the CLI's flags and files read
+SETTING_KINDS = get_type_hints(SolverConfig)
 
 
 @dataclass
@@ -270,7 +274,7 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
     grad = problem.gradient(x)
 
     for k in range(config.max_iter + 1):
-        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        if not (np.isfinite(f) and np.isfinite(grad).all()):
             status = STATUS_NON_FINITE
             break
         gnorm = float(np.linalg.norm(grad))
@@ -289,12 +293,12 @@ def _iterate(problem: ObjectiveProblem, config: SolverConfig, rows: sk.RowStream
                 if model is None:
                     if identity:
                         basis, alpha, beta = sp.lanczos(problem.hmul(x), grad)
-                        finite = bool(np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta)))
+                        finite = bool(np.isfinite(alpha).all() and np.isfinite(beta).all())
                     else:
                         s_mat = sk.draw(sk.SCALED_GAUSSIAN, l, d, rows)
                         g_hat = sk.sketch_gradient(s_mat, grad)
                         h_hat = problem.sketched_hessian(x, s_mat.matrix)
-                        finite = bool(np.all(np.isfinite(g_hat)) and _all_finite(h_hat))
+                        finite = bool(np.isfinite(g_hat).all() and _all_finite(h_hat))
                     if not finite:
                         break
                     if identity:

@@ -13,7 +13,11 @@ dense k x k array (``np.linalg.eigh`` of the dense T_k without LAPACK).
 m is minimized globally by eigendecomposition plus scalar root-finding on
 the secular equation sigma ||u(mu)|| = mu with u(mu) = -(H + mu I)^{-1} g
 and mu >= max(0, -lambda_min), including explicit hard-case handling; its
-tolerance and evaluation cap are ``_SECULAR_TOL`` and ``_MAX_INNER``.
+tolerance and evaluation cap are ``_SECULAR_TOL`` and ``_MAX_INNER``.  The
+floating-point error scope of a solve lives in ``solve``: one
+``np.errstate`` that ignores division by zero, overflow and invalid
+operations, inside which the secular solve and each of its evaluations run
+without opening their own; only the product V y runs outside it.
 ``build_model`` eigendecomposes H = V diag(lambda) V^T and keeps
 w = V^T g; sigma is ``solve``'s argument, so one model is solved for any
 sigma without a second eigendecomposition.  ``solve`` does the rest; its
@@ -65,9 +69,11 @@ _EIG_GROUP_TOL = 1e-12
 _HARD_CASE_TOL = 1e-12
 #: absolute roundoff slack in the second/third termination conditions
 _TERMINATION_SLACK = 1e-12
-#: secular solve: stop at |phi(mu)| <= _SECULAR_TOL * max(1, mu), fail after _MAX_INNER evaluations
+#: secular solve: stop at |phi(mu)| <= _SECULAR_TOL * max(1, mu), fail after _MAX_INNER evaluations,
+#: and return the best mu seen once the bracket is at most _BRACKET_TOL * max(1, hi) wide
 _SECULAR_TOL = 1e-10
 _MAX_INNER = 200
+_BRACKET_TOL = 4.0 * float(np.finfo(float).eps)
 #: order from which build_model keeps the eigenvectors factored, as Q Z;
 #: build_model plus solve took 0.98 ms with eigh and 1.22 ms factored at
 #: l = 64, 2.74 and 1.83 ms at l = 128 (full-rank H, 2 cores, OpenBLAS)
@@ -172,10 +178,10 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
     """
     d = g.shape[0]
     gnorm = _norm(g)
-    if not (gnorm > 0.0 and np.isfinite(gnorm)):
+    if not (gnorm > 0.0 and math.isfinite(gnorm)):
         raise InvalidInputError(f"need a nonzero finite g, got ||g|| = {gnorm}")
     basis = np.empty((1, d))
-    basis[0] = g / gnorm
+    np.divide(g, gnorm, out=basis[0])
     alpha: list = []
     beta: list = []
     t_norm = 0.0  # ||T_k||_F, by hypot, which cannot overflow while T_k is finite
@@ -187,12 +193,12 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
         w = w[:, 0]
         a = float(v @ w)
         alpha.append(a)
-        if not np.isfinite(a):  # a finite v @ w has a finite w
+        if not math.isfinite(a):  # a finite v @ w has a finite w
             break
         t_norm = math.hypot(t_norm, a)
         span = basis[:k]
-        w = w - span.T @ (span @ w)
-        w = w - span.T @ (span @ w)
+        w = w - span.T @ (span @ w)  # a new array: the product is the operator's
+        w -= span.T @ (span @ w)
         b = _norm(w)
         if k == d or b <= d * _LANCZOS_TOL * t_norm:
             break
@@ -200,15 +206,16 @@ def lanczos(hmul: Callable[[np.ndarray], np.ndarray], g: np.ndarray) -> Tuple[np
         t_norm = math.hypot(t_norm, b, b)
         if k == basis.shape[0]:
             basis = np.concatenate([basis, np.empty((min(k, d - k), d))])
-        basis[k] = w / b
+        np.divide(w, b, out=basis[k])
     return basis[:k], np.array(alpha), np.array(beta, dtype=float)
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v||, also where the sum of squares of a finite v overflows."""
+    """||v|| as ``np.linalg.norm`` computes it for a contiguous float64 v, sqrt(v @ v),
+    also where the sum of squares of a finite v overflows."""
     with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(v))
-    if nrm == np.inf and np.all(np.isfinite(v)):
+        nrm = math.sqrt(v @ v)
+    if nrm == math.inf and np.all(np.isfinite(v)):
         scale = float(np.max(np.abs(v)))
         nrm = scale * float(np.linalg.norm(v / scale))
     return nrm
@@ -331,73 +338,83 @@ def check_termination(f0: float, g_hat: np.ndarray, h_hat: np.ndarray, sigma: fl
     return decrease_ok, grad_ok, curv_ok
 
 
-def _secular_norm(mu: float, lam: np.ndarray, w2: np.ndarray) -> Tuple[float, float]:
-    """||u(mu)|| and d||u(mu)||/dmu for u(mu) = -(diag(lam)+mu I)^{-1} w.
+def _secular_norm(mu: float, lam: np.ndarray, w2: np.ndarray, zero: Optional[np.ndarray]) -> Tuple[float, np.ndarray]:
+    """||u(mu)|| for u(mu) = -(diag(lam)+mu I)^{-1} w, and lam + mu.
 
-    Components with w = 0 contribute nothing even on the boundary
+    ``w2`` is w**2 and ``zero`` its mask w2 == 0, or None when w2 has no
+    zero: components with w = 0 contribute nothing even on the boundary
     lam + mu = 0; components with w != 0 there produce +inf, which the
     safeguarded iteration treats as phi > 0.
     """
     denom = lam + mu
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = np.where(w2 == 0.0, 0.0, w2 / denom**2)
-        norm2 = float(np.sum(terms))
-        if not np.isfinite(norm2):
-            return np.inf, -np.inf
-        nrm = np.sqrt(norm2)
-        if nrm == 0.0:
-            return 0.0, 0.0
-        d3 = np.where(w2 == 0.0, 0.0, w2 / denom**3)
-        return nrm, -float(np.sum(d3)) / nrm
+    terms = w2 / denom**2
+    if zero is not None:
+        terms[zero] = 0.0
+    norm2 = float(terms.sum())
+    return (math.sqrt(norm2) if math.isfinite(norm2) else math.inf), denom
+
+
+def _secular_slope(nrm: float, denom: np.ndarray, w2: np.ndarray, zero: Optional[np.ndarray]) -> float:
+    """d||u(mu)||/dmu from a finite ||u(mu)|| = ``nrm`` and the ``denom`` = lam + mu of ``_secular_norm``."""
+    if nrm == 0.0:
+        return 0.0
+    terms = w2 / denom**3
+    if zero is not None:
+        terms[zero] = 0.0
+    return -float(terms.sum()) / nrm
 
 
 def _solve_secular(lam: np.ndarray, w: np.ndarray, wnorm: float, sigma: float) -> Tuple[float, int]:
-    """Root of phi(mu) = sigma ||u(mu)|| - mu on [max(0, -lam_min), inf).
+    """Root of phi(mu) = sigma ||u(mu)|| - mu on [max(0, -lam_min), inf), and its evaluations of phi.
 
     Safeguarded Newton with a bisection fallback; phi is strictly
     decreasing on the bracket, and the upper end
-    mu_lo + sqrt(sigma ||w||), with wnorm = ||w||, bounds the root.
+    mu_lo + sqrt(sigma ||w||), with wnorm = ||w||, bounds the root.  The
+    bracketing loop reads ||u|| alone, not its slope.  Runs in ``solve``'s
+    error scope (module docstring).
     """
     w2 = w**2
+    zero = None if w2.all() else w2 == 0.0
     mu_lo = max(0.0, -float(lam[0]))
     lo = mu_lo
-    hi = mu_lo + np.sqrt(sigma * wnorm) + 1e-16
+    hi = mu_lo + math.sqrt(sigma * wnorm) + 1e-16
     evals = 0
 
     # guard against the analytic bound being grazed by roundoff
     for _ in range(64):
-        nrm, _ = _secular_norm(hi, lam, w2)
         evals += 1
-        if sigma * nrm - hi <= 0.0:
+        if sigma * _secular_norm(hi, lam, w2, zero)[0] - hi <= 0.0:
             break
         hi = 2.0 * hi - lo + 1.0
     else:
         raise InnerSolverError("could not bracket the secular root")
 
     mu = 0.5 * (lo + hi)
-    best_mu, best_abs = hi, np.inf
+    best_mu, best_abs = hi, math.inf
     while evals < _MAX_INNER:
-        nrm, dnrm = _secular_norm(mu, lam, w2)
+        nrm, denom = _secular_norm(mu, lam, w2, zero)
         evals += 1
         phi = sigma * nrm - mu
-        if np.isfinite(phi) and abs(phi) < best_abs:
+        finite = math.isfinite(phi)
+        if finite and abs(phi) < best_abs:
             best_mu, best_abs = mu, abs(phi)
-        if np.isfinite(phi) and abs(phi) <= _SECULAR_TOL * max(1.0, mu):
+        if finite and abs(phi) <= _SECULAR_TOL * max(1.0, mu):
             return mu, evals
         if phi > 0.0:
             lo = mu
         else:
             hi = mu
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, hi):
+        if hi - lo <= _BRACKET_TOL * max(1.0, hi):
             return best_mu, evals
-        step_ok = np.isfinite(phi) and np.isfinite(dnrm)
-        if step_ok:
-            dphi = sigma * dnrm - 1.0
-            nxt = mu - phi / dphi
-            if not (lo < nxt < hi):
-                nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 0.5 * (lo + hi)
+        nxt = 0.5 * (lo + hi)
+        if finite:
+            # Newton where it stays inside the bracket.  An infinite slope gives
+            # mu itself, now lo or hi, and at dphi = 0 the step is infinite
+            dphi = sigma * _secular_slope(nrm, denom, w2, zero) - 1.0
+            if dphi != 0.0:
+                newton = mu - phi / dphi
+                if lo < newton < hi:
+                    nxt = newton
         mu = nxt
     raise InnerSolverError(
         f"secular root-finding did not converge in {_MAX_INNER} evaluations"
@@ -412,7 +429,8 @@ def solve(model: SketchedCubicModel, sigma: float) -> SubproblemSolution:
     correction in the hard case.  A global minimizer meets the conditions of
     ``check_termination`` in exact arithmetic, so they are not evaluated
     here.  The solution carries the predicted decrease f0 - q(u),
-    evaluated in the eigenbasis.
+    evaluated in the eigenbasis.  Everything but the product V y runs in
+    the one floating-point error scope of the solve (module docstring).
 
     Raises InvalidInputError unless sigma > 0.
     """
@@ -420,57 +438,44 @@ def solve(model: SketchedCubicModel, sigma: float) -> SubproblemSolution:
         raise InvalidInputError(f"need sigma > 0, got {sigma}")
     lam = model.eigenvalues
     w = model.w
-
-    gnorm = float(np.linalg.norm(w))
-    lam1 = float(lam[0])
-    mu_lo = max(0.0, -lam1)
-    iterations = 0
-    hard_case = False
-
-    if gnorm == 0.0 and lam1 >= 0.0:
-        y = np.zeros_like(w)
-        mu = 0.0
-    else:
-        group = lam <= lam1 + _EIG_GROUP_TOL * max(1.0, abs(lam1))
-        w_min = float(np.linalg.norm(w[group]))
-        hard_candidate = lam1 < 0.0 and w_min <= _HARD_CASE_TOL * gnorm
-        y = None
-        if hard_candidate:
-            u_perp = np.zeros_like(w)
-            u_perp[~group] = -w[~group] / (lam[~group] + mu_lo)
-            p = float(np.linalg.norm(u_perp))
-            target = mu_lo / sigma
-            if p < target:
-                # interior solution too short: pad along the minimal eigenvector
-                alpha = np.sqrt(target**2 - p**2)
-                y = u_perp.copy()
-                y[0] += alpha
-                mu = mu_lo
-                hard_case = True
-            else:
-                w = np.where(group, 0.0, w)  # the negligible components are exact zeros
-                gnorm = float(np.linalg.norm(w))
+    mu, iterations, hard_case = 0.0, 0, False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gnorm = math.sqrt(w @ w)  # np.linalg.norm's sqrt(w @ w): a model's w is a contiguous float64 array
+        lam1 = float(lam[0])
+        y = np.zeros_like(w) if gnorm == 0.0 and lam1 >= 0.0 else None
+        if y is None and lam1 < 0.0:
+            mu_lo = -lam1
+            group = lam <= lam1 + _EIG_GROUP_TOL * max(1.0, abs(lam1))
+            if float(np.linalg.norm(w[group])) <= _HARD_CASE_TOL * gnorm:
+                u_perp = np.zeros_like(w)
+                u_perp[~group] = -w[~group] / (lam[~group] + mu_lo)
+                p = float(np.linalg.norm(u_perp))
+                target = mu_lo / sigma
+                if p < target:
+                    # interior solution too short: pad along the minimal eigenvector
+                    u_perp[0] += np.sqrt(target**2 - p**2)
+                    y, mu, hard_case = u_perp, mu_lo, True
+                else:
+                    w = np.where(group, 0.0, w)  # the negligible components are exact zeros
+                    gnorm = float(np.linalg.norm(w))
         if y is None:
             mu, iterations = _solve_secular(lam, w, gnorm, sigma)
-            denom = lam + mu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y = np.where(w == 0.0, 0.0, -w / denom)
-            if not np.all(np.isfinite(y)):
+            y = -w / (lam + mu)
+            if not w.all():
+                y[w == 0.0] = 0.0
+            if not np.isfinite(y).all():
                 raise InnerSolverError("secular solution has non-finite components")
-
-    s_hat = _from_eigenbasis(model, y)
-    step_norm = np.linalg.norm(y)
-
-    # model decrease evaluated in the eigenbasis: adding it to f0 cannot
-    # round above f0 when it is nonpositive.  In float64, so that a step too
-    # long for its cube gives a non-finite value, not an OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
+        # ||y|| as a float64 (np.linalg.norm's sqrt(y @ y)), so that a step too
+        # long for its cube gives a non-finite model value, not an
+        # OverflowError.  The decrease is evaluated in the eigenbasis: adding
+        # it to f0 cannot round above f0 when it is nonpositive
+        step_norm = np.sqrt(y @ y)
         quad = w @ y + 0.5 * np.sum(lam * y**2)
         value = model.f0 + float(quad + (sigma / 3.0) * step_norm**3)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InnerSolverError(f"the model value at a step of norm {step_norm:.3g} is not finite")
     return SubproblemSolution(
-        s_hat=s_hat,
+        s_hat=_from_eigenbasis(model, y),
         model_value=value,
         predicted_decrease=-float(quad),
         cubic_norm=float(step_norm),

@@ -50,6 +50,16 @@ def test_solve_unknown_problem_exits_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector, line", [
+    ("FOO:N=3", "rsarc: error: unknown problem 'FOO'"),
+    ("ARWHEAD:N=3:N=4", "rsarc: error: repeated selector key 'N' in 'ARWHEAD:N=3:N=4'"),
+], ids=["unknown-name", "repeated-key"])
+def test_a_bad_selector_is_reported_as_its_message(capsys, selector, line):
+    # UnsupportedProblemError is a KeyError, whose own str() quotes the whole message
+    assert main(["solve", "--problem", selector]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_solve_max_iter_exits_2(tmp_path):
     code = main([
         "solve", "--problem", "ROSENCHAIN:N=12", "--mode", "arc",
@@ -434,6 +444,7 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
     [
         (["embed-check", "--l", "5", "--d", "10", "--rank", "2", "--trials", "0"], "--trials"),
         (["embed-check", "--l", "5", "--d", "10", "--rank", "-1"], "--rank"),
+        (["embed-check", "--l", "5", "--d", "10", "--rank", "20"], "need --rank <= --d = 10, got 20"),
         (["profile", "--runs", "{runs}", "--tau", "0.3", "--out", "{out}"], "tau 0.3"),
         (["profile", "--runs", "{profile}", "--out", "{out}"], "problem_id"),
         (["profile", "--runs", "{bad_row}", "--out", "{out}"], "bad_row.csv:3"),
@@ -467,7 +478,7 @@ _BENCH = ["bench", "--problem", "QUADRANK:d=6", "--repeats", "1", "--out", "{out
         (["rerun", "--manifest", "{no_tau_manifest}", "--out", "{out}"], "need one or more taus"),
     ],
     ids=[
-        "no-trials", "negative-rank", "unknown-tau", "not-a-runs-csv", "malformed-row",
+        "no-trials", "negative-rank", "rank-above-d", "unknown-tau", "not-a-runs-csv", "malformed-row",
         "embed-negative-seed", "selector-negative-seed", "solve-negative-seed", "nan-sigma0",
         "no-inner-evaluations", "negative-inner-tol", "theta-config",
         "negative-seed-base", "no-repeats", "negative-workers", "config-is-a-directory",

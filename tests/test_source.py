@@ -229,3 +229,16 @@ def test_no_solve_calls_the_dense_hessian():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "hessian"
     ]
     assert not calls, f"solver.py calls .hessian( at lines {calls}"
+
+
+def test_the_solver_setting_types_are_computed_once():
+    # get_type_hints(SolverConfig) builds solver.SETTING_KINDS at import; validate
+    # and the CLI read that table instead of resolving the annotations again
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "get_type_hints"
+        and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "SolverConfig"
+    ]
+    assert len(calls) == 1 and calls[0].startswith("solver.py:"), calls

@@ -28,7 +28,10 @@ from rsarc.sketch import SCALED_GAUSSIAN
 from rsarc import _lapack, subproblem
 from rsarc import solver as solver_mod
 from rsarc.subproblem import krylov_model, lanczos, whiten
-from helpers import failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err
+from helpers import (
+    failing_lapack, fd_gradient, fd_jacobian, model_value_oracle, rel_err, secular_norm_oracle,
+    solve_oracle, solve_secular_oracle,
+)
 
 
 def random_data(rng, l, f0=0.0, sigma=None, gram="random"):
@@ -598,6 +601,17 @@ def test_the_binding_refuses_an_array_lapack_would_reject(call):
         call()
 
 
+def test_the_binding_passes_every_array_by_the_address_of_its_first_element():
+    # ctypes reads a contiguous writeable array's address from its buffer; every
+    # other array takes numpy's own ctypes.data
+    c, f = np.arange(12.0).reshape(3, 4), np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    frozen = np.arange(3.0)
+    frozen.flags.writeable = False
+    for a in (c, f, c[1:], f[:, 1:], f[1:, 1:], c[:, 1:], np.empty(0), np.empty((0, 3), order="F"), frozen,
+              np.zeros(1, dtype=np.int64)):
+        assert _lapack._address(a) == a.ctypes.data
+
+
 def _explicit_q(reflectors, tau):
     n = reflectors.shape[0]
     return np.column_stack([_lapack.apply_q(reflectors, tau, col, transpose=False) for col in np.eye(n)])
@@ -797,3 +811,121 @@ def test_a_krylov_model_refuses_an_off_diagonal_of_the_wrong_length():
 def test_lanczos_refuses_a_zero_or_non_finite_start(g):
     with pytest.raises(InvalidInputError, match="nonzero finite g"):
         lanczos(lambda v: v, g)
+
+
+# The secular solve and solve against the oracles of tests/helpers.py, which
+# are the code before its per-call overhead was cut: every value, every
+# evaluation count and every error is theirs, bit for bit.
+
+_SIGMAS = [float(sigma) for sigma in np.logspace(-12, 8, 21)]  # Python floats, as the solver's
+
+
+def _bits(value):
+    """A value as its bits: an array by dtype, shape and bytes, a float by its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value
+
+
+def _outcome(fn, *args):
+    """fn(*args) as bits (a solution field by field, or a secular solve's (mu, evals)),
+    or the type and message of the error it raises.  Both sides run with every
+    floating-point error ignored: the oracles warn where solve's scope is silent."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except (InnerSolverError, InvalidInputError) as exc:
+            return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        return tuple(_bits(v) for v in out)
+    return {name: _bits(v) for name, v in vars(out).items()}
+
+
+def _assert_solves_as_the_oracle(m, sigmas=_SIGMAS):
+    """solve equals solve_oracle, and the secular solve and its evaluations equal
+    theirs, at each sigma; returns solve's outcomes."""
+    lam, w = m.eigenvalues, m.w
+    w2 = w**2
+    zero = None if w2.all() else w2 == 0.0
+    wnorm = float(np.linalg.norm(w))
+    outcomes = []
+    for sigma in sigmas:
+        new = _outcome(solve, m, sigma)
+        assert new == _outcome(solve_oracle, m, sigma), sigma
+        assert _outcome(subproblem._solve_secular, lam, w, wnorm, sigma) == \
+            _outcome(solve_secular_oracle, lam, w, wnorm, sigma), sigma
+        outcomes.append(new)
+    mu_lo = max(0.0, -float(lam[0]))
+    with np.errstate(all="ignore"):
+        for mu in mu_lo + np.array([0.0, 1e-14, 1e-6, 1.0, 1e6]):
+            nrm, denom = subproblem._secular_norm(mu, lam, w2, zero)
+            want, slope = secular_norm_oracle(mu, lam, w2)
+            assert _bits(nrm) == _bits(want), mu
+            if math.isfinite(nrm):
+                assert _bits(subproblem._secular_slope(nrm, denom, w2, zero)) == _bits(slope), mu
+    return outcomes
+
+
+def _diagonal_model(lam, w):
+    """The model of eigenvalues ``lam`` (ascending) and gradient ``w`` in the eigenbasis I."""
+    m = subproblem.SketchedCubicModel(0.0, np.array(lam, dtype=float), np.eye(len(lam)))
+    m.w = np.array(w, dtype=float)
+    return m
+
+
+@pytest.mark.parametrize("l", [1, 2, 51, 104, 200])
+def test_solve_is_the_oracle_bit_for_bit_on_random_models(l):
+    # dense models by eigh, factored ones from _FACTORED_MIN on (l = 200, full
+    # rank and rank 20), and Krylov models of a random tridiagonal
+    rng = np.random.default_rng(90 + l)
+    models = []
+    for rank in (l, min(l, 20)):
+        for _ in range(2):
+            b = rng.standard_normal((l, rank))
+            h = (b * rng.standard_normal(rank)) @ b.T * 10.0 ** rng.uniform(-3, 3)
+            models.append(build_model(1.0, rng.standard_normal(l) * 10.0 ** rng.uniform(-3, 3), h))
+    models.append(krylov_model(1.0, 2.0, rng.standard_normal(l), np.abs(rng.standard_normal(l - 1))))
+    if l >= subproblem._FACTORED_MIN and _lapack.available():
+        assert all(m.reflectors is not None for m in models[:4])
+        assert models[2].eigenvectors.shape[0] < l  # the rank-20 reduction stopped early
+    for m in models:
+        outcomes = _assert_solves_as_the_oracle(m)
+        assert all(isinstance(out, dict) for out in outcomes)
+
+
+@pytest.mark.parametrize("lam, w, reached", [
+    ([-1.0, 0.5, 2.0, 3.0], [0.0, 1.0, 0.0, -2.0], {"hard case", "not hard"}),
+    ([1.0, 2.0, 3.0], [1e-170, 1.0, 0.0], {"not hard"}),  # a nonzero w whose square underflows
+    ([0.5, 1.0], [0.0, 0.0], {"not hard"}),  # g = 0 and H >= 0: the zero step
+    ([-1.0, 1.0], [0.0, 0.0], {"hard case"}),
+    ([-2.0, 1.0, 3.0], [0.0, 0.3, -0.4], {"hard case", "not hard"}),
+    ([-2.0, -2.0, 1.0, 3.0], [0.0, 0.0, 0.3, -0.4], {"hard case", "not hard"}),
+    ([-2.0, 1.0, 3.0], [4e-13, 0.3, -0.4], {"hard case", "not hard"}),  # near miss, inside the tolerance
+    ([-2.0, 1.0, 3.0], [6e-13, 0.3, -0.4], {"not hard"}),  # near miss, outside: a pole at mu_lo
+    ([-1.0, 2.0], [1e-6, 1.0], {"not hard"}),
+    ([0.5, 1.0], [1e150, 1.0], {"not hard", "the model value at a step"}),  # at sigma = 1e-300 (below)
+    ([-1e100, 1.0], [1.0, 1.0], {"could not bracket"}),  # mu_lo + sqrt(sigma ||w||) rounds to mu_lo
+    ([1.0, 2.0], [math.nan, 1.0], {"could not bracket"}),
+    ([1.0, 2.0], [math.inf, 1.0], {"could not bracket"}),
+], ids=["zeros-in-w", "underflowed-square", "zero-gradient", "zero-gradient-indefinite", "hard-case",
+        "hard-case-double", "near-miss-inside", "near-miss-outside", "pole-at-mu-lo",
+        "step-cube-overflows", "bracket-below-one-ulp", "nan-in-w", "inf-in-w"])
+def test_solve_is_the_oracle_bit_for_bit_on_edge_models(lam, w, reached):
+    # each model reaches the paths named, somewhere on 1e-12 <= sigma <= 1e8; the
+    # step whose cube overflows needs sigma = 1e-300
+    sigmas = _SIGMAS + [1e-300] if "the model value at a step" in reached else _SIGMAS
+    outcomes = _assert_solves_as_the_oracle(_diagonal_model(lam, w), sigmas)
+    paths = {("hard case" if out["hard_case"] else "not hard") if isinstance(out, dict) else out[1]
+             for out in outcomes}
+    assert {next((r for r in reached if path.startswith(r)), path) for path in paths} == reached
+
+
+def test_solve_is_the_oracle_bit_for_bit_at_the_evaluation_cap(monkeypatch):
+    rng = np.random.default_rng(95)
+    m = build_model(0.0, rng.standard_normal(6), np.diag(rng.standard_normal(6)))
+    for cap in (1, 2, 3, 5):
+        monkeypatch.setattr(subproblem, "_MAX_INNER", cap)
+        outcomes = _assert_solves_as_the_oracle(m)
+        assert ("InnerSolverError", f"secular root-finding did not converge in {cap} evaluations") in outcomes
